@@ -8,7 +8,6 @@
 //	spbench -parallel -jobs 4   # experiments concurrently, shared cache
 //	spbench -format json        # machine-readable rows + wall times
 //	spbench -core-bench         # engine-throughput record → results/BENCH_core.json
-//	spbench -scale-bench        # (mesh x shards) scaling matrix → results/BENCH_scale.json
 //	spbench -cpuprofile cpu.pprof -core-bench
 //
 // -core-bench measures simulated-cycles-per-second over a fixed set of
@@ -65,11 +64,6 @@ func main() {
 	coreScale := flag.Float64("core-scale", 0.2, "workload scale for -core-bench")
 	coreGate := flag.Float64("core-gate", 0,
 		"fail -core-bench when aggregate cycles/s falls more than this percent below the rolling baseline (median of recent history; 0 = record only)")
-	scaleBench := flag.Bool("scale-bench", false, "measure the (mesh size x shard count) scaling matrix and write the BENCH_scale record")
-	scaleOut := flag.String("scale-out", "results/BENCH_scale.json", "record path for -scale-bench")
-	scaleBenchName := flag.String("scale-bench-name", "ocean", "workload for -scale-bench")
-	scaleRuns := flag.Int("scale-runs", 3, "timed repetitions per cell for -scale-bench (best run counts)")
-	scaleScale := flag.Float64("scale-scale", 0.02, "workload scale for -scale-bench (kept small: the matrix spans 16x16 meshes)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile here")
 	memprofile := flag.String("memprofile", "", "write an allocation profile here on exit")
 	flag.Parse()
@@ -103,13 +97,6 @@ func main() {
 
 	if *coreBench {
 		if err := runCoreBench(*coreOut, *coreRuns, *coreScale, *seed, *coreGate); err != nil {
-			fmt.Fprintln(os.Stderr, "spbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *scaleBench {
-		if err := runScaleBench(*scaleOut, *scaleBenchName, *scaleRuns, *scaleScale, *seed); err != nil {
 			fmt.Fprintln(os.Stderr, "spbench:", err)
 			os.Exit(1)
 		}

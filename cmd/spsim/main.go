@@ -104,7 +104,6 @@ func main() {
 	scale := flag.Float64("scale", 0.2, "workload scale factor")
 	seed := flag.Int64("seed", 42, "workload build seed")
 	threads := flag.Int("threads", 16, "thread/node count (a perfect-square mesh: 16, 64, 256, ...)")
-	shards := flag.Int("shards", 1, "intra-run executor shards (1 = serial engine; results are byte-identical for every value)")
 	metricsEpoch := flag.Uint64("metrics-epoch", 0, "metrics sampling epoch in cycles (0 = no metrics)")
 	metricsOut := flag.String("metrics-out", "", "write the metrics time-series JSON here (requires -metrics-epoch)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile here")
@@ -214,7 +213,6 @@ func main() {
 		}
 		opt := sim.DefaultOptions()
 		opt.Machine = machine
-		opt.Shards = *shards
 		if *proto == "bcast" {
 			opt.Protocol = sim.Broadcast
 		} else {

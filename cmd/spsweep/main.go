@@ -224,29 +224,24 @@ func splitList(s string) []string {
 	return out
 }
 
-// cellRunner builds the production executor: one self-contained simulation
-// per job (experiments.RunCell shares no state between cells). Spec cells
+// runCell is the production executor: one self-contained simulation per
+// job (experiments.RunCell shares no state between cells). Spec cells
 // reload their file and verify it still hashes to the digest recorded in
 // the job identity, so a spec edited after matrix assembly fails loudly
-// instead of silently mislabeling an artifact. shards is the intra-run
-// executor knob (DESIGN.md §16): it changes how a cell computes, never
-// what — results stay byte-identical, so it is no part of job identity.
-func cellRunner(shards int) func(sweep.Job) (*sim.Result, error) {
-	return func(j sweep.Job) (*sim.Result, error) {
-		j.RunConfig.Shards = shards
-		if j.SpecDigest == "" {
-			return experiments.RunCell(j.RunConfig, j.Bench, j.Kind)
-		}
-		s, err := scenario.Load(j.SpecPath)
-		if err != nil {
-			return nil, err
-		}
-		if d := s.Digest(); d != j.SpecDigest {
-			return nil, fmt.Errorf("spec %s changed since the sweep was assembled (digest %.12s, job wants %.12s); rerun 'spsweep run'",
-				j.SpecPath, d, j.SpecDigest)
-		}
-		return experiments.RunSpecCell(j.RunConfig, s, j.Kind)
+// instead of silently mislabeling an artifact.
+func runCell(j sweep.Job) (*sim.Result, error) {
+	if j.SpecDigest == "" {
+		return experiments.RunCell(j.RunConfig, j.Bench, j.Kind)
 	}
+	s, err := scenario.Load(j.SpecPath)
+	if err != nil {
+		return nil, err
+	}
+	if d := s.Digest(); d != j.SpecDigest {
+		return nil, fmt.Errorf("spec %s changed since the sweep was assembled (digest %.12s, job wants %.12s); rerun 'spsweep run'",
+			j.SpecPath, d, j.SpecDigest)
+	}
+	return experiments.RunSpecCell(j.RunConfig, s, j.Kind)
 }
 
 func cmdRun(args []string, resume bool) error {
@@ -263,7 +258,6 @@ func cmdRun(args []string, resume bool) error {
 		token = serverTokenFlag(fs)
 	}
 	jobs := fs.Int("jobs", runtime.NumCPU(), "worker pool size")
-	shards := fs.Int("shards", 1, "intra-run executor shards per cell (engine knob; results are byte-identical)")
 	timeout := fs.Duration("timeout", 0, "per-attempt wall-clock timeout (0 = none)")
 	retries := fs.Int("retries", 0, "additional attempts after a failed one")
 	backoff := fs.Duration("backoff", 0, "base delay before retry attempts, jittered (0 = none)")
@@ -336,7 +330,7 @@ func cmdRun(args []string, resume bool) error {
 				done, len(allJobs), jr.Job.Key(), jr.Wall.Seconds(), state)
 		},
 	}
-	rep := sweep.Run(ctx, allJobs, cellRunner(*shards), opt)
+	rep := sweep.Run(ctx, allJobs, runCell, opt)
 
 	switch *format {
 	case "table":

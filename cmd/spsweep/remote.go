@@ -163,7 +163,6 @@ func cmdWork(args []string) error {
 	fs := newFlagSet("spsweep work")
 	server := fs.String("server", "", "spsweepd base URL (required)")
 	jobs := fs.Int("jobs", 1, "concurrent leases (worker slots)")
-	shards := fs.Int("shards", 1, "intra-run executor shards per cell (engine knob; results are byte-identical)")
 	poll := fs.Duration("poll", 2*time.Second, "idle wait between lease attempts")
 	timeout := fs.Duration("timeout", 0, "per-attempt wall-clock timeout (0 = none)")
 	drain := fs.Bool("drain", false, "exit once the server reports no work left")
@@ -195,7 +194,6 @@ func cmdWork(args []string) error {
 		Poll:    *poll,
 		Timeout: *timeout,
 		Drain:   *drain,
-		Exec:    sweepd.ShardExec(*shards),
 		Log: func(format string, a ...any) {
 			fmt.Fprintf(os.Stderr, "spsweep: "+format+"\n", a...)
 		},

@@ -20,7 +20,6 @@ import (
 	"runtime"
 	"time"
 
-	"spcoh/internal/sim"
 	"spcoh/internal/sweep"
 )
 
@@ -28,7 +27,6 @@ func cmdXval(args []string) error {
 	fs := newFlagSet("spsweep xval")
 	mf := addMatrixFlags(fs)
 	jobs := fs.Int("jobs", runtime.NumCPU(), "worker pool size")
-	shards := fs.Int("shards", 1, "intra-run executor shards per cell (engine knob; results are byte-identical)")
 	timeout := fs.Duration("timeout", 0, "per-attempt wall-clock timeout (0 = none)")
 	dir := fs.String("dir", "results/sweep", "artifact store directory")
 	out := fs.String("out", "results/BENCH_xval.json", `divergence report JSON path ("" disables)`)
@@ -58,12 +56,11 @@ func cmdXval(args []string) error {
 	detailed := matrix
 	fast := matrix
 	fast.Mode = "fast"
-	run := cellRunner(*shards)
-	detRep, err := xvalSweep(ctx, "detailed", detailed.Jobs(), run, store, *jobs, *timeout)
+	detRep, err := xvalSweep(ctx, "detailed", detailed.Jobs(), store, *jobs, *timeout)
 	if err != nil {
 		return err
 	}
-	fastRep, err := xvalSweep(ctx, "fast", fast.Jobs(), run, store, *jobs, *timeout)
+	fastRep, err := xvalSweep(ctx, "fast", fast.Jobs(), store, *jobs, *timeout)
 	if err != nil {
 		return err
 	}
@@ -88,7 +85,7 @@ func cmdXval(args []string) error {
 				cells = append(cells, j)
 			}
 		}
-		escRep, err := xvalSweep(ctx, "escalate", cells, run, store, *jobs, *timeout)
+		escRep, err := xvalSweep(ctx, "escalate", cells, store, *jobs, *timeout)
 		if err != nil {
 			return err
 		}
@@ -120,7 +117,7 @@ func cmdXval(args []string) error {
 
 // xvalSweep runs one pass of the cross-validation (a fidelity's half, or
 // the escalation rerun) through the shared engine and store.
-func xvalSweep(ctx context.Context, label string, cells []sweep.Job, run func(sweep.Job) (*sim.Result, error), store *sweep.Store, jobs int, timeout time.Duration) (*sweep.Report, error) {
+func xvalSweep(ctx context.Context, label string, cells []sweep.Job, store *sweep.Store, jobs int, timeout time.Duration) (*sweep.Report, error) {
 	fmt.Fprintf(os.Stderr, "spsweep: xval %s pass: %d jobs on %d workers\n", label, len(cells), jobs)
 	done := 0
 	opt := sweep.Options{
@@ -140,5 +137,5 @@ func xvalSweep(ctx context.Context, label string, cells []sweep.Job, run func(sw
 				label, done, len(cells), jr.Job.Key(), jr.Wall.Seconds(), state)
 		},
 	}
-	return sweep.Run(ctx, cells, run, opt), nil
+	return sweep.Run(ctx, cells, runCell, opt), nil
 }

@@ -52,7 +52,6 @@ func run(args []string) error {
 	addrFile := fs.String("addr-file", "", "write the bound address to this file once listening")
 	dir := fs.String("dir", "results/sweep", "shared artifact store directory")
 	workers := fs.Int("workers", 0, "in-process worker pool size (0 = remote workers only)")
-	shards := fs.Int("shards", 1, "intra-run executor shards per local-pool cell (engine knob; results are byte-identical)")
 	leaseTTL := fs.Duration("lease-ttl", time.Minute, "job lease lifetime; heartbeats extend it")
 	retries := fs.Int("retries", 2, "additional attempts per job after a failed one")
 	timeout := fs.Duration("timeout", 0, "per-attempt wall-clock timeout for local workers (0 = none)")
@@ -88,7 +87,6 @@ func run(args []string) error {
 		BackoffSeed:  *backoffSeed,
 		Timeout:      *timeout,
 		LocalWorkers: *workers,
-		Exec:         sweepd.ShardExec(*shards),
 		Poll:         *poll,
 		Token:        *token,
 		MaxBodyBytes: *maxBody,

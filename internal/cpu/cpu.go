@@ -70,19 +70,6 @@ type Core struct {
 
 	// fastPort is the port's fast hit path; non-nil only after EnableFast.
 	fastPort FastPort
-
-	// ln, when set (SetLane), is the core's scheduling lane: step events
-	// are stamped with the core's node as owner, and coordinator calls and
-	// the finish callback — which touch cross-core state — are routed
-	// through Lane.Call so a parallel phase defers them to the cycle
-	// barrier. Nil (the default) keeps the direct serial paths.
-	ln *event.Lane
-
-	// reqPool is the core-local freelist of staged coordinator calls. A
-	// core can stage more than one in a single event (an unlock completion
-	// immediately reaching the next sync op), so the records are pooled
-	// rather than a single reusable carrier.
-	reqPool []*syncReq
 }
 
 // New builds a core over its op stream. onFinish fires once at OpEnd.
@@ -110,49 +97,8 @@ func (c *Core) EnableFast() {
 	c.stepFn = c.fastStep
 }
 
-// SetLane attaches the core's scheduling lane (sharded executor runs).
-func (c *Core) SetLane(l *event.Lane) { c.ln = l }
-
 // Start begins execution at the current simulator time.
 func (c *Core) Start() { c.stepFn() }
-
-// syncReq is the pooled binding of a staged coordinator call: the parallel
-// phase may not touch the shared Coordinator, so sync ops are deferred to
-// the cycle barrier through the core's lane.
-//
-//spcoh:pooled
-type syncReq struct {
-	c      *Core
-	kind   workload.OpKind // OpBarrier, OpLock or OpUnlock
-	id     uint64          // barrier static ID / lock line address
-	resume func()          // nil for OpUnlock
-}
-
-func (c *Core) getSyncReq(kind workload.OpKind, id uint64, resume func()) *syncReq {
-	if k := len(c.reqPool); k > 0 {
-		r := c.reqPool[k-1]
-		c.reqPool = c.reqPool[:k-1]
-		r.kind, r.id, r.resume = kind, id, resume
-		return r
-	}
-	return &syncReq{c: c, kind: kind, id: id, resume: resume}
-}
-
-//spcoh:noalloc
-func fireSyncReq(a any) {
-	r := a.(*syncReq)
-	c, kind, id, resume := r.c, r.kind, r.id, r.resume
-	r.resume = nil // release the closure before reuse
-	c.reqPool = append(c.reqPool, r)
-	switch kind {
-	case workload.OpBarrier:
-		c.rt.Barrier(c.ID, id, resume)
-	case workload.OpLock:
-		c.rt.Lock(c.ID, id, resume)
-	default:
-		c.rt.Unlock(c.ID, id)
-	}
-}
 
 // coreStep is the pre-bound form of (*Core).step for event.AfterFn: the
 // compute-op path schedules it with the core itself as argument,
@@ -177,11 +123,7 @@ func (c *Core) step() {
 		if d < 1 {
 			d = 1
 		}
-		if c.ln != nil {
-			c.ln.AfterFn(d, coreStep, c)
-		} else {
-			c.sim.AfterFn(d, coreStep, c)
-		}
+		c.sim.AfterFn(d, coreStep, c)
 
 	case workload.OpRead, workload.OpWrite:
 		c.stats.MemOps++
@@ -196,7 +138,7 @@ func (c *Core) step() {
 		// epoch's communication than in the paper's full-size runs (see
 		// DESIGN.md §1).
 		id := op.Sync
-		c.rtCall(workload.OpBarrier, id, func() {
+		c.rt.Barrier(c.ID, id, func() {
 			c.port.OnSync(predictor.SyncBarrier, id)
 			c.stepFn()
 		})
@@ -206,7 +148,7 @@ func (c *Core) step() {
 		op := op
 		// The runtime keys locks by their line address; the sync-point
 		// static ID (op.Sync) is a separate notion exposed to predictors.
-		c.rtCall(workload.OpLock, uint64(op.Addr), func() {
+		c.rt.Lock(c.ID, uint64(op.Addr), func() {
 			// Acquired: expose the sync-point first (the SP-table update
 			// happens "just after the lock is acquired", §4.3), then
 			// perform the atomic RMW on the lock line — a migratory,
@@ -219,10 +161,7 @@ func (c *Core) step() {
 		op := op
 		c.port.Access(0, op.Addr, true, func() {
 			c.port.OnSync(predictor.SyncUnlock, op.Sync)
-			// The release itself is a coordinator call; the core continues
-			// regardless, so order only matters against the next staged
-			// coordinator call — which lane staging preserves.
-			c.rtCall(workload.OpUnlock, uint64(op.Addr), nil)
+			c.rt.Unlock(c.ID, uint64(op.Addr))
 			c.stepFn()
 		})
 
@@ -231,25 +170,6 @@ func (c *Core) step() {
 
 	default:
 		panic(fmt.Sprintf("cpu: core %d: bad op kind %v", c.ID, op.Kind))
-	}
-}
-
-// rtCall routes one coordinator operation: direct without a lane, through
-// the lane otherwise — immediate in serial operation, deferred to the
-// cycle barrier during a parallel phase (the Coordinator's maps are shared
-// across cores, i.e. across shards).
-func (c *Core) rtCall(kind workload.OpKind, id uint64, resume func()) {
-	if c.ln != nil {
-		c.ln.Call(fireSyncReq, c.getSyncReq(kind, id, resume))
-		return
-	}
-	switch kind {
-	case workload.OpBarrier:
-		c.rt.Barrier(c.ID, id, resume)
-	case workload.OpLock:
-		c.rt.Lock(c.ID, id, resume)
-	default:
-		c.rt.Unlock(c.ID, id)
 	}
 }
 
@@ -328,13 +248,7 @@ func (c *Core) finish() {
 	c.finished = true
 	c.stats.FinishTime = c.sim.Now()
 	if c.onFinish != nil {
-		if c.ln != nil {
-			// The completion callback mutates run-level state (the finished
-			// counter); defer it to the cycle barrier when sharded.
-			c.ln.CallF(c.onFinish)
-		} else {
-			c.onFinish()
-		}
+		c.onFinish()
 	}
 }
 
@@ -344,51 +258,28 @@ type Coordinator struct {
 	sim *event.Sim
 	n   int
 
-	barWaiting map[uint64][]waiter
+	barWaiting map[uint64][]func()
 	locks      map[uint64]*lockState
-
-	// lanes, when set (SetLanes), stamp each grant with the granted core's
-	// node as owner, so the resumption runs on that core's shard worker.
-	lanes []*event.Lane
-}
-
-// waiter is one blocked core's resumption.
-type waiter struct {
-	core   int
-	resume func()
 }
 
 type lockState struct {
 	held  bool
-	queue []waiter
+	queue []func()
 }
 
 // NewCoordinator builds a runtime for n cores.
 func NewCoordinator(sim *event.Sim, n int) *Coordinator {
-	return &Coordinator{sim: sim, n: n, barWaiting: make(map[uint64][]waiter), locks: make(map[uint64]*lockState)}
-}
-
-// SetLanes attaches the per-core scheduling lanes (sharded executor runs).
-func (co *Coordinator) SetLanes(lanes []*event.Lane) { co.lanes = lanes }
-
-// grant schedules a waiter's resumption on the next cycle, owned by the
-// waiting core when lanes are attached.
-func (co *Coordinator) grant(w waiter) {
-	if co.lanes != nil {
-		co.lanes[w.core].After(1, w.resume)
-		return
-	}
-	co.sim.After(1, w.resume)
+	return &Coordinator{sim: sim, n: n, barWaiting: make(map[uint64][]func()), locks: make(map[uint64]*lockState)}
 }
 
 // Barrier implements SyncRuntime. All n cores must arrive; the last arrival
 // releases everyone on the next cycle.
-func (co *Coordinator) Barrier(core int, id uint64, resume func()) {
-	w := append(co.barWaiting[id], waiter{core, resume})
+func (co *Coordinator) Barrier(_ int, id uint64, resume func()) {
+	w := append(co.barWaiting[id], resume)
 	if len(w) == co.n {
 		delete(co.barWaiting, id)
 		for _, r := range w {
-			co.grant(r)
+			co.sim.After(1, r)
 		}
 		return
 	}
@@ -396,7 +287,7 @@ func (co *Coordinator) Barrier(core int, id uint64, resume func()) {
 }
 
 // Lock implements SyncRuntime (FIFO grant order).
-func (co *Coordinator) Lock(core int, id uint64, resume func()) {
+func (co *Coordinator) Lock(_ int, id uint64, resume func()) {
 	st, ok := co.locks[id]
 	if !ok {
 		st = &lockState{}
@@ -404,10 +295,10 @@ func (co *Coordinator) Lock(core int, id uint64, resume func()) {
 	}
 	if !st.held {
 		st.held = true
-		co.grant(waiter{core, resume})
+		co.sim.After(1, resume)
 		return
 	}
-	st.queue = append(st.queue, waiter{core, resume})
+	st.queue = append(st.queue, resume)
 }
 
 // Unlock implements SyncRuntime.
@@ -419,7 +310,7 @@ func (co *Coordinator) Unlock(_ int, id uint64) {
 	if len(st.queue) > 0 {
 		next := st.queue[0]
 		st.queue = st.queue[1:]
-		co.grant(next)
+		co.sim.After(1, next)
 		return
 	}
 	st.held = false

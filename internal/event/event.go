@@ -50,16 +50,11 @@ const (
 	ringMask = ringSize - 1
 )
 
-// ev is one scheduled event. Exactly one of fn / pfn is set. own records
-// the owning mesh node plus one (0 = unowned) for the sharded executor
-// (exec.go): owned events are node-confined and may run on a worker, while
-// unowned events (NoC injections and other cross-node work) always execute
-// serially at the cycle barrier. The serial engine ignores the field.
+// ev is one scheduled event. Exactly one of fn / pfn is set.
 type ev struct {
 	fn  Func
 	pfn ArgFunc
 	arg any
-	own int32
 }
 
 func (e *ev) call() {
@@ -160,9 +155,6 @@ type Sim struct {
 	// obs, when set, observes every fired event (metrics layer). Nil — the
 	// default — costs one branch per event.
 	obs func(now Time, queueDepth int)
-	// lanes are the per-node scheduling facades (lane.go), materialized once
-	// by Lanes. Nil until a component asks for them.
-	lanes []*Lane
 }
 
 // SetObserver attaches (or, with nil, detaches) a per-event observer for

@@ -118,8 +118,8 @@ func protect[T any](key string, fn func() (T, error)) (val T, err error) {
 
 // options builds the sim options every pass of this runner shares: the
 // machine sized to the configured thread count (the paper's 16-node mesh
-// stays the default; other counts select the matching square mesh), the
-// fidelity mode, and the executor shard count.
+// stays the default; other counts select the matching square mesh) and the
+// fidelity mode.
 func (r *Runner) options() (sim.Options, error) {
 	opt := sim.DefaultOptions()
 	if r.Cfg.Threads != opt.Machine.Nodes {
@@ -130,7 +130,6 @@ func (r *Runner) options() (sim.Options, error) {
 		opt.Machine = m
 	}
 	opt.Mode = sim.Mode(r.Cfg.Mode)
-	opt.Shards = r.Cfg.Shards
 	return opt, nil
 }
 

@@ -24,12 +24,11 @@ func callback(after func(func()), f func()) {
 }
 
 // A scoped suppression with a reason quiets the check on its line (and the
-// line directly below, for the comment-above form) — the pattern the
-// deterministic sharded executor's worker pool uses (internal/event). A
-// bare go statement outside that window still fires, so the allow cannot
-// leak across the function.
+// line directly below, for the comment-above form). A bare go statement
+// outside that window still fires, so the allow cannot leak across the
+// function.
 func pool(w func(int), f func()) {
-	go w(0) //spvet:allow goroutine -- deterministic barrier-merged shard pool
+	go w(0) //spvet:allow goroutine -- a reasoned, line-scoped exception
 
 	go f() // want:goroutine
 }

@@ -126,12 +126,6 @@ type Network struct {
 
 	// cbPool is the nodeCb freelist.
 	cbPool []*nodeCb
-
-	// lanes, when set, are the per-node scheduling lanes of the sharded
-	// executor: each delivery is scheduled through its destination's lane,
-	// stamping the event with its owning node so it can run on that
-	// shard's worker. Nil (the default) schedules directly on the Sim.
-	lanes []*event.Lane
 }
 
 // New builds a network over the given simulator.
@@ -160,17 +154,6 @@ func (n *Network) Stats() Stats { return n.stats }
 
 // SetObserver attaches (or, with nil, detaches) the metrics hooks.
 func (n *Network) SetObserver(o Observer) { n.obs = o }
-
-// SetLanes attaches the per-node scheduling lanes (one per mesh endpoint),
-// so deliveries are stamped with their destination as owner. Without an
-// attached executor a lane schedule is exactly a Sim schedule, so serial
-// behavior is unchanged.
-func (n *Network) SetLanes(lanes []*event.Lane) {
-	if lanes != nil && len(lanes) != n.cfg.Nodes() {
-		panic("noc: lane count must match mesh size")
-	}
-	n.lanes = lanes
-}
 
 // NumLinks returns the number of directed links the mesh addresses
 // (4 per node; edge links exist but carry no traffic).
@@ -300,7 +283,7 @@ func (n *Network) occupyLink(l int, head, ser event.Time) event.Time {
 // instrumented runs pay.
 //
 //spcoh:noalloc
-func (n *Network) deliverAt(dst arch.NodeID, arrival, lat event.Time, fn func(), pfn event.ArgFunc, arg any) {
+func (n *Network) deliverAt(arrival, lat event.Time, fn func(), pfn event.ArgFunc, arg any) {
 	n.stats.Deliveries++
 	n.stats.TotalLat += uint64(lat)
 	if n.obs != nil {
@@ -310,16 +293,6 @@ func (n *Network) deliverAt(dst arch.NodeID, arrival, lat event.Time, fn func(),
 		} else {
 			n.sim.At(arrival, func() { obs.Deliver(lat); fn() }) //spvet:allow noalloc -- observer wrap: a cost only instrumented runs pay
 		}
-		return
-	}
-	if n.lanes != nil {
-		// Stamp the delivery with its destination: it is node-confined work
-		// the sharded executor may run in parallel.
-		if pfn != nil {
-			n.lanes[dst].AtFn(arrival, pfn, arg)
-			return
-		}
-		n.lanes[dst].At(arrival, fn)
 		return
 	}
 	if pfn != nil {
@@ -355,7 +328,7 @@ func (n *Network) send(src, dst arch.NodeID, payloadBytes int, deliver func(), p
 	n.stats.Bytes += bytes
 
 	if src == dst {
-		n.deliverAt(dst, now+n.cfg.RouterDelay, n.cfg.RouterDelay, deliver, pfn, arg)
+		n.deliverAt(now+n.cfg.RouterDelay, n.cfg.RouterDelay, deliver, pfn, arg)
 		return
 	}
 
@@ -374,7 +347,7 @@ func (n *Network) send(src, dst arch.NodeID, payloadBytes int, deliver func(), p
 	if arrival < head {
 		arrival = head
 	}
-	n.deliverAt(dst, arrival, arrival-now, deliver, pfn, arg)
+	n.deliverAt(arrival, arrival-now, deliver, pfn, arg)
 }
 
 func (n *Network) getNodeCb(fn func(arch.NodeID), d arch.NodeID) *nodeCb {
@@ -424,7 +397,7 @@ func (n *Network) Broadcast(src arch.NodeID, dsts arch.SharerSet, payloadBytes i
 			// Loopback is a delivery like any other: it costs the local
 			// router traversal and is counted in Deliveries/TotalLat
 			// (mirroring Send's src == dst path).
-			n.deliverAt(d, now+n.cfg.RouterDelay, n.cfg.RouterDelay, nil, deliverNode, n.getNodeCb(deliver, d))
+			n.deliverAt(now+n.cfg.RouterDelay, n.cfg.RouterDelay, nil, deliverNode, n.getNodeCb(deliver, d))
 			return
 		}
 		head := now + n.cfg.RouterDelay
@@ -444,7 +417,7 @@ func (n *Network) Broadcast(src arch.NodeID, dsts arch.SharerSet, payloadBytes i
 		if arrival < head {
 			arrival = head
 		}
-		n.deliverAt(d, arrival, arrival-now, nil, deliverNode, n.getNodeCb(deliver, d))
+		n.deliverAt(arrival, arrival-now, nil, deliverNode, n.getNodeCb(deliver, d))
 	})
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"spcoh/internal/arch"
-	"spcoh/internal/event"
 	"spcoh/internal/predictor"
 )
 
@@ -46,11 +45,8 @@ type dirLine struct {
 // DirSlice is one tile's directory slice. Lines are materialized lazily:
 // an absent entry means dirU.
 type DirSlice struct {
-	sys  *System
-	self arch.NodeID
-	// ln is the tile's scheduling lane (shared with the tile's Node): all
-	// slice-confined schedules go through it, stamping self as owner.
-	ln    *event.Lane
+	sys   *System
+	self  arch.NodeID
 	lines map[arch.LineAddr]*dirLine
 
 	// memo is a small direct-mapped front for the lines map: one transaction
@@ -162,7 +158,7 @@ func fireDirGet(a any) {
 	g := a.(*dirGet)
 	d, e, m := g.d, g.e, g.m
 	g.d, g.e = nil, nil
-	d.sys.pools[d.self].get = append(d.sys.pools[d.self].get, g)
+	d.sys.getPool = append(d.sys.getPool, g)
 	if m.Kind == MsgGetS {
 		d.processGetS(e, m)
 	} else {
@@ -174,11 +170,10 @@ func fireDirGet(a any) {
 func (d *DirSlice) startGet(e *dirLine, m Msg) {
 	e.busy = true
 	s := d.sys
-	pool := &s.pools[d.self].get
 	var g *dirGet
-	if k := len(*pool); k > 0 {
-		g = (*pool)[k-1]
-		*pool = (*pool)[:k-1]
+	if k := len(s.getPool); k > 0 {
+		g = s.getPool[k-1]
+		s.getPool = s.getPool[:k-1]
 		g.d, g.e, g.m = d, e, m
 	} else {
 		g = &dirGet{d: d, e: e, m: m}
@@ -187,7 +182,7 @@ func (d *DirSlice) startGet(e *dirLine, m Msg) {
 		s.casc.After(s.Cfg.DirLatency, fireDirGet, g)
 		return
 	}
-	d.ln.AfterFn(s.Cfg.DirLatency, fireDirGet, g)
+	s.Sim.AfterFn(s.Cfg.DirLatency, fireDirGet, g)
 }
 
 // reply sends a message originating at this directory slice.
@@ -212,7 +207,7 @@ func fireMemFetch(a any) {
 	f := a.(*memFetch)
 	d, m, excl, acks := f.d, f.m, f.excl, f.acks
 	f.d = nil
-	d.sys.pools[d.self].mem = append(d.sys.pools[d.self].mem, f)
+	d.sys.memPool = append(d.sys.memPool, f)
 	d.reply(Msg{
 		Kind: MsgData, Dst: m.Requester, Line: m.Line, Requester: m.Requester,
 		Excl: excl, FromMem: true, AckCount: acks, MissKind: m.MissKind,
@@ -223,11 +218,10 @@ func fireMemFetch(a any) {
 // requester. The line stays busy until the requester unblocks.
 func (d *DirSlice) memData(m Msg, excl bool, acks int) {
 	s := d.sys
-	pool := &s.pools[d.self].mem
 	var f *memFetch
-	if k := len(*pool); k > 0 {
-		f = (*pool)[k-1]
-		*pool = (*pool)[:k-1]
+	if k := len(s.memPool); k > 0 {
+		f = s.memPool[k-1]
+		s.memPool = s.memPool[:k-1]
 		f.d, f.m, f.excl, f.acks = d, m, excl, acks
 	} else {
 		f = &memFetch{d: d, m: m, excl: excl, acks: acks}
@@ -236,7 +230,7 @@ func (d *DirSlice) memData(m Msg, excl bool, acks int) {
 		s.casc.After(s.Cfg.MemLatency, fireMemFetch, f)
 		return
 	}
-	d.ln.AfterFn(s.Cfg.MemLatency, fireMemFetch, f)
+	s.Sim.AfterFn(s.Cfg.MemLatency, fireMemFetch, f)
 }
 
 // processGetS services a read miss. The directory determines, from its own

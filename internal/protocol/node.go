@@ -154,9 +154,6 @@ type wbEntry struct {
 type Node struct {
 	sys  *System
 	self arch.NodeID
-	// ln is the tile's scheduling lane: all node-confined schedules go
-	// through it (stamping self as owner for the sharded executor).
-	ln   *event.Lane
 	l1   *cache.Cache
 	l2   *cache.Cache
 	pred predictor.Predictor
@@ -260,13 +257,13 @@ func (n *Node) Access(pc uint64, addr arch.Addr, write bool, done func()) {
 	if !write {
 		if n.l1.Lookup(line) != nil {
 			n.stats.L1Hits++
-			n.ln.After(n.sys.Cfg.L1Latency, done)
+			n.sys.Sim.After(n.sys.Cfg.L1Latency, done)
 			return
 		}
 		if l := n.l2.Lookup(line); l != nil {
 			n.stats.L2Hits++
 			n.l1.Insert(line, cache.Shared)
-			n.ln.After(n.sys.Cfg.L1Latency+n.sys.Cfg.L2HitLatency(), done)
+			n.sys.Sim.After(n.sys.Cfg.L1Latency+n.sys.Cfg.L2HitLatency(), done)
 			return
 		}
 		n.miss(pc, line, predictor.ReadMiss, done)
@@ -279,7 +276,7 @@ func (n *Node) Access(pc uint64, addr arch.Addr, write bool, done func()) {
 			l.State = cache.Modified // silent E->M upgrade
 			n.stats.L2Hits++
 			n.l1.Insert(line, cache.Shared)
-			n.ln.After(n.sys.Cfg.L1Latency+n.sys.Cfg.L2HitLatency(), done)
+			n.sys.Sim.After(n.sys.Cfg.L1Latency+n.sys.Cfg.L2HitLatency(), done)
 		default: // Shared or Forward: upgrade miss
 			n.miss(pc, line, predictor.UpgradeMiss, done)
 		}
@@ -364,7 +361,7 @@ func (n *Node) miss(pc uint64, line arch.LineAddr, kind predictor.MissKind, done
 	}
 
 	detect := n.sys.Cfg.L1Latency + n.sys.Cfg.L2TagLatency
-	n.ln.AfterFn(detect, fireMissIssue, n.sys.getMissIssue(n, pc, line, kind, done))
+	n.sys.Sim.AfterFn(detect, fireMissIssue, n.sys.getMissIssue(n, pc, line, kind, done))
 }
 
 // missIssue is the pooled binding of a miss-detection delay: one record per
@@ -380,10 +377,9 @@ type missIssue struct {
 }
 
 func (s *System) getMissIssue(n *Node, pc uint64, line arch.LineAddr, kind predictor.MissKind, done func()) *missIssue {
-	pool := &s.pools[n.self].miss
-	if k := len(*pool); k > 0 {
-		r := (*pool)[k-1]
-		*pool = (*pool)[:k-1]
+	if k := len(s.missPool); k > 0 {
+		r := s.missPool[k-1]
+		s.missPool = s.missPool[:k-1]
 		r.n, r.pc, r.line, r.kind, r.done = n, pc, line, kind, done
 		return r
 	}
@@ -395,7 +391,7 @@ func fireMissIssue(a any) {
 	r := a.(*missIssue)
 	n, pc, line, kind, done := r.n, r.pc, r.line, r.kind, r.done
 	r.n, r.done = nil, nil // release references before reuse
-	n.sys.pools[n.self].miss = append(n.sys.pools[n.self].miss, r)
+	n.sys.missPool = append(n.sys.missPool, r)
 	if n.sys.Fast {
 		// Fast mode: the entire coherence transaction executes as one
 		// atomic cascade at this real-clock instant. Only the CPU-visible

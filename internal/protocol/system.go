@@ -97,36 +97,19 @@ type System struct {
 	// costs one branch per message/miss/sync.
 	obs *Obs
 
-	// lanes are the per-node scheduling lanes (event.Lane), one per tile,
-	// shared by the tile's Node and DirSlice. All tile-confined schedules
-	// go through them (stamping the owning node for the sharded executor);
-	// cross-tile effects — message injection above all — go through
-	// Lane.Call so a parallel phase defers them to the cycle barrier.
-	lanes []*event.Lane
-
-	// pools holds the per-tile freelists for the pooled scheduling records
-	// of the hot paths: every in-flight message, delayed send, miss issue,
-	// directory access and memory fetch rides a reused record through the
-	// event queue instead of a fresh closure (DESIGN.md §11). The lists
-	// are per tile — indexed by the node whose execution context touches
-	// them — so shard workers never contend on a shared stack; records
-	// allocated at one tile and released at another simply migrate.
-	pools []tilePools
+	// Freelists for the pooled scheduling records of the hot paths: every
+	// in-flight message, delayed send, miss issue, directory access and
+	// memory fetch rides a reused record through the event queue instead of
+	// a fresh closure (DESIGN.md §11). The simulation is single-threaded,
+	// so plain slice stacks suffice.
+	msgPool  []*delivery
+	missPool []*missIssue
+	getPool  []*dirGet
+	memPool  []*memFetch
 
 	// homeMask is Cfg.Nodes-1 when the node count is a power of two: the
 	// Home interleaving then reduces to a mask, off the hot path's divide.
 	homeMask uint64
-}
-
-// tilePools is one tile's freelists, padded to two cache lines so adjacent
-// tiles — owned by different shards under the node-mod-K map — never share
-// a line when their workers push and pop concurrently.
-type tilePools struct {
-	msg  []*delivery
-	miss []*missIssue
-	get  []*dirGet
-	mem  []*memFetch
-	_    [32]byte
 }
 
 // delivery carries one in-flight message through the scheduler. A record is
@@ -140,13 +123,10 @@ type delivery struct {
 	sent event.Time // injection time, for the metrics observer
 }
 
-// getDelivery draws from the sending tile's freelist: it runs either as
-// node m.Src (sendAfter, during a parallel phase) or at the serial commit.
 func (s *System) getDelivery(m Msg) *delivery {
-	pool := &s.pools[m.Src].msg
-	if k := len(*pool); k > 0 {
-		d := (*pool)[k-1]
-		*pool = (*pool)[:k-1]
+	if k := len(s.msgPool); k > 0 {
+		d := s.msgPool[k-1]
+		s.msgPool = s.msgPool[:k-1]
 		d.m = m
 		return d
 	}
@@ -154,15 +134,13 @@ func (s *System) getDelivery(m Msg) *delivery {
 }
 
 // deliverMsg fires at NoC arrival: it frees the record first (Msg is all
-// scalars, and dispatch may recursively send) and then dispatches. The
-// record returns to the *destination* tile's freelist — the delivery event
-// executes as node m.Dst, so the push is shard-local.
+// scalars, and dispatch may recursively send) and then dispatches.
 //
 //spcoh:noalloc
 func deliverMsg(a any) {
 	d := a.(*delivery)
 	s, m, sent := d.s, d.m, d.sent
-	s.pools[m.Dst].msg = append(s.pools[m.Dst].msg, d)
+	s.msgPool = append(s.msgPool, d)
 	if s.obs != nil && s.obs.Message != nil {
 		s.obs.Message(m.Kind, s.clockNow()-sent)
 	}
@@ -206,9 +184,6 @@ func New(sim *event.Sim, cfg Config, preds []predictor.Predictor) *System {
 	if cfg.Nodes&(cfg.Nodes-1) == 0 && cfg.Nodes > 1 {
 		s.homeMask = uint64(cfg.Nodes - 1)
 	}
-	s.lanes = sim.Lanes(cfg.Nodes)
-	s.Net.SetLanes(s.lanes)
-	s.pools = make([]tilePools, cfg.Nodes)
 	s.Nodes = make([]*Node, cfg.Nodes)
 	s.Dirs = make([]*DirSlice, cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
@@ -217,9 +192,7 @@ func New(sim *event.Sim, cfg Config, preds []predictor.Predictor) *System {
 			p = preds[i]
 		}
 		s.Nodes[i] = newNode(s, arch.NodeID(i), p)
-		s.Nodes[i].ln = s.lanes[i]
 		s.Dirs[i] = newDirSlice(s, arch.NodeID(i))
-		s.Dirs[i].ln = s.lanes[i]
 	}
 	return s
 }
@@ -248,10 +221,7 @@ func (s *System) clockNow() event.Time {
 	return s.Sim.Now()
 }
 
-// send routes a message over the NoC and dispatches it on arrival. The
-// injection mutates shared link state, so it goes through the source
-// tile's lane: immediate in serial operation, deferred to the cycle
-// barrier during a parallel phase.
+// send routes a message over the NoC and dispatches it on arrival.
 //
 //spcoh:noalloc
 func (s *System) send(m Msg) {
@@ -259,7 +229,7 @@ func (s *System) send(m Msg) {
 		s.fastShip(0, m)
 		return
 	}
-	s.lanes[m.Src].Call(transmitMsg, s.getDelivery(m)) //spvet:allow noalloc -- inlined getDelivery: cold-path freelist refill
+	s.transmit(s.getDelivery(m)) //spvet:allow noalloc -- inlined getDelivery: cold-path freelist refill
 }
 
 //spcoh:noalloc
@@ -269,8 +239,6 @@ func (s *System) transmit(d *delivery) {
 }
 
 // sendAfter routes a message after a local processing delay at the source.
-// The transmit event is scheduled unowned — injection is cross-tile work
-// that must execute at its cycle's barrier, never on a shard worker.
 //
 //spcoh:noalloc
 func (s *System) sendAfter(d event.Time, m Msg) {
@@ -278,7 +246,7 @@ func (s *System) sendAfter(d event.Time, m Msg) {
 		s.fastShip(d, m)
 		return
 	}
-	s.lanes[m.Src].AfterUnownedFn(d, transmitMsg, s.getDelivery(m)) //spvet:allow noalloc -- inlined getDelivery: cold-path freelist refill
+	s.Sim.AfterFn(d, transmitMsg, s.getDelivery(m)) //spvet:allow noalloc -- inlined getDelivery: cold-path freelist refill
 }
 
 // fastShip is the fast-mode counterpart of send/sendAfter: it accounts the

@@ -12,8 +12,6 @@
 // sweep artifact. Append new fields with omitempty; never reorder.
 package runcfg
 
-import "fmt"
-
 // RunConfig sizes one simulation run.
 type RunConfig struct {
 	// Threads is the workload thread count (= the machine's node count).
@@ -35,34 +33,8 @@ type RunConfig struct {
 	// therefore every previously-recorded sweep artifact address —
 	// unchanged; only fast cells encode the field.
 	Mode string `json:"mode,omitempty"`
-
-	// Shards selects the intra-run sharded executor (DESIGN.md §16);
-	// 0 and 1 mean serial. Results are byte-identical for every value, so
-	// the field is an engine knob, not part of the cell's identity — it is
-	// excluded from JSON so artifact addresses and digests never depend on
-	// how a cell was executed.
-	Shards int `json:"-"`
 }
 
 // FastMode reports whether the configuration selects the fast functional
 // model.
 func (c RunConfig) FastMode() bool { return c.Mode == "fast" }
-
-// Validate rejects configurations no layer can run.
-func (c RunConfig) Validate() error {
-	if c.Threads < 1 {
-		return fmt.Errorf("runcfg: threads %d < 1", c.Threads)
-	}
-	if c.Scale <= 0 {
-		return fmt.Errorf("runcfg: scale %g <= 0", c.Scale)
-	}
-	switch c.Mode {
-	case "", "detailed", "fast":
-	default:
-		return fmt.Errorf("runcfg: unknown mode %q (want detailed or fast)", c.Mode)
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("runcfg: shards %d < 0", c.Shards)
-	}
-	return nil
-}

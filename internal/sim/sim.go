@@ -86,14 +86,7 @@ type Options struct {
 	// nothing and adds no instrumentation beyond nil checks.
 	MetricsEpoch event.Time
 
-	// Shards selects the intra-run parallel executor (DESIGN.md §16):
-	// mesh nodes are partitioned into Shards groups executed by a fixed
-	// worker pool, with all cross-shard effects merged deterministically at
-	// a per-cycle barrier — results are byte-identical to the serial engine
-	// for every value. 0 and 1 select the serial engine. Values above the
-	// node count are clamped. The executor covers detailed directory runs
-	// without instrumentation; fast mode, Broadcast, tracing and metrics
-	// runs fall back to serial regardless of Shards.
+	// Shards is ignored; every run uses the serial engine.
 	Shards int
 }
 
@@ -261,23 +254,6 @@ func Run(prog *workload.Program, opt Options) (*Result, error) {
 			cores[i].EnableFast()
 		}
 	}
-
-	// Sharded executor eligibility: detailed directory runs without
-	// instrumentation hooks. Everything else keeps the serial engine —
-	// the observers and the snooping broadcast fire cross-node effects
-	// mid-event, which the staging discipline does not cover.
-	var exec *event.Exec
-	if opt.Shards > 1 && opt.Protocol == Directory && !fast &&
-		opt.MetricsEpoch == 0 && opt.Tracer == nil {
-		lanes := s.Lanes(n)
-		co.SetLanes(lanes)
-		for i, c := range cores {
-			c.SetLane(lanes[i])
-		}
-		exec = event.NewExec(s, opt.Shards)
-		defer exec.Close()
-	}
-
 	for _, c := range cores {
 		c.Start()
 	}
@@ -286,26 +262,18 @@ func Run(prog *workload.Program, opt Options) (*Result, error) {
 		// Budget check via a peek loop rather than RunUntil: RunUntil now
 		// parks the clock at its limit (epoch-sampling semantics), which
 		// would inflate the reported Cycles of a run that finishes early.
-		if exec != nil {
-			exec.RunBudget(opt.MaxCycles)
-		} else {
-			for {
-				next, ok := s.NextTime()
-				if !ok || next > opt.MaxCycles {
-					break
-				}
-				s.Step()
+		for {
+			next, ok := s.NextTime()
+			if !ok || next > opt.MaxCycles {
+				break
 			}
+			s.Step()
 		}
 		if finished < n {
 			return nil, fmt.Errorf("sim: %s exceeded %d cycles (%d/%d cores done)", prog.Name, opt.MaxCycles, finished, n)
 		}
 	}
-	if exec != nil {
-		exec.Run()
-	} else {
-		s.Run()
-	}
+	s.Run()
 	if finished < n {
 		return nil, fmt.Errorf("sim: deadlock in %s: %d/%d cores finished; %s", prog.Name, finished, n, co.Pending())
 	}

@@ -15,6 +15,7 @@ import (
 
 	"spcoh/internal/detutil"
 	"spcoh/internal/experiments"
+	"spcoh/internal/protocol"
 	"spcoh/internal/scenario"
 	"spcoh/internal/sim"
 	"spcoh/internal/sweep"
@@ -457,8 +458,8 @@ func validateMatrix(m sweep.Matrix) error {
 			return fmt.Errorf("bad scale %g", sc)
 		}
 	}
-	if m.Threads < 1 {
-		return fmt.Errorf("threads %d < 1", m.Threads)
+	if _, err := protocol.ConfigFor(m.Threads); err != nil {
+		return fmt.Errorf("threads: %w", err)
 	}
 	switch m.Mode {
 	case "", "detailed", "fast":

@@ -383,6 +383,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"no seeds", func(m *sweep.Matrix) { m.Seeds = nil }},
 		{"bad scale", func(m *sweep.Matrix) { m.Scales = []float64{-1} }},
 		{"bad threads", func(m *sweep.Matrix) { m.Threads = 0 }},
+		{"non-square threads", func(m *sweep.Matrix) { m.Threads = 12 }},
+		{"threads past the largest mesh", func(m *sweep.Matrix) { m.Threads = 1024 }},
 		{"empty", func(m *sweep.Matrix) { m.Benches = nil }},
 	}
 	for _, tc := range cases {

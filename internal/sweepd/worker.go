@@ -48,18 +48,6 @@ func DefaultExec(j sweep.Job, spec *scenario.Spec) (*sim.Result, error) {
 	return experiments.RunSpecCell(j.RunConfig, spec, j.Kind)
 }
 
-// ShardExec is DefaultExec with the intra-run sharded executor enabled
-// (DESIGN.md §16). Shards is an engine knob local to whichever worker runs
-// the cell — it changes how a result is computed, never the result bytes —
-// so a fleet may freely mix shard counts per host without perturbing
-// digests or the ledger.
-func ShardExec(shards int) ExecFunc {
-	return func(j sweep.Job, spec *scenario.Spec) (*sim.Result, error) {
-		j.RunConfig.Shards = shards
-		return DefaultExec(j, spec)
-	}
-}
-
 // WorkerOptions configures RunWorker.
 type WorkerOptions struct {
 	// ID names this worker in leases and attempt histories. Slots append

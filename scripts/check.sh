@@ -14,10 +14,14 @@
 #                 with the AllocsPerRun ceilings the unit tests enforce
 #                 (TestNoallocAnnotationConsistency)
 #   go test       full unit/integration suite, including the runtime
-#                 determinism harness (TestDeterministicReplay)
+#                 determinism harness (TestDeterministicReplay) and the
+#                 pinned output digests of every built-in profile under
+#                 every protocol kind on the 4x4, 8x8 and 16x16 meshes
+#                 (TestShardByteIdentityAllProfiles, TestShardBigMesh)
 #   go test -race race detector on the packages exercising concurrency-safe
-#                 surfaces (the simulator itself is single-threaded by
-#                 design; spvet's goroutine check enforces that statically)
+#                 surfaces (the simulator itself runs on one serial event
+#                 engine: spvet's goroutine check enforces that statically,
+#                 and no //spvet:allow goroutine remains in a sim package)
 #   spsweep smoke quick-scale sweep end to end: run, resume (must recall
 #                 every cell from the store), byte-compare the merged
 #                 outputs, status must report all cells complete
@@ -227,21 +231,6 @@ cmp "$sweepdir/spec1.txt" "$sweepdir/spec2.txt" || {
     exit 1
 }
 
-echo "== shard determinism (spsim -shards 4 == serial, profiles + generated spec)"
-for b in ocean x264; do
-    "$sweepdir/spsim" -bench "$b" -pred sp -scale 0.05 -shards 1 > "$sweepdir/shard1.txt"
-    "$sweepdir/spsim" -bench "$b" -pred sp -scale 0.05 -shards 4 > "$sweepdir/shard4.txt"
-    cmp "$sweepdir/shard1.txt" "$sweepdir/shard4.txt" || {
-        echo "spsim: -shards 4 output differs from serial on $b" >&2
-        exit 1
-    }
-done
-"$sweepdir/spsim" -spec "$sweepdir/fuzz7.json" -pred sp -shards 4 > "$sweepdir/spec4.txt"
-cmp "$sweepdir/spec1.txt" "$sweepdir/spec4.txt" || {
-    echo "spsim: -shards 4 output differs from serial on the generated spec" >&2
-    exit 1
-}
-
 echo "== spstat smoke (metrics series determinism / validate / overhead)"
 go build -o "$sweepdir/spstat" ./cmd/spstat
 "$sweepdir/spsim" -bench x264 -pred sp -scale 0.05 \
@@ -279,21 +268,6 @@ echo "== spbench core benchmark (results/BENCH_core.json refresh, rolling-baseli
 go build -o "$sweepdir/spbench" ./cmd/spbench
 "$sweepdir/spbench" -core-bench -core-out results/BENCH_core.json -core-gate 50 || {
     echo "spbench: core benchmark failed (or regressed past the rolling-baseline gate)" >&2
-    exit 1
-}
-
-echo "== spbench scale matrix smoke (mesh x shards record, throwaway path)"
-# A fast pass over the full (mesh x shards) matrix proves the mode works;
-# the curated results/BENCH_scale.json is refreshed deliberately, not here.
-"$sweepdir/spbench" -scale-bench -scale-runs 1 -scale-scale 0.005 \
-    -scale-out "$sweepdir/scale.json" 2> "$sweepdir/scale.log" || {
-    echo "spbench: scale matrix smoke failed:" >&2
-    cat "$sweepdir/scale.log" >&2
-    exit 1
-}
-grep -q '"mesh": "16x16"' "$sweepdir/scale.json" || {
-    echo "spbench: scale matrix record is missing the 16x16 mesh:" >&2
-    cat "$sweepdir/scale.json" >&2
     exit 1
 }
 
