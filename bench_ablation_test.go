@@ -16,19 +16,29 @@ import (
 	"spcoh/internal/workload"
 )
 
+// ablationProgram builds a built-in benchmark on the 16-core machine.
+func ablationProgram(b *testing.B, bench string, scale float64) *workload.Program {
+	b.Helper()
+	prof, ok := workload.Builtin().Lookup(bench)
+	if !ok {
+		b.Fatalf("unknown benchmark %q", bench)
+	}
+	prog, err := prof.Program(16, scale, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return prog
+}
+
 // ablationRun runs one benchmark with a custom SP configuration and
 // reports accuracy and added bandwidth.
 func ablationRun(b *testing.B, bench string, mutate func(*core.Config)) {
 	b.Helper()
-	prof, err := workload.ByName(bench)
-	if err != nil {
-		b.Fatal(err)
-	}
 	scale := 0.5
 	if testing.Short() {
 		scale = 0.15
 	}
-	prog := prof.Build(16, scale, 42)
+	prog := ablationProgram(b, bench, scale)
 	var acc, predTargets float64
 	for i := 0; i < b.N; i++ {
 		cfg := core.DefaultConfig(16)
@@ -42,9 +52,7 @@ func ablationRun(b *testing.B, bench string, mutate func(*core.Config)) {
 			b.Fatal(err)
 		}
 		acc = 100 * res.Nodes.Accuracy()
-		if res.Nodes.Predicted > 0 {
-			predTargets = float64(res.Nodes.PredTargets) / float64(res.Nodes.Predicted)
-		}
+		predTargets = res.Nodes.AvgPredTargets()
 	}
 	b.ReportMetric(acc, "accuracy-%")
 	b.ReportMetric(predTargets, "pred-targets/miss")
@@ -113,8 +121,7 @@ func BenchmarkAblationNoiseFilter(b *testing.B) {
 // cannot learn who held the lock last.
 func BenchmarkAblationLockSharing(b *testing.B) {
 	run := func(b *testing.B, shared bool) {
-		prof, _ := workload.ByName("water-ns")
-		prog := prof.Build(16, 0.5, 42)
+		prog := ablationProgram(b, "water-ns", 0.5)
 		var acc float64
 		for i := 0; i < b.N; i++ {
 			cfg := core.DefaultConfig(16)
@@ -147,8 +154,7 @@ func BenchmarkAblationMacroblock(b *testing.B) {
 	for _, bits := range []int{6, 8, 10} {
 		bits := bits
 		b.Run(fmt.Sprintf("granularity=%dB", 1<<bits), func(b *testing.B) {
-			prof, _ := workload.ByName("ocean")
-			prog := prof.Build(16, 0.5, 42)
+			prog := ablationProgram(b, "ocean", 0.5)
 			var acc float64
 			var storage int
 			for i := 0; i < b.N; i++ {
@@ -178,8 +184,7 @@ func BenchmarkAblationMacroblock(b *testing.B) {
 // bandwidth of Figure 9 without losing accuracy.
 func BenchmarkExtensionSnoopFilter(b *testing.B) {
 	run := func(b *testing.B, filtered bool) {
-		prof, _ := workload.ByName("radix") // large non-communicating fraction
-		prog := prof.Build(16, 0.5, 42)
+		prog := ablationProgram(b, "radix", 0.5) // large non-communicating fraction
 		var acc, kb float64
 		for i := 0; i < b.N; i++ {
 			preds := core.NewSystem(core.DefaultConfig(16))
@@ -213,8 +218,7 @@ func BenchmarkExtensionOwnerPolicy(b *testing.B) {
 	}{{"group", predictor.PolicyGroup}, {"owner", predictor.PolicyOwner}, {"group-owner", predictor.PolicyGroupOwner}} {
 		pol := pol
 		b.Run(pol.name, func(b *testing.B) {
-			prof, _ := workload.ByName("water-ns")
-			prog := prof.Build(16, 0.5, 42)
+			prog := ablationProgram(b, "water-ns", 0.5)
 			var acc, kb float64
 			for i := 0; i < b.N; i++ {
 				preds := make([]predictor.Predictor, 16)

@@ -8,7 +8,8 @@ import (
 	"sort"
 	"time"
 
-	"spcoh/internal/core"
+	"spcoh/internal/experiments"
+	"spcoh/internal/runcfg"
 	"spcoh/internal/sim"
 	"spcoh/internal/workload"
 )
@@ -38,14 +39,11 @@ type coreRecord struct {
 // coreFile is the perf record results/BENCH_core.json holds. The baseline
 // is written once (first invocation on the pre-optimization tree) and
 // preserved by every later refresh, so the speedup is always measured
-// against the same fixed point; Current mirrors the last History entry
-// for tools reading the old before/after shape. History accumulates one
-// record per invocation (oldest first), so the file carries the
-// repository's performance trajectory instead of only its endpoints.
+// against the same fixed point. History accumulates one record per
+// invocation (oldest first), so the file carries the repository's
+// performance trajectory instead of only its endpoints.
 type coreFile struct {
 	Baseline *coreRecord  `json:"baseline"`
-	Current  *coreRecord  `json:"current"`
-	Speedup  float64      `json:"speedup"` // current vs baseline aggregate cycles/sec
 	History  []coreRecord `json:"history,omitempty"`
 }
 
@@ -62,33 +60,23 @@ var coreCells = []struct{ bench, kind string }{
 	{"streamcluster", "bcast"},
 }
 
-func coreOptions(kind string) (sim.Options, error) {
-	opt := sim.DefaultOptions()
-	switch kind {
-	case "dir":
-	case "sp":
-		opt.Predictors = core.NewSystem(core.DefaultConfig(opt.Machine.Nodes))
-	case "bcast":
-		opt.Protocol = sim.Broadcast
-	default:
-		return opt, fmt.Errorf("core-bench: unknown kind %q", kind)
-	}
-	return opt, nil
-}
-
 // measureCell times runs repetitions of one cell and keeps the fastest
 // (wall noise only ever slows a run down).
 func measureCell(bench, kind string, runs int, scale float64, seed int64) (coreCell, error) {
-	p, err := workload.ByName(bench)
+	p, ok := workload.Builtin().Lookup(bench)
+	if !ok {
+		return coreCell{}, fmt.Errorf("core-bench: unknown benchmark %q", bench)
+	}
+	cfg := runcfg.RunConfig{Threads: 16, Scale: scale, Seed: seed}
+	prog, err := p.Program(cfg.Threads, cfg.Scale, cfg.Seed)
 	if err != nil {
 		return coreCell{}, err
 	}
-	prog := p.Build(16, scale, seed)
 	cell := coreCell{Bench: bench, Kind: kind}
 	for i := 0; i < runs; i++ {
-		opt, err := coreOptions(kind)
+		opt, err := experiments.SimOptions(cfg, kind, nil)
 		if err != nil {
-			return coreCell{}, err
+			return coreCell{}, fmt.Errorf("core-bench: %w", err)
 		}
 		start := time.Now()
 		res, err := sim.Run(prog, opt)
@@ -171,12 +159,6 @@ func runCoreBench(out string, runs int, scale float64, seed int64, gatePct float
 	if file.Baseline == nil {
 		file.Baseline = rec
 	}
-	// Append to the trend instead of overwriting the single before/after
-	// pair; a file written by the old shape starts its history from its
-	// Current record so no measurement is dropped.
-	if len(file.History) == 0 && file.Current != nil {
-		file.History = append(file.History, *file.Current)
-	}
 	// The regression gate compares this run against the rolling baseline
 	// of the history BEFORE it — the new record must not vote on its own
 	// acceptability.
@@ -185,10 +167,8 @@ func runCoreBench(out string, runs int, scale float64, seed int64, gatePct float
 	if n := len(file.History); n > coreHistoryCap {
 		file.History = append(file.History[:0], file.History[n-coreHistoryCap:]...)
 	}
-	file.Current = rec
-	file.Speedup = file.Current.CyclesPerSec / file.Baseline.CyclesPerSec
 	fmt.Fprintf(os.Stderr, "core-bench: aggregate %.0f cycles/s (%.2fx vs baseline %.0f, %d records)\n",
-		file.Current.CyclesPerSec, file.Speedup, file.Baseline.CyclesPerSec, len(file.History))
+		rec.CyclesPerSec, rec.CyclesPerSec/file.Baseline.CyclesPerSec, file.Baseline.CyclesPerSec, len(file.History))
 
 	if err := os.MkdirAll(filepath.Dir(out), 0o755); err != nil {
 		return err

@@ -11,9 +11,9 @@
 //	spbench -cpuprofile cpu.pprof -core-bench
 //
 // -core-bench measures simulated-cycles-per-second over a fixed set of
-// seeded full-system runs and writes a before/after record (see DESIGN.md
-// §11): the first invocation establishes the baseline, later invocations
-// keep it and report the current numbers plus the speedup against it.
+// seeded full-system runs and appends the record to a history (see
+// DESIGN.md §11): the first invocation also establishes the baseline,
+// later invocations keep it and report the speedup against it.
 package main
 
 import (
@@ -59,7 +59,7 @@ func main() {
 	jobs := flag.Int("jobs", runtime.NumCPU(), "worker count for -parallel")
 	format := flag.String("format", "text", "output format: text|json")
 	coreBench := flag.Bool("core-bench", false, "measure engine throughput and update the BENCH_core record")
-	coreOut := flag.String("core-out", "results/BENCH_core.json", "before/after record path for -core-bench")
+	coreOut := flag.String("core-out", "results/BENCH_core.json", "perf record path for -core-bench")
 	coreRuns := flag.Int("core-runs", 3, "timed repetitions per cell for -core-bench (best run counts)")
 	coreScale := flag.Float64("core-scale", 0.2, "workload scale for -core-bench")
 	coreGate := flag.Float64("core-gate", 0,

@@ -25,12 +25,16 @@ func main() {
 	node := flag.Int("node", 0, "node whose distributions to print")
 	flag.Parse()
 
-	prof, err := workload.ByName(*bench)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+	prof, ok := workload.Builtin().Lookup(*bench)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "spchar: unknown benchmark %q\n", *bench)
 		os.Exit(1)
 	}
-	prog := prof.Build(16, *scale, *seed)
+	prog, err := prof.Program(16, *scale, *seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "spchar:", err)
+		os.Exit(1)
+	}
 
 	col := &trace.Collector{}
 	if *out != "" {

@@ -99,7 +99,7 @@ func cmdGen(args []string) error {
 func load(builtin bool, paths []string) ([]*scenario.Spec, error) {
 	if builtin {
 		var specs []*scenario.Spec
-		for _, p := range workload.All() {
+		for _, p := range workload.Builtin().Profiles() {
 			specs = append(specs, p.Spec)
 		}
 		return specs, nil

@@ -1,13 +1,18 @@
-// Command spsim runs one benchmark on one protocol/predictor configuration
-// and prints the measurements.
+// Command spsim runs benchmarks under one coherence configuration and
+// prints the measurements.
 //
 // Usage:
 //
-//	spsim -bench ocean -pred sp [-scale 0.2] [-seed 42] [-protocol dir|bcast]
-//	spsim -all -pred sp
+//	spsim -bench ocean -pred sp [-scale 0.2] [-seed 42]
+//	spsim -all -pred bcast
 //	spsim -spec scenario.json -pred sp
 //	spscen gen -seed 7 | spsim -spec - -pred sp
 //	spsim -bench ocean -pred sp -metrics-epoch 10000 -metrics-out series.json
+//
+// -pred names one configuration of the experiments harness
+// (experiments.Kinds: dir, bcast, sp, sp+filter, sp512, addr, inst, uni,
+// addr-small, inst-small, oracle), so a row here is the same machine as
+// the matching spbench figure or spsweep cell.
 //
 // With -spec the workload comes from a declarative scenario file
 // (internal/scenario; "-" reads stdin) instead of a built-in profile.
@@ -25,13 +30,13 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 
-	"spcoh/internal/arch"
-	"spcoh/internal/core"
-	"spcoh/internal/event"
+	"spcoh/internal/experiments"
 	"spcoh/internal/metrics"
-	"spcoh/internal/predictor"
 	"spcoh/internal/protocol"
+	"spcoh/internal/runcfg"
 	"spcoh/internal/scenario"
 	"spcoh/internal/sim"
 	"spcoh/internal/stats"
@@ -64,42 +69,11 @@ func writeSeries(path string, s *metrics.Series) error {
 	return f.Close()
 }
 
-func buildPredictors(kind string, nodes int) ([]predictor.Predictor, error) {
-	switch kind {
-	case "", "none", "dir":
-		return nil, nil
-	case "sp":
-		return core.NewSystem(core.DefaultConfig(nodes)), nil
-	case "spfilter":
-		preds := core.NewSystem(core.DefaultConfig(nodes))
-		for i := range preds {
-			preds[i] = predictor.NewRegionFilter(preds[i])
-		}
-		return preds, nil
-	case "addr", "inst", "uni":
-		preds := make([]predictor.Predictor, nodes)
-		for i := range preds {
-			switch kind {
-			case "addr":
-				preds[i] = predictor.NewAddr(arch.NodeID(i), nodes)
-			case "inst":
-				preds[i] = predictor.NewInst(arch.NodeID(i), nodes)
-			case "uni":
-				preds[i] = predictor.NewUni(arch.NodeID(i), nodes)
-			}
-		}
-		return preds, nil
-	default:
-		return nil, fmt.Errorf("unknown predictor %q (none|sp|spfilter|addr|inst|uni)", kind)
-	}
-}
-
 func main() {
 	bench := flag.String("bench", "ocean", "benchmark name")
 	all := flag.Bool("all", false, "run every benchmark")
 	specPath := flag.String("spec", "", `scenario spec file instead of a built-in benchmark ("-" = stdin)`)
-	pred := flag.String("pred", "none", "predictor: none|sp|spfilter|addr|inst|uni")
-	proto := flag.String("protocol", "dir", "protocol: dir|bcast")
+	pred := flag.String("pred", "dir", "configuration: "+strings.Join(experiments.Kinds(), "|"))
 	modeFlag := flag.String("mode", "detailed", "simulation fidelity: detailed|fast (fast skips NoC contention; counts stay exact, timing is approximate)")
 	scale := flag.Float64("scale", 0.2, "workload scale factor")
 	seed := flag.Int64("seed", 42, "workload build seed")
@@ -137,10 +111,20 @@ func main() {
 		}()
 	}
 
+	if !slices.Contains(experiments.Kinds(), *pred) {
+		fmt.Fprintf(os.Stderr, "spsim: unknown configuration %q (have: %s)\n",
+			*pred, strings.Join(experiments.Kinds(), ","))
+		os.Exit(2)
+	}
 	mode, err := sim.ParseMode(*modeFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "spsim:", err)
 		os.Exit(2)
+	}
+	// "detailed" (the flag default) runs as "", the spelling every other
+	// entry point uses for the detailed model.
+	if mode == sim.ModeDetailed {
+		mode = ""
 	}
 
 	if *metricsOut != "" && *metricsEpoch == 0 {
@@ -152,13 +136,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	machine := protocol.DefaultConfig()
-	if *threads != machine.Nodes {
-		var err error
-		if machine, err = protocol.ConfigFor(*threads); err != nil {
-			fmt.Fprintln(os.Stderr, "spsim:", err)
-			os.Exit(2)
-		}
+	if _, err := protocol.ConfigFor(*threads); err != nil {
+		fmt.Fprintln(os.Stderr, "spsim:", err)
+		os.Exit(2)
 	}
 
 	var spec *scenario.Spec
@@ -167,7 +147,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "spsim: -spec is incompatible with -all")
 			os.Exit(2)
 		}
-		var err error
 		if spec, err = loadSpec(*specPath); err != nil {
 			fmt.Fprintln(os.Stderr, "spsim:", err)
 			os.Exit(1)
@@ -176,13 +155,16 @@ func main() {
 
 	names := []string{*bench}
 	if *all {
-		names = workload.Names()
+		names = workload.Builtin().Names()
 	}
+	r := experiments.NewRunner(runcfg.RunConfig{Threads: *threads, Scale: *scale, Seed: *seed,
+		MetricsEpoch: *metricsEpoch, Mode: string(mode)})
 	if spec != nil {
 		names = []string{spec.Name}
+		r.Spec = spec
 	}
 
-	tb := stats.NewTable("spsim: "+*proto+"/"+*pred,
+	tb := stats.NewTable("spsim: "+*pred,
 		"benchmark", "cycles", "misses", "comm%", "missLat", "commLat", "nonCommLat",
 		"acc%", "predTgt", "actTgt", "netKB", "energy")
 	// With -all, a bad benchmark is recorded and the rest still run; the
@@ -197,35 +179,7 @@ func main() {
 		failures = append(failures, fmt.Sprintf("%s: %v", name, err))
 	}
 	for _, name := range names {
-		var prog *workload.Program
-		var err error
-		if spec != nil {
-			prog, err = workload.FromSpec(spec, *threads, *scale, *seed)
-		} else {
-			var p workload.Profile
-			if p, err = workload.ByName(name); err == nil {
-				prog, err = p.Program(*threads, *scale, *seed)
-			}
-		}
-		if err != nil {
-			fail(name, err)
-			continue
-		}
-		opt := sim.DefaultOptions()
-		opt.Machine = machine
-		if *proto == "bcast" {
-			opt.Protocol = sim.Broadcast
-		} else {
-			opt.Predictors, err = buildPredictors(*pred, *threads)
-			if err != nil {
-				// A bad predictor name fails every benchmark: always fatal.
-				fmt.Fprintln(os.Stderr, "spsim:", err)
-				os.Exit(1)
-			}
-		}
-		opt.Mode = mode
-		opt.MetricsEpoch = event.Time(*metricsEpoch)
-		res, err := sim.Run(prog, opt)
+		res, err := r.Run(name, *pred)
 		if err != nil {
 			fail(name, err)
 			continue
@@ -251,24 +205,12 @@ func main() {
 }
 
 func row(tb *stats.Table, name string, r *sim.Result) {
-	n := r.Nodes
-	commLat, nonCommLat := 0.0, 0.0
-	acc := 0.0
-	predTgt, actTgt := 0.0, 0.0
+	n := &r.Nodes
+	var commLat, nonCommLat, acc, predTgt, actTgt float64
 	if r.Protocol == sim.Directory {
-		if n.Communicating > 0 {
-			commLat = float64(n.CommLatencySum) / float64(n.Communicating)
-			acc = 100 * n.Accuracy()
-		}
-		if n.NonCommunicating > 0 {
-			nonCommLat = float64(n.NonCommLatencySum) / float64(n.NonCommunicating)
-		}
-		if n.Predicted > 0 {
-			predTgt = float64(n.PredTargets) / float64(n.Predicted)
-		}
-		if n.Misses > 0 {
-			actTgt = float64(n.ActualTargets) / float64(n.Misses)
-		}
+		commLat, nonCommLat = n.AvgCommLatency(), n.AvgNonCommLatency()
+		acc = 100 * n.Accuracy()
+		predTgt, actTgt = n.AvgPredTargets(), n.AvgActualTargets()
 	}
 	tb.AddRowf(name, uint64(r.Cycles), r.Misses(), 100*r.CommRatio(),
 		r.AvgMissLatency(), commLat, nonCommLat, acc, predTgt, actTgt,

@@ -29,8 +29,9 @@ import (
 	"sort"
 	"time"
 
-	"spcoh/internal/event"
+	"spcoh/internal/experiments"
 	"spcoh/internal/metrics"
+	"spcoh/internal/runcfg"
 	"spcoh/internal/sim"
 	"spcoh/internal/stats"
 	"spcoh/internal/workload"
@@ -168,15 +169,21 @@ type benchReport struct {
 }
 
 func runBench(bench string, scale float64, epoch uint64, out string) error {
-	prof, err := workload.ByName(bench)
+	prof, ok := workload.Builtin().Lookup(bench)
+	if !ok {
+		return fmt.Errorf("unknown benchmark %q", bench)
+	}
+	const seed, runs = 42, 9
+	prog, err := prof.Program(16, scale, seed)
 	if err != nil {
 		return err
 	}
-	const seed, runs = 42, 9
 	run := func(metricsEpoch uint64) (*sim.Result, time.Duration, error) {
-		prog := prof.Build(16, scale, seed)
-		opt := sim.DefaultOptions()
-		opt.MetricsEpoch = event.Time(metricsEpoch)
+		cfg := runcfg.RunConfig{Threads: 16, Scale: scale, Seed: seed, MetricsEpoch: metricsEpoch}
+		opt, err := experiments.SimOptions(cfg, "dir", nil)
+		if err != nil {
+			return nil, 0, err
+		}
 		start := time.Now()
 		r, err := sim.Run(prog, opt)
 		return r, time.Since(start), err

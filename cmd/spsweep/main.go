@@ -47,6 +47,7 @@ import (
 	"spcoh/internal/scenario"
 	"spcoh/internal/sim"
 	"spcoh/internal/sweep"
+	"spcoh/internal/sweepd"
 	"spcoh/internal/workload"
 )
 
@@ -127,18 +128,13 @@ func addMatrixFlags(fs *flag.FlagSet) *matrixFlags {
 }
 
 func (m *matrixFlags) matrix() (sweep.Matrix, error) {
-	benches := workload.Names()
+	benches := workload.Builtin().Names()
 	switch *m.bench {
 	case "all":
 	case "none":
 		benches = nil
 	default:
 		benches = splitList(*m.bench)
-		for _, b := range benches {
-			if _, err := workload.ByName(b); err != nil {
-				return sweep.Matrix{}, err
-			}
-		}
 	}
 	// Spec references resolve at flag-parse time: the digest computed here
 	// is the cell identity, and execution re-verifies the file against it.
@@ -150,9 +146,6 @@ func (m *matrixFlags) matrix() (sweep.Matrix, error) {
 		}
 		specRefs = append(specRefs, sweep.SpecRef{Name: s.Name, Path: path, Digest: s.Digest()})
 	}
-	if len(benches) == 0 && len(specRefs) == 0 {
-		return sweep.Matrix{}, fmt.Errorf("empty matrix: no benchmarks and no specs")
-	}
 	var kinds []string
 	switch *m.kinds {
 	case "eval":
@@ -161,16 +154,6 @@ func (m *matrixFlags) matrix() (sweep.Matrix, error) {
 		kinds = experiments.Kinds()
 	default:
 		kinds = splitList(*m.kinds)
-		valid := make(map[string]bool)
-		for _, k := range experiments.Kinds() {
-			valid[k] = true
-		}
-		for _, k := range kinds {
-			if !valid[k] {
-				return sweep.Matrix{}, fmt.Errorf("unknown kind %q (have: %s)",
-					k, strings.Join(experiments.Kinds(), ","))
-			}
-		}
 	}
 	var seeds []int64
 	for _, s := range splitList(*m.seeds) {
@@ -187,7 +170,7 @@ func (m *matrixFlags) matrix() (sweep.Matrix, error) {
 	var scaleVals []float64
 	for _, s := range splitList(scales) {
 		v, err := strconv.ParseFloat(s, 64)
-		if err != nil || v <= 0 {
+		if err != nil {
 			return sweep.Matrix{}, fmt.Errorf("bad scale %q", s)
 		}
 		scaleVals = append(scaleVals, v)
@@ -202,7 +185,7 @@ func (m *matrixFlags) matrix() (sweep.Matrix, error) {
 	if md == sim.ModeFast {
 		mode = string(sim.ModeFast)
 	}
-	return sweep.Matrix{
+	mat := sweep.Matrix{
 		Benches:      benches,
 		Specs:        specRefs,
 		Kinds:        kinds,
@@ -211,7 +194,8 @@ func (m *matrixFlags) matrix() (sweep.Matrix, error) {
 		Threads:      *m.threads,
 		MetricsEpoch: *m.metricsEpoch,
 		Mode:         mode,
-	}, nil
+	}
+	return mat, sweepd.ValidateMatrix(mat)
 }
 
 func splitList(s string) []string {
@@ -267,21 +251,26 @@ func cmdRun(args []string, resume bool) error {
 	summary := fs.String("summary", "results/BENCH_sweep.json", `summary JSON path ("" disables)`)
 	fs.Parse(args)
 
-	if !resume && *server != "" {
-		matrix, err := mf.matrix()
+	// A new matrix is validated before the store is touched: a matrix no
+	// worker could run fails here, before any job is queued.
+	var matrix sweep.Matrix
+	if !resume {
+		m, err := mf.matrix()
 		if err != nil {
 			return err
 		}
-		ctx, stop := signalContext()
-		defer stop()
-		return serverRun(ctx, *server, *token, matrix, *format)
+		matrix = m
+		if *server != "" {
+			ctx, stop := signalContext()
+			defer stop()
+			return serverRun(ctx, *server, *token, matrix, *format)
+		}
 	}
 
 	store, err := sweep.Open(*dir)
 	if err != nil {
 		return err
 	}
-	var matrix sweep.Matrix
 	if resume {
 		if !store.HasManifestFile() {
 			return fmt.Errorf("resume: no sweep recorded in %s (run 'spsweep run' first)", *dir)
@@ -291,14 +280,8 @@ func cmdRun(args []string, resume bool) error {
 			return fmt.Errorf("resume: manifest in %s has no matrix", *dir)
 		}
 		matrix = m
-	} else {
-		matrix, err = mf.matrix()
-		if err != nil {
-			return err
-		}
-		if err := store.SetMatrix(matrix); err != nil {
-			return err
-		}
+	} else if err := store.SetMatrix(matrix); err != nil {
+		return err
 	}
 	allJobs := matrix.Jobs()
 	fmt.Fprintf(os.Stderr, "spsweep: %s: %d jobs (%d benches x %d kinds x %d seeds x %d scales) on %d workers\n",

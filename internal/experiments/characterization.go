@@ -18,17 +18,13 @@ func Table1(r *Runner) (*stats.Table, error) {
 	t := stats.NewTable("Table 1: sync-epoch statistics (per-core average)",
 		"benchmark", "staticCS", "staticCS(paper)", "staticEpochs", "staticEpochs(paper)",
 		"dynEpochs/core", "dynEpochs(paper)", "input(paper)")
-	for _, name := range Benchmarks() {
-		prof, err := workload.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		a, err := r.Analysis(name)
+	for _, prof := range workload.Builtin().Profiles() {
+		a, err := r.Analysis(prof.Name)
 		if err != nil {
 			return nil, err
 		}
 		cs, se, dyn := a.EpochStats()
-		t.AddRowf(name, cs, prof.Paper.StaticCS, se, prof.Paper.StaticEpochs,
+		t.AddRowf(prof.Name, cs, prof.Paper.StaticCS, se, prof.Paper.StaticEpochs,
 			dyn, prof.Paper.DynEpochs, prof.Paper.Input)
 	}
 	t.AddNote("dynamic counts scale with -scale; paper columns are the published Table 1")
@@ -41,7 +37,7 @@ func Fig1(r *Runner) (*stats.Table, error) {
 	t := stats.NewTable("Figure 1: ratio of communicating misses",
 		"benchmark", "communicating", "non-communicating", "misses")
 	var ratios []float64
-	for _, name := range Benchmarks() {
+	for _, name := range workload.Builtin().Names() {
 		res, err := r.Run(name, "dir")
 		if err != nil {
 			return nil, err
@@ -152,7 +148,7 @@ func Fig5(r *Runner) (*stats.Table, error) {
 	t := stats.NewTable("Figure 5: epochs by hot communication set size (10% threshold)",
 		"benchmark", "size=1", "size=2", "size=3", "size=4", "size>=5")
 	var small stats.Mean
-	for _, name := range Benchmarks() {
+	for _, name := range workload.Builtin().Names() {
 		a, err := r.Analysis(name)
 		if err != nil {
 			return nil, err
@@ -211,7 +207,7 @@ func Fig6(r *Runner) (*stats.Table, error) {
 	}
 
 	// Classification summary over every benchmark's static epochs.
-	for _, name := range Benchmarks() {
+	for _, name := range workload.Builtin().Names() {
 		a, err := r.Analysis(name)
 		if err != nil {
 			return nil, err

@@ -3,6 +3,7 @@ package experiments
 import (
 	"spcoh/internal/predictor"
 	"spcoh/internal/stats"
+	"spcoh/internal/workload"
 )
 
 // Fig7 reproduces Figure 7: SP-prediction accuracy — the percentage of
@@ -14,7 +15,7 @@ func Fig7(r *Runner) (*stats.Table, error) {
 	t := stats.NewTable("Figure 7: SP-prediction accuracy (% of communicating misses)",
 		"benchmark", "d=0", "d=2", "lock", "recovery", "total", "ideal")
 	var tot, ideal []float64
-	for _, name := range Benchmarks() {
+	for _, name := range workload.Builtin().Names() {
 		res, err := r.Run(name, "sp")
 		if err != nil {
 			return nil, err
@@ -49,20 +50,13 @@ func Fig7(r *Runner) (*stats.Table, error) {
 func Table5(r *Runner) (*stats.Table, error) {
 	t := stats.NewTable("Table 5: average actual and predicted set size",
 		"benchmark", "actual targets/req", "predicted targets/req", "ratio")
-	for _, name := range Benchmarks() {
+	for _, name := range workload.Builtin().Names() {
 		res, err := r.Run(name, "sp")
 		if err != nil {
 			return nil, err
 		}
-		n := res.Nodes
-		actual := 0.0
-		if n.Misses > 0 {
-			actual = float64(n.ActualTargets) / float64(n.Misses)
-		}
-		pred := 0.0
-		if n.Predicted > 0 {
-			pred = float64(n.PredTargets) / float64(n.Predicted)
-		}
+		actual := res.Nodes.AvgActualTargets()
+		pred := res.Nodes.AvgPredTargets()
 		ratio := 0.0
 		if actual > 0 {
 			ratio = pred / actual
@@ -79,7 +73,7 @@ func Fig8(r *Runner) (*stats.Table, error) {
 	t := stats.NewTable("Figure 8: average miss latency (normalized to directory)",
 		"benchmark", "directory", "broadcast", "SP-predictor", "dir(cycles)")
 	var sp, bc []float64
-	for _, name := range Benchmarks() {
+	for _, name := range workload.Builtin().Names() {
 		dir, err := r.Run(name, "dir")
 		if err != nil {
 			return nil, err
@@ -111,7 +105,7 @@ func Fig9(r *Runner) (*stats.Table, error) {
 	t := stats.NewTable("Figure 9: additional bandwidth of SP-prediction vs directory (%)",
 		"benchmark", "total", "on communicating", "on non-communicating", "broadcast adds")
 	var tot []float64
-	for _, name := range Benchmarks() {
+	for _, name := range workload.Builtin().Names() {
 		dir, err := r.Run(name, "dir")
 		if err != nil {
 			return nil, err
@@ -146,7 +140,7 @@ func Fig10(r *Runner) (*stats.Table, error) {
 	t := stats.NewTable("Figure 10: execution time (normalized to directory)",
 		"benchmark", "directory", "broadcast", "SP-predictor", "dir(cycles)")
 	var sp []float64
-	for _, name := range Benchmarks() {
+	for _, name := range workload.Builtin().Names() {
 		dir, err := r.Run(name, "dir")
 		if err != nil {
 			return nil, err
@@ -176,7 +170,7 @@ func Fig11(r *Runner) (*stats.Table, error) {
 	t := stats.NewTable("Figure 11: NoC + snoop-lookup energy (normalized to directory)",
 		"benchmark", "directory", "broadcast", "SP-predictor")
 	var sp, bc []float64
-	for _, name := range Benchmarks() {
+	for _, name := range workload.Builtin().Names() {
 		dir, err := r.Run(name, "dir")
 		if err != nil {
 			return nil, err
@@ -263,7 +257,7 @@ func Fig13(r *Runner) (*stats.Table, error) {
 		{"UNI", "uni", "single entry"},
 	} {
 		var xs, ys []float64
-		for _, name := range Benchmarks() {
+		for _, name := range workload.Builtin().Names() {
 			x, y, err := tradeoffPoint(r, name, cfg.kind)
 			if err != nil {
 				return nil, err

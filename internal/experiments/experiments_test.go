@@ -5,11 +5,13 @@ import (
 	"sync"
 	"testing"
 
+	"spcoh/internal/core"
+	"spcoh/internal/runcfg"
 	"spcoh/internal/sim"
 )
 
 func tinyRunner() *Runner {
-	return NewRunner(Config{Threads: 16, Scale: 0.05, Seed: 7})
+	return NewRunner(runcfg.RunConfig{Threads: 16, Scale: 0.05, Seed: 7})
 }
 
 func TestRegistryCompleteAndOrdered(t *testing.T) {
@@ -200,17 +202,24 @@ func TestTradeoffPoint(t *testing.T) {
 	}
 }
 
-// TestKindsMatchRunner: every advertised kind must be accepted by Run (the
-// sweep CLI validates against this list).
+// TestKindsMatchRunner: every advertised kind must be accepted by the
+// configuration table (the sweep CLI validates against this list), and
+// nothing else may be.
 func TestKindsMatchRunner(t *testing.T) {
-	r := tinyRunner()
+	cfg := tinyRunner().Cfg
 	for _, k := range Kinds() {
-		if k == "oracle" {
-			continue // requires a profiling pass; covered by TestEvaluationTables
-		}
-		if _, err := r.predictorsFor("x264", k); err != nil {
+		if _, err := SimOptions(cfg, k, core.NewOracleBook()); err != nil {
 			t.Errorf("kind %q rejected: %v", k, err)
 		}
+	}
+	if _, err := SimOptions(cfg, "bogus", nil); err == nil {
+		t.Error("unknown kind accepted")
+	}
+	if _, err := SimOptions(cfg, "oracle", nil); err == nil {
+		t.Error("oracle accepted without a profiling pass")
+	}
+	if _, err := SimOptions(runcfg.RunConfig{Threads: 12}, "dir", nil); err == nil {
+		t.Error("12 threads accepted")
 	}
 	eval := EvalKinds()
 	all := Kinds()

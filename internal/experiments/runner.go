@@ -21,22 +21,14 @@ import (
 	"spcoh/internal/workload"
 )
 
-// Config scales the experiment workloads. It is the shared run
-// configuration (see internal/runcfg); the sweep layer embeds the same
-// struct in its jobs, so a cell's sizing flows through unconverted.
-// MetricsEpoch semantics here: non-zero enables the run-time metrics
-// collector on every measurement run; auxiliary passes (oracle profiling,
-// trace capture) never collect.
-type Config = runcfg.RunConfig
-
 // Default is the full-size configuration used for EXPERIMENTS.md.
-func Default() Config { return Config{Threads: 16, Scale: 1.0, Seed: 42} }
+func Default() runcfg.RunConfig { return runcfg.RunConfig{Threads: 16, Scale: 1.0, Seed: 42} }
 
 // Quick is a reduced configuration for smoke runs and -short benchmarks.
-func Quick() Config { return Config{Threads: 16, Scale: 0.25, Seed: 42} }
+func Quick() runcfg.RunConfig { return runcfg.RunConfig{Threads: 16, Scale: 0.25, Seed: 42} }
 
-// Kinds returns every configuration name understood by Runner.Run, in
-// evaluation order.
+// Kinds returns every configuration name understood by SimOptions and
+// Runner.Run, in evaluation order.
 func Kinds() []string {
 	return []string{"dir", "bcast", "sp", "sp+filter", "sp512",
 		"addr", "inst", "uni", "addr-small", "inst-small", "oracle"}
@@ -52,8 +44,12 @@ func EvalKinds() []string {
 // It is safe for concurrent use: every cache key is computed exactly once
 // (single-flight), and concurrent callers of an in-flight key block until
 // the first computation finishes and then share its outcome.
+//
+// MetricsEpoch in Cfg enables the run-time metrics collector on every
+// measurement run; auxiliary passes (oracle profiling, trace capture)
+// never collect.
 type Runner struct {
-	Cfg Config
+	Cfg runcfg.RunConfig
 
 	// Spec, when set, adds one scenario-spec workload: a bench name equal
 	// to the spec's name resolves to the spec instead of a built-in
@@ -69,7 +65,7 @@ type Runner struct {
 }
 
 // NewRunner builds an empty cache over cfg.
-func NewRunner(cfg Config) *Runner { return &Runner{Cfg: cfg} }
+func NewRunner(cfg runcfg.RunConfig) *Runner { return &Runner{Cfg: cfg} }
 
 // cache is a concurrency-safe, single-flight memoization table. The first
 // caller of a key runs fn while later callers wait on the same flight and
@@ -116,23 +112,6 @@ func protect[T any](key string, fn func() (T, error)) (val T, err error) {
 	return fn()
 }
 
-// options builds the sim options every pass of this runner shares: the
-// machine sized to the configured thread count (the paper's 16-node mesh
-// stays the default; other counts select the matching square mesh) and the
-// fidelity mode.
-func (r *Runner) options() (sim.Options, error) {
-	opt := sim.DefaultOptions()
-	if r.Cfg.Threads != opt.Machine.Nodes {
-		m, err := protocol.ConfigFor(r.Cfg.Threads)
-		if err != nil {
-			return opt, fmt.Errorf("experiments: %w", err)
-		}
-		opt.Machine = m
-	}
-	opt.Mode = sim.Mode(r.Cfg.Mode)
-	return opt, nil
-}
-
 func (r *Runner) program(bench string) (*workload.Program, error) {
 	if r.Spec != nil && bench == r.Spec.Name {
 		return r.programs.do("spec:"+r.Spec.Digest(), func() (*workload.Program, error) {
@@ -140,17 +119,31 @@ func (r *Runner) program(bench string) (*workload.Program, error) {
 		})
 	}
 	return r.programs.do(bench, func() (*workload.Program, error) {
-		prof, err := workload.ByName(bench)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %w", err)
+		prof, ok := workload.Builtin().Lookup(bench)
+		if !ok {
+			return nil, fmt.Errorf("experiments: workload: unknown benchmark %q", bench)
 		}
 		return prof.Program(r.Cfg.Threads, r.Cfg.Scale, r.Cfg.Seed)
 	})
 }
 
-// predictorsFor builds the per-node predictor set for a configuration name.
-func (r *Runner) predictorsFor(bench, kind string) ([]predictor.Predictor, error) {
-	n := r.Cfg.Threads
+// SimOptions is the one configuration table: it turns a run configuration
+// and a configuration name (one of Kinds) into the options of one
+// simulation. The machine is the paper's CMP sized to cfg.Threads, the
+// fidelity is cfg.Mode, and a non-zero cfg.MetricsEpoch attaches the
+// metrics collector. The "oracle" kind replays book, the record of a
+// profiling pass over the same program (Runner.Run makes one); every other
+// kind ignores book.
+func SimOptions(cfg runcfg.RunConfig, kind string, book *core.OracleBook) (sim.Options, error) {
+	opt := sim.DefaultOptions()
+	m, err := protocol.ConfigFor(cfg.Threads)
+	if err != nil {
+		return opt, fmt.Errorf("experiments: %w", err)
+	}
+	opt.Machine = m
+	opt.Mode = sim.Mode(cfg.Mode)
+	opt.MetricsEpoch = event.Time(cfg.MetricsEpoch)
+	n := cfg.Threads
 	mk := func(f func(arch.NodeID) predictor.Predictor) []predictor.Predictor {
 		preds := make([]predictor.Predictor, n)
 		for i := range preds {
@@ -159,10 +152,11 @@ func (r *Runner) predictorsFor(bench, kind string) ([]predictor.Predictor, error
 		return preds
 	}
 	switch kind {
-	case "dir", "bcast":
-		return nil, nil
+	case "dir":
+	case "bcast":
+		opt.Protocol = sim.Broadcast
 	case "sp":
-		return core.NewSystem(core.DefaultConfig(n)), nil
+		opt.Predictors = core.NewSystem(core.DefaultConfig(n))
 	case "sp+filter":
 		// §5.3 extension: a region snoop filter suppressing prediction
 		// attempts on private data.
@@ -170,40 +164,40 @@ func (r *Runner) predictorsFor(bench, kind string) ([]predictor.Predictor, error
 		for i := range preds {
 			preds[i] = predictor.NewRegionFilter(preds[i])
 		}
-		return preds, nil
+		opt.Predictors = preds
 	case "sp512":
-		cfg := core.DefaultConfig(n)
-		cfg.MaxEntries = 512
-		return core.NewSystem(cfg), nil
+		c := core.DefaultConfig(n)
+		c.MaxEntries = 512
+		opt.Predictors = core.NewSystem(c)
 	case "addr":
-		return mk(func(id arch.NodeID) predictor.Predictor { return predictor.NewAddr(id, n) }), nil
+		opt.Predictors = mk(func(id arch.NodeID) predictor.Predictor { return predictor.NewAddr(id, n) })
 	case "inst":
-		return mk(func(id arch.NodeID) predictor.Predictor { return predictor.NewInst(id, n) }), nil
+		opt.Predictors = mk(func(id arch.NodeID) predictor.Predictor { return predictor.NewInst(id, n) })
 	case "uni":
-		return mk(func(id arch.NodeID) predictor.Predictor { return predictor.NewUni(id, n) }), nil
+		opt.Predictors = mk(func(id arch.NodeID) predictor.Predictor { return predictor.NewUni(id, n) })
 	case "addr-small":
 		// ~0.5KB per node: the capacity wall sits ~8x lower than the
 		// paper's 4KB because the synthetic working sets are ~8x smaller.
-		return mk(func(id arch.NodeID) predictor.Predictor {
-			cfg := predictor.DefaultAddrConfig(n)
-			cfg.Entries = 64
-			return predictor.NewGroup("ADDR-small", id, cfg)
-		}), nil
+		opt.Predictors = mk(func(id arch.NodeID) predictor.Predictor {
+			c := predictor.DefaultAddrConfig(n)
+			c.Entries = 64
+			return predictor.NewGroup("ADDR-small", id, c)
+		})
 	case "inst-small":
-		return mk(func(id arch.NodeID) predictor.Predictor {
-			cfg := predictor.DefaultInstConfig(n)
-			cfg.Entries = 64
-			return predictor.NewGroup("INST-small", id, cfg)
-		}), nil
+		opt.Predictors = mk(func(id arch.NodeID) predictor.Predictor {
+			c := predictor.DefaultInstConfig(n)
+			c.Entries = 64
+			return predictor.NewGroup("INST-small", id, c)
+		})
 	case "oracle":
-		b, err := r.book(bench)
-		if err != nil {
-			return nil, err
+		if book == nil {
+			return opt, fmt.Errorf("experiments: configuration %q needs an oracle profiling pass", kind)
 		}
-		return core.OracleSystem(n, b), nil
+		opt.Predictors = core.OracleSystem(n, book)
 	default:
-		return nil, fmt.Errorf("experiments: unknown configuration %q", kind)
+		return opt, fmt.Errorf("experiments: unknown configuration %q", kind)
 	}
+	return opt, nil
 }
 
 // book runs (once) the oracle-recording profiling pass for a benchmark.
@@ -216,10 +210,11 @@ func (r *Runner) book(bench string) (*core.OracleBook, error) {
 		b := core.NewOracleBook()
 		// The profiling pass runs at the same fidelity as the measurement
 		// run: an oracle cell stays self-consistent within one mode.
-		opt, err := r.options()
+		opt, err := SimOptions(r.Cfg, "dir", nil)
 		if err != nil {
 			return nil, err
 		}
+		opt.MetricsEpoch = 0
 		opt.Predictors = core.RecorderSystem(core.DefaultConfig(r.Cfg.Threads), b)
 		if _, err := sim.Run(prog, opt); err != nil {
 			return nil, fmt.Errorf("experiments: oracle profiling %s: %w", bench, err)
@@ -236,18 +231,15 @@ func (r *Runner) Run(bench, kind string) (*sim.Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		opt, err := r.options()
-		if err != nil {
-			return nil, err
-		}
-		opt.MetricsEpoch = event.Time(r.Cfg.MetricsEpoch)
-		if kind == "bcast" {
-			opt.Protocol = sim.Broadcast
-		} else {
-			opt.Predictors, err = r.predictorsFor(bench, kind)
-			if err != nil {
+		var book *core.OracleBook
+		if kind == "oracle" {
+			if book, err = r.book(bench); err != nil {
 				return nil, err
 			}
+		}
+		opt, err := SimOptions(r.Cfg, kind, book)
+		if err != nil {
+			return nil, err
 		}
 		res, err := sim.Run(prog, opt)
 		if err != nil {
@@ -267,13 +259,14 @@ func (r *Runner) Analysis(bench string) (*charac.Analysis, error) {
 			return nil, err
 		}
 		col := &trace.Collector{}
-		opt, err := r.options()
+		opt, err := SimOptions(r.Cfg, "dir", nil)
 		if err != nil {
 			return nil, err
 		}
 		// The §3.2 methodology is a detailed-fidelity trace run regardless of
-		// the cell mode (as before the shared options helper).
+		// the cell mode.
 		opt.Mode = ""
+		opt.MetricsEpoch = 0
 		opt.Tracer = col
 		if _, err := sim.Run(prog, opt); err != nil {
 			return nil, fmt.Errorf("experiments: trace %s: %w", bench, err)
@@ -289,18 +282,15 @@ func (r *Runner) Analysis(bench string) (*charac.Analysis, error) {
 // cell is self-contained, cells parallelize trivially, and determinism of
 // the simulator guarantees a cell's result depends only on (cfg, bench,
 // kind).
-func RunCell(cfg Config, bench, kind string) (*sim.Result, error) {
+func RunCell(cfg runcfg.RunConfig, bench, kind string) (*sim.Result, error) {
 	return NewRunner(cfg).Run(bench, kind)
 }
 
 // RunSpecCell executes one simulation cell for a scenario spec, exactly as
 // RunCell does for a built-in benchmark: self-contained, sharing no state
 // with other cells, deterministic in (cfg, spec, kind).
-func RunSpecCell(cfg Config, spec *scenario.Spec, kind string) (*sim.Result, error) {
+func RunSpecCell(cfg runcfg.RunConfig, spec *scenario.Spec, kind string) (*sim.Result, error) {
 	r := NewRunner(cfg)
 	r.Spec = spec
 	return r.Run(spec.Name, kind)
 }
-
-// Benchmarks returns the benchmark list in paper order.
-func Benchmarks() []string { return workload.Names() }

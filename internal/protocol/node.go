@@ -92,6 +92,42 @@ func (s *NodeStats) Accuracy() float64 {
 	return float64(s.PredCorrect) / float64(s.Communicating)
 }
 
+// AvgCommLatency returns the mean CPU-visible latency of communicating
+// misses.
+func (s *NodeStats) AvgCommLatency() float64 {
+	if s.Communicating == 0 {
+		return 0
+	}
+	return float64(s.CommLatencySum) / float64(s.Communicating)
+}
+
+// AvgNonCommLatency returns the mean CPU-visible latency of
+// non-communicating misses.
+func (s *NodeStats) AvgNonCommLatency() float64 {
+	if s.NonCommunicating == 0 {
+		return 0
+	}
+	return float64(s.NonCommLatencySum) / float64(s.NonCommunicating)
+}
+
+// AvgPredTargets returns the mean predicted set size per prediction
+// (Table 5).
+func (s *NodeStats) AvgPredTargets() float64 {
+	if s.Predicted == 0 {
+		return 0
+	}
+	return float64(s.PredTargets) / float64(s.Predicted)
+}
+
+// AvgActualTargets returns the mean minimum sufficient set size per miss
+// (Table 5).
+func (s *NodeStats) AvgActualTargets() float64 {
+	if s.Misses == 0 {
+		return 0
+	}
+	return float64(s.ActualTargets) / float64(s.Misses)
+}
+
 // mshr tracks one outstanding miss.
 type mshr struct {
 	line  arch.LineAddr

@@ -1,10 +1,9 @@
 // Package runcfg holds the one run-sizing configuration shared by every
 // layer that names a simulation cell: the experiments runner, the sweep
-// matrix and the CLIs. It exists to end the triplicated plumbing where
-// sim.Options, experiments.Config and sweep.Job each declared their own
-// threads/scale/seed/metrics-epoch fields and hand-copied between them —
-// now the one struct flows through, converted only at the sim.Options
-// edge (whose MetricsEpoch is an event.Time, not a uint64).
+// matrix, the public API and the CLIs. The one struct flows through
+// unconverted until experiments.SimOptions turns it, together with a
+// configuration name, into sim.Options (whose MetricsEpoch is an
+// event.Time, not a uint64).
 //
 // The JSON field names and order are load-bearing: sweep.Job embeds
 // RunConfig and hashes its canonical JSON as the artifact address, so

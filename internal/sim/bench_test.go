@@ -11,11 +11,7 @@ import (
 // build cost (trace synthesis) is excluded from every timed iteration.
 func benchProgram(b *testing.B, name string, scale float64) *workload.Program {
 	b.Helper()
-	p, err := workload.ByName(name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return p.Build(16, scale, 42)
+	return buildProgram(b, name, 16, scale, 42)
 }
 
 // runFull executes one full-system simulation and reports simulated

@@ -10,7 +10,6 @@ import (
 	"spcoh/internal/event"
 	"spcoh/internal/predictor"
 	"spcoh/internal/trace"
-	"spcoh/internal/workload"
 )
 
 // snapshot runs one full simulation and serializes everything observable:
@@ -19,11 +18,7 @@ import (
 // produce byte-identical snapshots.
 func snapshot(t *testing.T, bench string, kind ProtocolKind, withSP bool, seed int64) string {
 	t.Helper()
-	prof, err := workload.ByName(bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog := prof.Build(16, 0.05, seed)
+	prog := buildProgram(t, bench, 16, 0.05, seed)
 
 	opt := DefaultOptions()
 	opt.Protocol = kind
@@ -134,12 +129,8 @@ func TestDeterministicReplayFIFO(t *testing.T) {
 // internal/workload).
 func TestWorkloadBuildDeterministic(t *testing.T) {
 	for _, bench := range []string{"fmm", "dedup", "x264"} {
-		prof, err := workload.ByName(bench)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a := fmt.Sprintf("%+v", prof.Build(16, 0.05, 7).Threads)
-		b := fmt.Sprintf("%+v", prof.Build(16, 0.05, 7).Threads)
+		a := fmt.Sprintf("%+v", buildProgram(t, bench, 16, 0.05, 7).Threads)
+		b := fmt.Sprintf("%+v", buildProgram(t, bench, 16, 0.05, 7).Threads)
 		if a != b {
 			t.Fatalf("%s: same seed produced different op streams", bench)
 		}

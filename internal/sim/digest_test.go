@@ -53,15 +53,9 @@ func digestCells() []digestCell {
 // its "output bytes" in the sense of the determinism contract.
 func resultDigest(t *testing.T, c digestCell) string {
 	t.Helper()
-	p, ok := workload.Builtin().Lookup(c.profile)
-	if !ok {
-		t.Fatalf("unknown profile %q", c.profile)
-	}
-	prog, err := p.Program(c.threads, c.scale, c.seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := buildProgram(t, c.profile, c.threads, c.scale, c.seed)
 	opt := DefaultOptions()
+	var err error
 	if opt.Machine, err = protocol.ConfigFor(c.threads); err != nil {
 		t.Fatal(err)
 	}

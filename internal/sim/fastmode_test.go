@@ -13,16 +13,11 @@ import (
 	"testing"
 
 	"spcoh/internal/core"
-	"spcoh/internal/workload"
 )
 
 func runMode(t *testing.T, bench string, mode Mode, scale float64) *Result {
 	t.Helper()
-	prof, err := workload.ByName(bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog := prof.Build(16, scale, 42)
+	prog := buildProgram(t, bench, 16, scale, 42)
 	opt := DefaultOptions()
 	opt.Mode = mode
 	opt.Predictors = core.NewSystem(core.DefaultConfig(16))

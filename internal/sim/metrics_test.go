@@ -8,16 +8,11 @@ import (
 	"spcoh/internal/core"
 	"spcoh/internal/event"
 	"spcoh/internal/metrics"
-	"spcoh/internal/workload"
 )
 
 func runWithMetrics(t *testing.T, bench string, kind ProtocolKind, withSP bool, epoch uint64, seed int64) *Result {
 	t.Helper()
-	prof, err := workload.ByName(bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog := prof.Build(16, 0.05, seed)
+	prog := buildProgram(t, bench, 16, 0.05, seed)
 	opt := DefaultOptions()
 	opt.Protocol = kind
 	if withSP && kind == Directory {

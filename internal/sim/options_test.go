@@ -5,12 +5,10 @@ import (
 	"testing"
 
 	"spcoh/internal/protocol"
-	"spcoh/internal/workload"
 )
 
 func TestMaxCyclesAborts(t *testing.T) {
-	p, _ := workload.ByName("ocean")
-	prog := p.Build(16, 0.2, 1)
+	prog := buildProgram(t, "ocean", 16, 0.2, 1)
 	opt := DefaultOptions()
 	opt.MaxCycles = 100 // far too few
 	_, err := Run(prog, opt)
@@ -20,8 +18,7 @@ func TestMaxCyclesAborts(t *testing.T) {
 }
 
 func TestMaxCyclesGenerous(t *testing.T) {
-	p, _ := workload.ByName("x264")
-	prog := p.Build(16, 0.1, 1)
+	prog := buildProgram(t, "x264", 16, 0.1, 1)
 	opt := DefaultOptions()
 	opt.MaxCycles = 1 << 40
 	res, err := Run(prog, opt)
@@ -35,8 +32,7 @@ func TestSmallMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, _ := workload.ByName("water-ns")
-	prog := p.Build(4, 0.2, 1)
+	prog := buildProgram(t, "water-ns", 4, 0.2, 1)
 	opt := DefaultOptions()
 	opt.Machine = cfg
 	res, err := Run(prog, opt)
@@ -67,8 +63,7 @@ func TestConfigForRejectsNonSquare(t *testing.T) {
 }
 
 func TestResultAccessors(t *testing.T) {
-	p, _ := workload.ByName("x264")
-	prog := p.Build(16, 0.1, 1)
+	prog := buildProgram(t, "x264", 16, 0.1, 1)
 	res, err := Run(prog, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)

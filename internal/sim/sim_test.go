@@ -10,13 +10,23 @@ import (
 	"spcoh/internal/workload"
 )
 
+// buildProgram builds a built-in profile's program, failing tb on error.
+func buildProgram(tb testing.TB, name string, threads int, scale float64, seed int64) *workload.Program {
+	tb.Helper()
+	p, ok := workload.Builtin().Lookup(name)
+	if !ok {
+		tb.Fatalf("unknown profile %q", name)
+	}
+	prog, err := p.Program(threads, scale, seed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return prog
+}
+
 func buildSmall(t *testing.T, name string) *workload.Program {
 	t.Helper()
-	p, err := workload.ByName(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p.Build(16, 0.05, 42)
+	return buildProgram(t, name, 16, 0.05, 42)
 }
 
 func TestRunBaselineDirectory(t *testing.T) {
@@ -225,8 +235,7 @@ func TestOracleRoundTrip(t *testing.T) {
 }
 
 func TestThreadCountMismatch(t *testing.T) {
-	p, _ := workload.ByName("ocean")
-	prog := p.Build(4, 0.05, 1)
+	prog := buildProgram(t, "ocean", 4, 0.05, 1)
 	if _, err := Run(prog, DefaultOptions()); err == nil {
 		t.Fatal("4 threads on a 16-node machine must error")
 	}

@@ -27,12 +27,8 @@ func metricsOf(r *sim.Result) []float64 {
 	acc, predTgt, actTgt := 0.0, 0.0, 0.0
 	if r.Protocol == sim.Directory {
 		acc = 100 * n.Accuracy()
-		if n.Predicted > 0 {
-			predTgt = float64(n.PredTargets) / float64(n.Predicted)
-		}
-		if n.Misses > 0 {
-			actTgt = float64(n.ActualTargets) / float64(n.Misses)
-		}
+		predTgt = n.AvgPredTargets()
+		actTgt = n.AvgActualTargets()
 	}
 	return []float64{
 		float64(r.Cycles),

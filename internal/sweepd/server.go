@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -215,7 +216,7 @@ func (s *Server) specPath(digest string) string {
 // state and artifact.
 func (s *Server) Submit(req *SubmitRequest) (*SubmitResponse, error) {
 	m := req.Matrix
-	if err := validateMatrix(m); err != nil {
+	if err := ValidateMatrix(m); err != nil {
 		return nil, err
 	}
 	// Re-home specs: every SpecRef must arrive with content hashing to
@@ -424,27 +425,24 @@ func (s *Server) Fail(leaseID, errMsg string) error {
 	return nil
 }
 
-// validateMatrix rejects matrices no worker could run, before any job is
-// registered.
-func validateMatrix(m sweep.Matrix) error {
+// ValidateMatrix rejects matrices no worker could run, before any job is
+// registered. The server applies it at submit and spsweep before a local
+// run, so both refuse the same matrices.
+func ValidateMatrix(m sweep.Matrix) error {
 	if len(m.Benches) == 0 && len(m.Specs) == 0 {
 		return errors.New("empty matrix: no benchmarks and no specs")
 	}
 	for _, b := range m.Benches {
-		if _, err := workload.ByName(b); err != nil {
-			return err
+		if _, ok := workload.Builtin().Lookup(b); !ok {
+			return fmt.Errorf("workload: unknown benchmark %q", b)
 		}
 	}
 	if len(m.Kinds) == 0 {
 		return errors.New("empty matrix: no kinds")
 	}
-	valid := make(map[string]bool)
-	for _, k := range experiments.Kinds() {
-		valid[k] = true
-	}
 	for _, k := range m.Kinds {
-		if !valid[k] {
-			return fmt.Errorf("unknown kind %q", k)
+		if !slices.Contains(experiments.Kinds(), k) {
+			return fmt.Errorf("unknown kind %q (have: %s)", k, strings.Join(experiments.Kinds(), ","))
 		}
 	}
 	if len(m.Seeds) == 0 {

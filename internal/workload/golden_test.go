@@ -571,7 +571,7 @@ func diffPrograms(a, b *workload.Program) string {
 // embedded spec replays its legacy builder op-for-op at multiple sizes and
 // seeds.
 func TestSpecsByteIdenticalToLegacy(t *testing.T) {
-	names := workload.Names()
+	names := workload.Builtin().Names()
 	if len(names) != len(legacyBuilders) {
 		t.Fatalf("%d built-in specs vs %d legacy builders", len(names), len(legacyBuilders))
 	}
@@ -580,10 +580,7 @@ func TestSpecsByteIdenticalToLegacy(t *testing.T) {
 		if !ok {
 			t.Fatalf("no legacy builder for %q", name)
 		}
-		prof, err := workload.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+		prof, _ := workload.Builtin().Lookup(name)
 		for _, seed := range []int64{42, 7} {
 			for _, threads := range []int{4, 16} {
 				want := legacy(threads, 0.05, seed)
@@ -608,9 +605,9 @@ func TestSpecSimResultMatchesLegacy(t *testing.T) {
 		t.Skip("simulation comparison in full mode only")
 	}
 	for _, name := range []string{"radiosity", "lu", "fft"} {
-		prof, err := workload.ByName(name)
-		if err != nil {
-			t.Fatal(err)
+		prof, ok := workload.Builtin().Lookup(name)
+		if !ok {
+			t.Fatalf("missing profile %s", name)
 		}
 		for _, seed := range []int64{42, 7} {
 			want, err := sim.Run(legacyBuilders[name](16, 0.05, seed), sim.DefaultOptions())

@@ -23,20 +23,6 @@ type Profile struct {
 	Paper scenario.PaperStats
 }
 
-// Build constructs the op-stream program at the given size. It panics on
-// an internal error; built-in profiles are validated at registration, so
-// this cannot fire for them.
-//
-// Deprecated: new call sites should use Program (the error-returning
-// variant) or workload.FromSpec directly.
-func (p Profile) Build(threads int, scale float64, seed int64) *Program {
-	prog, err := p.Program(threads, scale, seed)
-	if err != nil {
-		panic("workload: " + p.Name + ": " + err.Error())
-	}
-	return prog
-}
-
 // Program constructs the op-stream program at the given size.
 func (p Profile) Program(threads int, scale float64, seed int64) (*Program, error) {
 	if p.Spec == nil {
@@ -149,25 +135,3 @@ var builtin = sync.OnceValue(func() *Registry {
 // Builtin returns the registry of the 17 SPLASH-2/PARSEC benchmark
 // stand-ins, loaded from the embedded spec files.
 func Builtin() *Registry { return builtin() }
-
-// Names returns the built-in benchmark names in the paper's presentation
-// order.
-//
-// Deprecated: use Builtin().Names().
-func Names() []string { return Builtin().Names() }
-
-// ByName returns a built-in profile.
-//
-// Deprecated: use Builtin().Lookup.
-func ByName(name string) (Profile, error) {
-	p, ok := Builtin().Lookup(name)
-	if !ok {
-		return Profile{}, fmt.Errorf("workload: unknown benchmark %q", name)
-	}
-	return p, nil
-}
-
-// All returns every built-in profile in presentation order.
-//
-// Deprecated: use Builtin().Profiles().
-func All() []Profile { return Builtin().Profiles() }

@@ -118,16 +118,27 @@ func TestCSStructure(t *testing.T) {
 	}
 }
 
-func TestAllProfilesBuild(t *testing.T) {
-	if len(Names()) != 17 {
-		t.Fatalf("expected 17 benchmarks, have %d", len(Names()))
+// buildProfile builds a built-in profile's program, failing t on error.
+func buildProfile(t *testing.T, name string, threads int, scale float64, seed int64) *Program {
+	t.Helper()
+	p, ok := Builtin().Lookup(name)
+	if !ok {
+		t.Fatalf("missing profile %s", name)
 	}
-	for _, name := range Names() {
-		p, err := ByName(name)
-		if err != nil {
-			t.Fatalf("missing profile %s", name)
-		}
-		prog := p.Build(16, 0.05, 42)
+	prog, err := p.Program(threads, scale, seed)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return prog
+}
+
+func TestAllProfilesBuild(t *testing.T) {
+	names := Builtin().Names()
+	if len(names) != 17 {
+		t.Fatalf("expected 17 benchmarks, have %d", len(names))
+	}
+	for _, name := range names {
+		prog := buildProfile(t, name, 16, 0.05, 42)
 		if prog.NumThreads() != 16 {
 			t.Fatalf("%s: threads = %d", name, prog.NumThreads())
 		}
@@ -167,9 +178,8 @@ func TestAllProfilesBuild(t *testing.T) {
 func TestProfilesSPMDBarriers(t *testing.T) {
 	// All threads must execute the same barrier sequence or the runtime
 	// deadlocks.
-	for _, name := range Names() {
-		p, _ := ByName(name)
-		prog := p.Build(8, 0.05, 1)
+	for _, name := range Builtin().Names() {
+		prog := buildProfile(t, name, 8, 0.05, 1)
 		var ref []uint64
 		for tid, ops := range prog.Threads {
 			var seq []uint64
@@ -195,18 +205,17 @@ func TestProfilesSPMDBarriers(t *testing.T) {
 }
 
 func TestScaleChangesSize(t *testing.T) {
-	p, _ := ByName("ocean")
-	small := p.Build(4, 0.05, 1).TotalOps()
-	large := p.Build(4, 0.5, 1).TotalOps()
+	small := buildProfile(t, "ocean", 4, 0.05, 1).TotalOps()
+	large := buildProfile(t, "ocean", 4, 0.5, 1).TotalOps()
 	if large <= small {
 		t.Fatalf("scale should grow the program: %d vs %d", small, large)
 	}
 }
 
 func TestDeterministicBuild(t *testing.T) {
-	p, _ := ByName("radiosity") // uses build-time randomness
-	a := p.Build(4, 0.05, 7)
-	b := p.Build(4, 0.05, 7)
+	// radiosity uses build-time randomness.
+	a := buildProfile(t, "radiosity", 4, 0.05, 7)
+	b := buildProfile(t, "radiosity", 4, 0.05, 7)
 	if a.TotalOps() != b.TotalOps() {
 		t.Fatal("same seed must build identical programs")
 	}
@@ -217,7 +226,7 @@ func TestDeterministicBuild(t *testing.T) {
 			}
 		}
 	}
-	c := p.Build(4, 0.05, 8)
+	c := buildProfile(t, "radiosity", 4, 0.05, 8)
 	same := true
 	for tid := range a.Threads {
 		if len(a.Threads[tid]) != len(c.Threads[tid]) {
@@ -237,10 +246,10 @@ func TestDeterministicBuild(t *testing.T) {
 
 func TestRegistryComplete(t *testing.T) {
 	r := Builtin()
-	if len(r.Names()) != len(Names()) {
-		t.Fatalf("registry (%d) and Names (%d) out of sync", len(r.Names()), len(Names()))
+	if len(r.Names()) != 17 || len(r.Profiles()) != 17 {
+		t.Fatalf("registry has %d names and %d profiles, want 17", len(r.Names()), len(r.Profiles()))
 	}
-	for _, name := range Names() {
+	for _, name := range r.Names() {
 		p, ok := r.Lookup(name)
 		if !ok {
 			t.Fatalf("registry missing %q", name)
@@ -252,16 +261,16 @@ func TestRegistryComplete(t *testing.T) {
 			t.Fatalf("%q: missing paper reference stats", name)
 		}
 	}
-	if _, err := ByName("nope"); err == nil {
-		t.Fatal("unknown benchmark should error")
+	if _, ok := r.Lookup("nope"); ok {
+		t.Fatal("unknown benchmark should not resolve")
 	}
 }
 
 func TestRegistryRejects(t *testing.T) {
 	r := NewRegistry()
-	p, err := ByName("ocean")
-	if err != nil {
-		t.Fatal(err)
+	p, ok := Builtin().Lookup("ocean")
+	if !ok {
+		t.Fatal("missing profile ocean")
 	}
 	if err := r.Register(p); err != nil {
 		t.Fatalf("first register: %v", err)

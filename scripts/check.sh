@@ -40,6 +40,10 @@
 #                 (validity + determinism + buildability), and a generated
 #                 spec piped through spsim -spec twice must render
 #                 byte-identically
+#   run-config    one configuration table behind every entry point:
+#                 spsim -pred bogus must exit non-zero, spsim -pred bcast
+#                 must run, and spsweep run -threads 12 must be rejected
+#                 before the store or any job is touched
 #   spstat smoke  metrics pipeline end to end: a small instrumented run
 #                 twice (series must be byte-identical), spstat -validate
 #                 (epochs monotone/contiguous), JSON decode, and the
@@ -230,6 +234,26 @@ cmp "$sweepdir/spec1.txt" "$sweepdir/spec2.txt" || {
     echo "spscen: generated-spec replay is not deterministic" >&2
     exit 1
 }
+
+echo "== run-config gates (unknown kind / bcast kind / unrunnable matrix)"
+if "$sweepdir/spsim" -pred bogus -bench x264 -scale 0.05 > /dev/null 2> "$sweepdir/bogus.log"; then
+    echo "spsim: -pred bogus ran instead of failing" >&2
+    exit 1
+fi
+"$sweepdir/spsim" -pred bcast -bench x264 -scale 0.05 | grep -q "^x264 " || {
+    echo "spsim: -pred bcast did not run" >&2
+    exit 1
+}
+if "$sweepdir/spsweep" run -threads 12 -bench x264 -kinds dir -scales 0.05 \
+    -dir "$sweepdir/t12store" -summary "" > /dev/null 2> "$sweepdir/t12.log"; then
+    echo "spsweep: a -threads 12 matrix ran" >&2
+    exit 1
+fi
+if [ -e "$sweepdir/t12store" ] || grep -q " jobs (" "$sweepdir/t12.log"; then
+    echo "spsweep: a -threads 12 matrix got past validation:" >&2
+    cat "$sweepdir/t12.log" >&2
+    exit 1
+fi
 
 echo "== spstat smoke (metrics series determinism / validate / overhead)"
 go build -o "$sweepdir/spstat" ./cmd/spstat

@@ -20,22 +20,23 @@ package spcoh
 import (
 	"fmt"
 
-	"spcoh/internal/arch"
 	"spcoh/internal/core"
 	"spcoh/internal/experiments"
 	"spcoh/internal/predictor"
-	"spcoh/internal/protocol"
+	"spcoh/internal/runcfg"
 	"spcoh/internal/sim"
 	"spcoh/internal/workload"
 )
 
-// PredictorKind selects the coherence configuration of a run.
+// PredictorKind selects the coherence configuration of a run. The values
+// are configuration names of the experiments harness, so a kind means the
+// same machine here, in spsim and in a sweep cell.
 type PredictorKind string
 
 // Available configurations.
 const (
 	// Directory is the baseline MESIF directory protocol (no prediction).
-	Directory PredictorKind = "directory"
+	Directory PredictorKind = "dir"
 	// SP is the paper's synchronization-point-based predictor.
 	SP PredictorKind = "sp"
 	// Addr is the macroblock address-indexed group predictor.
@@ -48,7 +49,7 @@ const (
 	// prediction attempts on private data (the paper's §5.3 discussion).
 	SPFiltered PredictorKind = "sp+filter"
 	// Broadcast is the snooping protocol baseline.
-	Broadcast PredictorKind = "broadcast"
+	Broadcast PredictorKind = "bcast"
 )
 
 // Options configures a benchmark run. The zero value runs the baseline
@@ -57,22 +58,52 @@ type Options struct {
 	Predictor PredictorKind // default Directory
 	Scale     float64       // workload scale; default 1.0
 	Seed      int64         // workload build seed; default 42
-	Threads   int           // cores/threads; default 16 (must match the 4x4 mesh)
+	// Threads is the core/thread count; default 16 (the paper's 4x4
+	// mesh). Any perfect square up to 256 selects the matching square
+	// mesh with the same per-tile parameters.
+	Threads int
 
 	// SPConfig overrides the SP-predictor parameters (nil = paper
 	// defaults). Only consulted when Predictor == SP.
 	SPConfig *SPConfig
 }
 
-// SPConfig mirrors the tunable parameters of the SP-predictor (§4).
+// SPConfig mirrors the tunable parameters of the SP-predictor (§4). The
+// zero value of every field means the paper default.
 type SPConfig struct {
-	HistoryDepth  int     // signature history depth d (default 2)
-	HotThreshold  float64 // hot-set share threshold (default 0.10)
-	WarmupMisses  int     // d=0 warm-up (default 8; see package core)
-	NoiseMinComm  int     // noisy-instance filter (default 4)
-	ConfidenceMax int     // confidence counter ceiling (default 15)
-	StrideDetect  bool    // stride-2 repetitive pattern policy
-	MaxEntries    int     // SP-table capacity; 0 = unlimited
+	HistoryDepth  int     // signature history depth d (0 = 2)
+	HotThreshold  float64 // hot-set share threshold (0 = 0.10)
+	WarmupMisses  int     // d=0 warm-up (0 = 8; see package core)
+	NoiseMinComm  int     // noisy-instance filter (0 = 4)
+	ConfidenceMax int     // confidence counter ceiling (0 = 15)
+	DisableStride bool    // turn off the stride-2 repetitive pattern policy
+	MaxEntries    int     // SP-table capacity (0 = unlimited)
+}
+
+// apply returns c with every field s sets overridden.
+func (s *SPConfig) apply(c core.Config) core.Config {
+	if s.HistoryDepth > 0 {
+		c.HistoryDepth = s.HistoryDepth
+	}
+	if s.HotThreshold > 0 {
+		c.HotThreshold = s.HotThreshold
+	}
+	if s.WarmupMisses > 0 {
+		c.WarmupMisses = s.WarmupMisses
+	}
+	if s.NoiseMinComm > 0 {
+		c.NoiseMinComm = s.NoiseMinComm
+	}
+	if s.ConfidenceMax > 0 {
+		c.ConfidenceMax = s.ConfidenceMax
+	}
+	if s.DisableStride {
+		c.StrideDetect = false
+	}
+	if s.MaxEntries > 0 {
+		c.MaxEntries = s.MaxEntries
+	}
+	return c
 }
 
 func (o Options) normalize() Options {
@@ -116,7 +147,7 @@ type Metrics struct {
 }
 
 // Benchmarks lists the 17 workloads in the paper's order.
-func Benchmarks() []string { return workload.Names() }
+func Benchmarks() []string { return workload.Builtin().Names() }
 
 // Experiments lists the regenerable table/figure IDs.
 func Experiments() []string {
@@ -127,89 +158,33 @@ func Experiments() []string {
 	return out
 }
 
-func buildPredictors(o Options) ([]predictor.Predictor, error) {
-	n := o.Threads
-	switch o.Predictor {
-	case Directory, Broadcast:
-		return nil, nil
-	case SP:
-		cfg := core.DefaultConfig(n)
-		if s := o.SPConfig; s != nil {
-			if s.HistoryDepth > 0 {
-				cfg.HistoryDepth = s.HistoryDepth
-			}
-			if s.HotThreshold > 0 {
-				cfg.HotThreshold = s.HotThreshold
-			}
-			if s.WarmupMisses > 0 {
-				cfg.WarmupMisses = s.WarmupMisses
-			}
-			if s.NoiseMinComm > 0 {
-				cfg.NoiseMinComm = s.NoiseMinComm
-			}
-			if s.ConfidenceMax > 0 {
-				cfg.ConfidenceMax = s.ConfidenceMax
-			}
-			cfg.StrideDetect = s.StrideDetect
-			cfg.MaxEntries = s.MaxEntries
-		}
-		return core.NewSystem(cfg), nil
-	case SPFiltered:
-		preds := core.NewSystem(core.DefaultConfig(n))
-		for i := range preds {
-			preds[i] = predictor.NewRegionFilter(preds[i])
-		}
-		return preds, nil
-	case Addr, Inst, Uni:
-		preds := make([]predictor.Predictor, n)
-		for i := range preds {
-			switch o.Predictor {
-			case Addr:
-				preds[i] = predictor.NewAddr(arch.NodeID(i), n)
-			case Inst:
-				preds[i] = predictor.NewInst(arch.NodeID(i), n)
-			default:
-				preds[i] = predictor.NewUni(arch.NodeID(i), n)
-			}
-		}
-		return preds, nil
-	default:
-		return nil, fmt.Errorf("spcoh: unknown predictor %q", o.Predictor)
-	}
-}
-
 // RunBenchmark simulates one named benchmark under the given options.
 func RunBenchmark(bench string, o Options) (*Metrics, error) {
 	o = o.normalize()
-	prof, err := workload.ByName(bench)
+	prof, ok := workload.Builtin().Lookup(bench)
+	if !ok {
+		return nil, fmt.Errorf("spcoh: unknown benchmark %q", bench)
+	}
+	prog, err := prof.Program(o.Threads, o.Scale, o.Seed)
 	if err != nil {
 		return nil, err
 	}
-	prog := prof.Build(o.Threads, o.Scale, o.Seed)
 	return RunProgram(&Program{p: prog}, o)
 }
 
 // RunProgram simulates a custom program (see NewProgram). The machine is
-// the paper's 16-core CMP by default; thread counts of 4 or 64 select a
-// 2x2 or 8x8 mesh with the same per-tile parameters.
+// the paper's 16-core CMP by default; any other perfect-square thread
+// count up to 256 selects the matching square mesh with the same per-tile
+// parameters.
 func RunProgram(p *Program, o Options) (*Metrics, error) {
 	o = o.normalize()
-	opt := sim.DefaultOptions()
-	if o.Threads != opt.Machine.Nodes {
-		m, err := protocol.ConfigFor(o.Threads)
-		if err != nil {
-			return nil, err
-		}
-		opt.Machine = m
+	cfg := runcfg.RunConfig{Threads: o.Threads, Scale: o.Scale, Seed: o.Seed}
+	opt, err := experiments.SimOptions(cfg, string(o.Predictor), nil)
+	if err != nil {
+		return nil, err
 	}
-	if o.Predictor == Broadcast {
-		opt.Protocol = sim.Broadcast
-	} else {
-		preds, err := buildPredictors(o)
-		if err != nil {
-			return nil, err
-		}
-		opt.Predictors = preds
+	if o.Predictor == SP && o.SPConfig != nil {
+		opt.Predictors = core.NewSystem(o.SPConfig.apply(core.DefaultConfig(o.Threads)))
 	}
 	res, err := sim.Run(p.p, opt)
 	if err != nil {
@@ -219,21 +194,24 @@ func RunProgram(p *Program, o Options) (*Metrics, error) {
 }
 
 func toMetrics(res *sim.Result) *Metrics {
+	n := &res.Nodes
 	m := &Metrics{
-		Benchmark:    res.Benchmark,
-		Predictor:    res.Predictor,
-		Cycles:       uint64(res.Cycles),
-		Misses:       res.Misses(),
-		CommRatio:    res.CommRatio(),
-		NetworkBytes: res.Net.Bytes,
-		Energy:       res.Energy.Total(),
-		StorageBits:  res.StorageBits,
+		Benchmark:          res.Benchmark,
+		Predictor:          res.Predictor,
+		Cycles:             uint64(res.Cycles),
+		Misses:             res.Misses(),
+		CommRatio:          res.CommRatio(),
+		AvgMissLatency:     res.AvgMissLatency(),
+		CommMissLatency:    n.AvgCommLatency(),
+		NonCommMissLatency: n.AvgNonCommLatency(),
+		PredictionAccuracy: n.Accuracy(),
+		PredictedTargets:   n.AvgPredTargets(),
+		ActualTargets:      n.AvgActualTargets(),
+		NetworkBytes:       res.Net.Bytes,
+		Energy:             res.Energy.Total(),
+		StorageBits:        res.StorageBits,
 	}
-	m.AvgMissLatency = res.AvgMissLatency()
-	n := res.Nodes
 	if n.Communicating > 0 {
-		m.CommMissLatency = float64(n.CommLatencySum) / float64(n.Communicating)
-		m.PredictionAccuracy = n.Accuracy()
 		m.AccuracyBySource = map[string]float64{}
 		for tag, c := range n.PredCorrectByTag {
 			if c > 0 {
@@ -241,15 +219,6 @@ func toMetrics(res *sim.Result) *Metrics {
 					float64(c) / float64(n.Communicating)
 			}
 		}
-	}
-	if n.NonCommunicating > 0 {
-		m.NonCommMissLatency = float64(n.NonCommLatencySum) / float64(n.NonCommunicating)
-	}
-	if n.Predicted > 0 {
-		m.PredictedTargets = float64(n.PredTargets) / float64(n.Predicted)
-	}
-	if n.Misses > 0 {
-		m.ActualTargets = float64(n.ActualTargets) / float64(n.Misses)
 	}
 	return m
 }

@@ -1,6 +1,7 @@
 package spcoh_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -67,16 +68,41 @@ func TestRunBroadcast(t *testing.T) {
 }
 
 func TestSPConfigOverride(t *testing.T) {
+	base, err := spcoh.RunBenchmark("ocean", spcoh.Options{Predictor: spcoh.SP, Scale: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	m, err := spcoh.RunBenchmark("ocean", spcoh.Options{
-		Predictor: spcoh.SP, Scale: 0.2,
-		SPConfig: &spcoh.SPConfig{HistoryDepth: 1, HotThreshold: 0.2, StrideDetect: false,
-			WarmupMisses: 8, NoiseMinComm: 4, ConfidenceMax: 15},
+		Predictor: spcoh.SP, Scale: 0.2, SPConfig: &spcoh.SPConfig{HistoryDepth: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Misses == 0 {
 		t.Fatalf("metrics = %+v", m)
+	}
+	if reflect.DeepEqual(m, base) {
+		t.Fatal("HistoryDepth 1 left the run identical to the paper default (d=2)")
+	}
+}
+
+// TestSPConfigZeroIsPaperDefault pins that SPConfig fields left at zero keep
+// the paper defaults: restating the default history depth must reproduce
+// the SPConfig-free run exactly (stride detection included).
+func TestSPConfigZeroIsPaperDefault(t *testing.T) {
+	base, err := spcoh.RunBenchmark("ocean", spcoh.Options{Predictor: spcoh.SP, Scale: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := spcoh.RunBenchmark("ocean", spcoh.Options{
+		Predictor: spcoh.SP, Scale: 0.2, SPConfig: &spcoh.SPConfig{HistoryDepth: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(m, base) {
+		t.Fatalf("SPConfig{HistoryDepth: 2} changed the run: accuracy %.3f vs %.3f",
+			m.PredictionAccuracy, base.PredictionAccuracy)
 	}
 }
 
