@@ -7,13 +7,10 @@
 //	spbench -quick              # reduced workload scale
 //	spbench -parallel -jobs 4   # experiments concurrently, shared cache
 //	spbench -format json        # machine-readable rows + wall times
-//	spbench -core-bench         # engine-throughput record → results/BENCH_core.json
-//	spbench -cpuprofile cpu.pprof -core-bench
+//	spbench -cpuprofile cpu.pprof -only fig8
 //
-// -core-bench measures simulated-cycles-per-second over a fixed set of
-// seeded full-system runs and appends the record to a history (see
-// DESIGN.md §11): the first invocation also establishes the baseline,
-// later invocations keep it and report the speedup against it.
+// The simulator's own speed is measured by perfbench/ and gated by
+// scripts/abbench.sh (see DESIGN.md §11).
 package main
 
 import (
@@ -49,7 +46,11 @@ type jsonExperiment struct {
 	Error   string     `json:"error,omitempty"`
 }
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the whole command; it returns the exit status so that the deferred
+// profile writes happen on failing exits too.
+func run() int {
 	only := flag.String("only", "", "comma-separated experiment ids (default: all)")
 	quick := flag.Bool("quick", false, "reduced workload scale")
 	scale := flag.Float64("scale", 0, "explicit workload scale (overrides -quick)")
@@ -58,12 +59,6 @@ func main() {
 	parallel := flag.Bool("parallel", false, "generate experiments concurrently over the shared result cache")
 	jobs := flag.Int("jobs", runtime.NumCPU(), "worker count for -parallel")
 	format := flag.String("format", "text", "output format: text|json")
-	coreBench := flag.Bool("core-bench", false, "measure engine throughput and update the BENCH_core record")
-	coreOut := flag.String("core-out", "results/BENCH_core.json", "perf record path for -core-bench")
-	coreRuns := flag.Int("core-runs", 3, "timed repetitions per cell for -core-bench (best run counts)")
-	coreScale := flag.Float64("core-scale", 0.2, "workload scale for -core-bench")
-	coreGate := flag.Float64("core-gate", 0,
-		"fail -core-bench when aggregate cycles/s falls more than this percent below the rolling baseline (median of recent history; 0 = record only)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile here")
 	memprofile := flag.String("memprofile", "", "write an allocation profile here on exit")
 	flag.Parse()
@@ -72,11 +67,11 @@ func main() {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "spbench:", err)
-			os.Exit(1)
+			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fmt.Fprintln(os.Stderr, "spbench:", err)
-			os.Exit(1)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -95,23 +90,15 @@ func main() {
 		}()
 	}
 
-	if *coreBench {
-		if err := runCoreBench(*coreOut, *coreRuns, *coreScale, *seed, *coreGate); err != nil {
-			fmt.Fprintln(os.Stderr, "spbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	if *list {
 		for _, e := range experiments.All() {
 			fmt.Printf("%-8s %s\n", e.ID, e.Title)
 		}
-		return
+		return 0
 	}
 	if *format != "text" && *format != "json" {
 		fmt.Fprintf(os.Stderr, "spbench: unknown format %q (text|json)\n", *format)
-		os.Exit(1)
+		return 1
 	}
 
 	cfg := experiments.Default()
@@ -131,7 +118,7 @@ func main() {
 			e, err := experiments.ByID(strings.TrimSpace(id))
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return 1
 			}
 			selected = append(selected, e)
 		}
@@ -158,7 +145,7 @@ func main() {
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(recs); err != nil {
 			fmt.Fprintln(os.Stderr, "spbench:", err)
-			os.Exit(1)
+			return 1
 		}
 	default:
 		for i, e := range selected {
@@ -174,8 +161,9 @@ func main() {
 	}
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "spbench: %d/%d experiments failed\n", failed, len(selected))
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // generate runs the selected experiments, sequentially or on a bounded

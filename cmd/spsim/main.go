@@ -69,7 +69,11 @@ func writeSeries(path string, s *metrics.Series) error {
 	return f.Close()
 }
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the whole command; it returns the exit status so that the deferred
+// profile writes happen on failing exits too.
+func run() int {
 	bench := flag.String("bench", "ocean", "benchmark name")
 	all := flag.Bool("all", false, "run every benchmark")
 	specPath := flag.String("spec", "", `scenario spec file instead of a built-in benchmark ("-" = stdin)`)
@@ -88,11 +92,11 @@ func main() {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "spsim:", err)
-			os.Exit(1)
+			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fmt.Fprintln(os.Stderr, "spsim:", err)
-			os.Exit(1)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -114,12 +118,12 @@ func main() {
 	if !slices.Contains(experiments.Kinds(), *pred) {
 		fmt.Fprintf(os.Stderr, "spsim: unknown configuration %q (have: %s)\n",
 			*pred, strings.Join(experiments.Kinds(), ","))
-		os.Exit(2)
+		return 2
 	}
 	mode, err := sim.ParseMode(*modeFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "spsim:", err)
-		os.Exit(2)
+		return 2
 	}
 	// "detailed" (the flag default) runs as "", the spelling every other
 	// entry point uses for the detailed model.
@@ -129,27 +133,27 @@ func main() {
 
 	if *metricsOut != "" && *metricsEpoch == 0 {
 		fmt.Fprintln(os.Stderr, "spsim: -metrics-out requires -metrics-epoch")
-		os.Exit(2)
+		return 2
 	}
 	if *metricsEpoch > 0 && *all {
 		fmt.Fprintln(os.Stderr, "spsim: -metrics-epoch is incompatible with -all (one series per run)")
-		os.Exit(2)
+		return 2
 	}
 
 	if _, err := protocol.ConfigFor(*threads); err != nil {
 		fmt.Fprintln(os.Stderr, "spsim:", err)
-		os.Exit(2)
+		return 2
 	}
 
 	var spec *scenario.Spec
 	if *specPath != "" {
 		if *all {
 			fmt.Fprintln(os.Stderr, "spsim: -spec is incompatible with -all")
-			os.Exit(2)
+			return 2
 		}
 		if spec, err = loadSpec(*specPath); err != nil {
 			fmt.Fprintln(os.Stderr, "spsim:", err)
-			os.Exit(1)
+			return 1
 		}
 	}
 
@@ -171,23 +175,20 @@ func main() {
 	// failures are reported together at the end. A single-benchmark run
 	// keeps fail-fast behaviour.
 	var failures []string
-	fail := func(name string, err error) {
-		if !*all {
-			fmt.Fprintln(os.Stderr, "spsim:", err)
-			os.Exit(1)
-		}
-		failures = append(failures, fmt.Sprintf("%s: %v", name, err))
-	}
 	for _, name := range names {
 		res, err := r.Run(name, *pred)
 		if err != nil {
-			fail(name, err)
+			if !*all {
+				fmt.Fprintln(os.Stderr, "spsim:", err)
+				return 1
+			}
+			failures = append(failures, fmt.Sprintf("%s: %v", name, err))
 			continue
 		}
 		if res.Metrics != nil && *metricsOut != "" {
 			if err := writeSeries(*metricsOut, res.Metrics); err != nil {
 				fmt.Fprintln(os.Stderr, "spsim:", err)
-				os.Exit(1)
+				return 1
 			}
 			fmt.Fprintf(os.Stderr, "spsim: metrics series (%d epochs) written to %s\n",
 				len(res.Metrics.Epochs), *metricsOut)
@@ -200,8 +201,9 @@ func main() {
 		for _, f := range failures {
 			fmt.Fprintln(os.Stderr, "  "+f)
 		}
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 func row(tb *stats.Table, name string, r *sim.Result) {

@@ -10,14 +10,9 @@
 //	go run ./cmd/spvet ./internal/...                     # a subtree
 //	go run ./cmd/spvet -checks                            # list registered checks
 //	go run ./cmd/spvet -json ./...                        # machine-readable findings
-//	go run ./cmd/spvet -baseline .spvet-baseline.json ./...
-//	go run ./cmd/spvet -baseline b.json -write-baseline ./...
 //
-// Findings print as "file:line: [check] message". With -baseline, findings
-// recorded in the baseline file are tolerated (reported but not gating);
-// baseline entries claiming findings in simulation packages are rejected.
-// The exit status is 1 when any fresh error-severity finding remains, 2 on
-// analysis errors, 0 otherwise.
+// Findings print as "file:line: [check] message". The exit status is 1 when
+// any error-severity finding remains, 2 on analysis errors, 0 otherwise.
 package main
 
 import (
@@ -29,31 +24,25 @@ import (
 	"spcoh/internal/lint"
 )
 
-// jsonFinding is one finding in -json output. Baselined findings are
-// included (marked) so tooling sees the full picture; the exit status only
-// reflects fresh errors.
+// jsonFinding is one finding in -json output.
 type jsonFinding struct {
-	File      string `json:"file"`
-	Line      int    `json:"line"`
-	Check     string `json:"check"`
-	Severity  string `json:"severity"`
-	Msg       string `json:"msg"`
-	Baselined bool   `json:"baselined,omitempty"`
+	File     string `json:"file"`
+	Line     int    `json:"line"`
+	Check    string `json:"check"`
+	Severity string `json:"severity"`
+	Msg      string `json:"msg"`
 }
 
 // jsonReport is the top-level -json document.
 type jsonReport struct {
-	Findings  []jsonFinding `json:"findings"`
-	NewErrors int           `json:"new_errors"`
-	NewWarns  int           `json:"new_warns"`
-	Baselined int           `json:"baselined"`
+	Findings []jsonFinding `json:"findings"`
+	Errors   int           `json:"errors"`
+	Warnings int           `json:"warnings"`
 }
 
 func main() {
 	listChecks := flag.Bool("checks", false, "list registered checks and exit")
 	jsonOut := flag.Bool("json", false, "emit findings as JSON on stdout")
-	baselineFile := flag.String("baseline", "", "baseline file of tolerated findings")
-	writeBaseline := flag.Bool("write-baseline", false, "rewrite -baseline from the current findings and exit")
 	flag.Parse()
 
 	if *listChecks {
@@ -92,61 +81,22 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *writeBaseline {
-		if *baselineFile == "" {
-			fmt.Fprintln(os.Stderr, "spvet: -write-baseline requires -baseline <file>")
-			os.Exit(2)
-		}
-		if err := lint.WriteBaseline(*baselineFile, findings); err != nil {
-			fmt.Fprintln(os.Stderr, "spvet:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "spvet: wrote %d finding(s) to %s\n", len(findings), *baselineFile)
-		return
-	}
-
-	fresh, baselined := findings, []lint.Finding(nil)
-	if *baselineFile != "" {
-		b, err := lint.LoadBaseline(*baselineFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "spvet:", err)
-			os.Exit(2)
-		}
-		if err := b.Validate(modPath, isSim); err != nil {
-			fmt.Fprintln(os.Stderr, "spvet:", err)
-			os.Exit(2)
-		}
-		fresh, baselined = b.Partition(findings)
-	}
-
-	newErrors, newWarns := 0, 0
-	for _, f := range fresh {
+	nErrors, nWarns := 0, 0
+	for _, f := range findings {
 		if f.Severity == lint.SevWarn {
-			newWarns++
+			nWarns++
 		} else {
-			newErrors++
+			nErrors++
 		}
 	}
 
 	if *jsonOut {
-		rep := jsonReport{
-			Findings:  []jsonFinding{},
-			NewErrors: newErrors,
-			NewWarns:  newWarns,
-			Baselined: len(baselined),
-		}
-		emit := func(f lint.Finding, base bool) {
+		rep := jsonReport{Findings: []jsonFinding{}, Errors: nErrors, Warnings: nWarns}
+		for _, f := range findings {
 			rep.Findings = append(rep.Findings, jsonFinding{
 				File: f.Pos.Filename, Line: f.Pos.Line,
 				Check: f.Check, Severity: string(f.Severity), Msg: f.Msg,
-				Baselined: base,
 			})
-		}
-		for _, f := range fresh {
-			emit(f, false)
-		}
-		for _, f := range baselined {
-			emit(f, true)
 		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -155,18 +105,14 @@ func main() {
 			os.Exit(2)
 		}
 	} else {
-		for _, f := range fresh {
+		for _, f := range findings {
 			fmt.Println(f)
 		}
-		for _, f := range baselined {
-			fmt.Printf("%s (baselined)\n", f)
-		}
 	}
-	if len(fresh) > 0 || len(baselined) > 0 {
-		fmt.Fprintf(os.Stderr, "spvet: %d new error(s), %d new warning(s), %d baselined\n",
-			newErrors, newWarns, len(baselined))
+	if len(findings) > 0 {
+		fmt.Fprintf(os.Stderr, "spvet: %d error(s), %d warning(s)\n", nErrors, nWarns)
 	}
-	if newErrors > 0 {
+	if nErrors > 0 {
 		os.Exit(1)
 	}
 }

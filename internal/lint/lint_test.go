@@ -283,88 +283,6 @@ func TestAllowSeverities(t *testing.T) {
 	}
 }
 
-// TestBaselinePartition pins the multiset matching: each entry absorbs one
-// finding, by (file, check, msg) and independent of line numbers.
-func TestBaselinePartition(t *testing.T) {
-	mk := func(file string, line int, check, msg string) Finding {
-		return Finding{Pos: token.Position{Filename: file, Line: line}, Check: check, Msg: msg}
-	}
-	b := &Baseline{Version: BaselineVersion, Entries: []BaselineEntry{
-		{File: "cmd/x/main.go", Check: "maprange", Msg: "legacy"},
-	}}
-	findings := []Finding{
-		mk("cmd/x/main.go", 10, "maprange", "legacy"),
-		mk("cmd/x/main.go", 20, "maprange", "legacy"),
-		mk("cmd/x/main.go", 30, "wallclock", "new"),
-	}
-	fresh, baselined := b.Partition(findings)
-	if len(baselined) != 1 || baselined[0].Pos.Line != 10 {
-		t.Fatalf("baselined = %v", baselined)
-	}
-	if len(fresh) != 2 {
-		t.Fatalf("fresh = %v", fresh)
-	}
-}
-
-// TestBaselineValidate pins the empty-sim-baseline policy.
-func TestBaselineValidate(t *testing.T) {
-	isSim := DefaultIsSim("spcoh")
-	ok := &Baseline{Version: BaselineVersion, Entries: []BaselineEntry{
-		{File: "cmd/spstat/main.go", Check: "maprange", Msg: "legacy"},
-	}}
-	if err := ok.Validate("spcoh", isSim); err != nil {
-		t.Fatalf("non-sim entry rejected: %v", err)
-	}
-	bad := &Baseline{Version: BaselineVersion, Entries: []BaselineEntry{
-		{File: "internal/protocol/node.go", Check: "exhaustive", Msg: "legacy"},
-	}}
-	if err := bad.Validate("spcoh", isSim); err == nil {
-		t.Fatal("sim-package baseline entry accepted")
-	}
-}
-
-// TestBaselineRoundTrip writes findings out and reads them back.
-func TestBaselineRoundTrip(t *testing.T) {
-	file := filepath.Join(t.TempDir(), "baseline.json")
-	findings := []Finding{
-		{Pos: token.Position{Filename: "cmd/x/main.go", Line: 3}, Check: "maprange", Msg: "m"},
-		{Pos: token.Position{Filename: "cmd/a/main.go", Line: 9}, Check: "wallclock", Msg: "w"},
-	}
-	if err := WriteBaseline(file, findings); err != nil {
-		t.Fatal(err)
-	}
-	b, err := LoadBaseline(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b.Entries) != 2 || b.Entries[0].File != "cmd/a/main.go" {
-		t.Fatalf("round-tripped entries = %+v", b.Entries)
-	}
-	fresh, baselined := b.Partition(findings)
-	if len(fresh) != 0 || len(baselined) != 2 {
-		t.Fatalf("round-trip partition: fresh=%v baselined=%v", fresh, baselined)
-	}
-}
-
-// TestRepoBaselineEmpty pins the shipped baseline: the repository tolerates
-// no legacy findings at all, sim packages or otherwise.
-func TestRepoBaselineEmpty(t *testing.T) {
-	root, modPath, err := FindModule(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := LoadBaseline(filepath.Join(root, ".spvet-baseline.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b.Entries) != 0 {
-		t.Fatalf("shipped baseline carries %d entries; the tree must stay clean", len(b.Entries))
-	}
-	if err := b.Validate(modPath, DefaultIsSim(modPath)); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestNoallocAnnotationConsistency is the CI gate tying the //spcoh:noalloc
 // set to the AllocsPerRun benchmark ceilings: every function whose
 // zero-allocation behaviour is pinned by a benchmark test must carry the

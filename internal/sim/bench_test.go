@@ -15,8 +15,8 @@ func benchProgram(b *testing.B, name string, scale float64) *workload.Program {
 }
 
 // runFull executes one full-system simulation and reports simulated
-// cycles/sec and events/sec — the throughput axes results/BENCH_core.json
-// records (see DESIGN.md §11).
+// cycles/sec and events/sec; perfbench's sim_cycles_per_s is the same
+// axis end to end (see DESIGN.md §11).
 func runFull(b *testing.B, prog *workload.Program, opt func() Options) {
 	b.Helper()
 	b.ReportAllocs()

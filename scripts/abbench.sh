@@ -1,0 +1,137 @@
+#!/bin/sh
+# abbench.sh — the speed gate: the change under review against its base,
+# run alternately on one host.
+#
+#   scripts/abbench.sh OUT
+#
+# The base is HEAD when tracked files have uncommitted changes and HEAD~1
+# otherwise, so it is always the parent of the change under review; it is
+# exported with `git archive` into a temporary directory. The candidate is
+# the working tree. For each workload, `pairs` pairs of
+#
+#   bash perfbench/run.sh --workload W --seed 42 --seconds 1 --trace 0
+#
+# run base and candidate back to back, alternating which side goes first,
+# each side building into its own CARGO_TARGET_DIR under the temporary
+# directory. Every run must report "correct":true and "failed":0 (perfbench
+# exits 0 on wrong output, so the check is here). The JSON record written to
+# OUT holds the host's nproc, both revisions, each pair's sim_cycles_per_s,
+# both medians, the base's quartiles, the threshold and the verdict. The
+# gate fails (exit 1) when any workload's median candidate/base ratio of
+# sim_cycles_per_s is below `threshold`; DESIGN.md §11 says how it was
+# calibrated.
+set -eu
+
+pairs=5
+threshold=0.88
+# suite-dir-sp runs the directory and SP cells, suite-bcast broadcast
+# snooping: together every protocol path the paper's figures time.
+workloads="suite-dir-sp suite-bcast"
+
+[ $# -eq 1 ] || { echo "usage: $0 OUT" >&2; exit 2; }
+case $1 in
+/*) out=$1 ;;
+*) out=$(pwd)/$1 ;;
+esac
+cd "$(dirname "$0")/.."
+
+head=$(git rev-parse --verify HEAD) || {
+    echo "abbench: needs a git checkout with a commit" >&2
+    exit 2
+}
+if git diff --quiet HEAD --; then
+    base=HEAD~1 cand=$head
+else
+    base=HEAD cand=$head+uncommitted
+fi
+base=$(git rev-parse --verify "$base^{commit}") || {
+    echo "abbench: no base revision to compare against" >&2
+    exit 2
+}
+
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+trap 'exit 1' HUP INT TERM
+mkdir "$tmp/base"
+git archive "$base" | tar -x -C "$tmp/base"
+
+# bench SIDE DIR WORKLOAD runs perfbench once from DIR and prints its
+# sim_cycles_per_s, or fails on a failed run, wrong output or failed cells.
+bench() {
+    log="$tmp/$1-$3.log"
+    (cd "$2" && CARGO_TARGET_DIR="$tmp/$1-build" \
+        bash perfbench/run.sh --workload "$3" --seed 42 --seconds 1 --trace 0) \
+        > "$log" 2>&1 || {
+        echo "abbench: $1 run of $3 failed:" >&2
+        tail -n 20 "$log" >&2
+        return 1
+    }
+    rec=$(grep '^{"correct"' "$log" | tail -n 1)
+    case $rec in
+    *'"correct":true,'*'"failed":0,'*'"sim_cycles_per_s":{"value":'*) ;;
+    *)
+        echo "abbench: $1 run of $3 is not correct or failed cells:" >&2
+        tail -n 20 "$log" >&2
+        return 1
+        ;;
+    esac
+    printf '%s\n' "$rec" | sed -n 's/.*"sim_cycles_per_s":{"value":\([^,}]*\).*/\1/p'
+}
+
+verdict=pass
+sep=""
+{
+    printf '{\n  "host": {"nproc": %s},\n' "$(getconf _NPROCESSORS_ONLN)"
+    printf '  "base": "%s",\n  "candidate": "%s",\n' "$base" "$cand"
+    printf '  "metric": "sim_cycles_per_s",\n  "pairs": %s,\n  "threshold": %s,\n' "$pairs" "$threshold"
+    printf '  "workloads": ['
+} > "$tmp/record"
+for w in $workloads; do
+    : > "$tmp/$w.pairs"
+    i=1
+    while [ "$i" -le "$pairs" ]; do
+        if [ $((i % 2)) -eq 1 ]; then
+            b=$(bench base "$tmp/base" "$w")
+            c=$(bench candidate . "$w")
+        else
+            c=$(bench candidate . "$w")
+            b=$(bench base "$tmp/base" "$w")
+        fi
+        echo "abbench: $w pair $i: base $b candidate $c" >&2
+        echo "$b $c" >> "$tmp/$w.pairs"
+        i=$((i + 1))
+    done
+    # The workload's JSON object goes to stdout; awk exits 1 when the
+    # workload fails. Quantiles interpolate linearly between order statistics.
+    awk -v w="$w" -v th="$threshold" '
+        function q(a, n, p,    h, l) {
+            h = 1 + (n - 1) * p; l = int(h)
+            return l >= n ? a[n] : a[l] + (h - l) * (a[l + 1] - a[l])
+        }
+        function isort(a, n,    i, j, t) {
+            for (i = 2; i <= n; i++)
+                for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
+        }
+        { n++; b[n] = $1; c[n] = $2; r[n] = $2 / $1
+          pr = pr sprintf("%s\n        {\"base\": %s, \"candidate\": %s, \"ratio\": %.4f}", n > 1 ? "," : "", $1, $2, r[n]) }
+        END {
+            isort(b, n); isort(c, n); isort(r, n)
+            mr = q(r, n, 0.5); ok = mr >= th
+            printf "    {\"workload\": \"%s\",\n      \"pairs\": [%s\n      ],\n", w, pr
+            printf "      \"base_median\": %.0f, \"base_q1\": %.0f, \"base_q3\": %.0f,\n", q(b, n, 0.5), q(b, n, 0.25), q(b, n, 0.75)
+            printf "      \"candidate_median\": %.0f, \"median_ratio\": %.4f, \"pass\": %s}", q(c, n, 0.5), mr, ok ? "true" : "false"
+            printf "abbench: %s median candidate/base %.4f (threshold %s)\n", w, mr, th > "/dev/stderr"
+            exit !ok
+        }' "$tmp/$w.pairs" > "$tmp/$w.json" || verdict=fail
+    printf '%s\n' "$sep" >> "$tmp/record"
+    cat "$tmp/$w.json" >> "$tmp/record"
+    sep=","
+done
+printf '\n  ],\n  "verdict": "%s"\n}\n' "$verdict" >> "$tmp/record"
+cp "$tmp/record" "$out"
+
+if [ "$verdict" != pass ]; then
+    echo "abbench: candidate is slower than base $base beyond the threshold $threshold (record: $out)" >&2
+    exit 1
+fi
+echo "abbench: pass against base $base (record: $out)" >&2

@@ -7,9 +7,8 @@
 #   go build      compilation
 #   spvet         invariant analysis (internal/lint): maprange, wallclock,
 #                 goroutine, floatorder, exhaustive, noalloc, obspure,
-#                 poolescape, allow — run against the checked-in baseline
-#                 (.spvet-baseline.json, which must stay empty for sim
-#                 packages), plus a -json smoke asserting zero new errors
+#                 poolescape, allow — any error finding fails, plus a -json
+#                 smoke asserting zero errors
 #   noalloc gate  the //spcoh:noalloc annotation set must stay consistent
 #                 with the AllocsPerRun ceilings the unit tests enforce
 #                 (TestNoallocAnnotationConsistency)
@@ -41,24 +40,26 @@
 #                 spec piped through spsim -spec twice must render
 #                 byte-identically
 #   run-config    one configuration table behind every entry point:
-#                 spsim -pred bogus must exit non-zero, spsim -pred bcast
-#                 must run, and spsweep run -threads 12 must be rejected
-#                 before the store or any job is touched
+#                 spsim -pred bogus must exit non-zero and still leave a
+#                 non-empty -cpuprofile, spsim -pred bcast must run, and
+#                 spsweep run -threads 12 must be rejected before the store
+#                 or any job is touched
 #   spstat smoke  metrics pipeline end to end: a small instrumented run
 #                 twice (series must be byte-identical), spstat -validate
 #                 (epochs monotone/contiguous), JSON decode, and the
-#                 collector-overhead benchmark into results/BENCH_metrics.json
+#                 collector-overhead benchmark (its record goes to a
+#                 temporary directory; commit results/BENCH_metrics.json
+#                 on purpose)
 #   bench smoke   every testing.B benchmark compiled and run once
-#                 (-benchtime=1x) so benchmark code cannot rot, then
-#                 spbench -core-bench refreshes results/BENCH_core.json
-#                 with -core-gate 50: the run fails only when aggregate
-#                 cycles/s falls >50% below the rolling baseline (median
-#                 of recent history) — generous enough that wall noise on
-#                 shared boxes cannot trip it, tight enough to catch a
-#                 real engine regression; allocation regressions are gated
-#                 by the AllocsPerRun ceilings inside go test (DESIGN.md §11)
+#                 (-benchtime=1x) so benchmark code cannot rot
+#   speed gate    scripts/abbench.sh: perfbench suite-dir-sp and suite-bcast
+#                 for the change and its base, alternately on this host; fails
+#                 when a median candidate/base sim_cycles_per_s ratio is
+#                 below the script's threshold (DESIGN.md §11). Allocation
+#                 regressions are gated by the AllocsPerRun ceilings inside
+#                 go test
 #
-# Any gate failing exits non-zero.
+# Any gate failing exits non-zero. Nothing is written into the tree.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -80,11 +81,11 @@ sweepdir=$(mktemp -d)
 daemon=""
 trap '[ -n "$daemon" ] && kill "$daemon" 2>/dev/null; rm -rf "$sweepdir"' EXIT
 
-echo "== spvet (invariant analysis, baseline-gated)"
-go run ./cmd/spvet -baseline .spvet-baseline.json ./...
-go run ./cmd/spvet -baseline .spvet-baseline.json -json ./... > "$sweepdir/spvet.json"
-grep -q '"new_errors": 0' "$sweepdir/spvet.json" || {
-    echo "spvet: -json report has new errors:" >&2
+echo "== spvet (invariant analysis)"
+go run ./cmd/spvet ./...
+go run ./cmd/spvet -json ./... > "$sweepdir/spvet.json"
+grep -q '"errors": 0' "$sweepdir/spvet.json" || {
+    echo "spvet: -json report has errors:" >&2
     cat "$sweepdir/spvet.json" >&2
     exit 1
 }
@@ -236,10 +237,15 @@ cmp "$sweepdir/spec1.txt" "$sweepdir/spec2.txt" || {
 }
 
 echo "== run-config gates (unknown kind / bcast kind / unrunnable matrix)"
-if "$sweepdir/spsim" -pred bogus -bench x264 -scale 0.05 > /dev/null 2> "$sweepdir/bogus.log"; then
+if "$sweepdir/spsim" -pred bogus -bench x264 -scale 0.05 \
+    -cpuprofile "$sweepdir/bogus.pprof" > /dev/null 2> "$sweepdir/bogus.log"; then
     echo "spsim: -pred bogus ran instead of failing" >&2
     exit 1
 fi
+[ -s "$sweepdir/bogus.pprof" ] || {
+    echo "spsim: a failing run left no CPU profile" >&2
+    exit 1
+}
 "$sweepdir/spsim" -pred bcast -bench x264 -scale 0.05 | grep -q "^x264 " || {
     echo "spsim: -pred bcast did not run" >&2
     exit 1
@@ -275,8 +281,7 @@ cmp "$sweepdir/series1.json" "$sweepdir/series2.json" || {
     echo "spstat: series JSON re-emit failed" >&2
     exit 1
 }
-mkdir -p results
-"$sweepdir/spstat" -bench -bench-scale 0.05 -bench-out results/BENCH_metrics.json || {
+"$sweepdir/spstat" -bench -bench-scale 0.05 -bench-out "$sweepdir/BENCH_metrics.json" || {
     echo "spstat: overhead benchmark failed" >&2
     exit 1
 }
@@ -288,11 +293,7 @@ go test -bench=. -benchtime=1x -run='^$' ./... > "$sweepdir/bench.log" 2>&1 || {
     exit 1
 }
 
-echo "== spbench core benchmark (results/BENCH_core.json refresh, rolling-baseline gate)"
-go build -o "$sweepdir/spbench" ./cmd/spbench
-"$sweepdir/spbench" -core-bench -core-out results/BENCH_core.json -core-gate 50 || {
-    echo "spbench: core benchmark failed (or regressed past the rolling-baseline gate)" >&2
-    exit 1
-}
+echo "== speed gate (perfbench, change vs base on this host)"
+sh scripts/abbench.sh "$sweepdir/abbench.json"
 
 echo "check.sh: all gates passed"
