@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"spcoh/internal/arch"
@@ -267,5 +269,55 @@ func TestSharedTableAcrossNodes(t *testing.T) {
 	barrier(p1, 77)
 	if set, _ := p1.Predict(predictor.Miss{}); !set.Empty() {
 		t.Fatalf("node 1 should not see node 0's barrier history: %v", set)
+	}
+}
+
+// TestTablePushMatchesPrepend replays random push sequences against a model
+// of the history as prepend-then-truncate: after every push the history is
+// the last Depth signatures, most recent first, and strideHits follows the
+// model's stride rule exactly. Signatures come from a small alphabet so
+// alternations, repeats and breaks all occur.
+func TestTablePushMatchesPrepend(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	alphabet := []arch.SharerSet{arch.EmptySet, arch.SetOf(1), arch.SetOf(2), arch.SetOf(1, 3)}
+	for depth := 1; depth <= 4; depth++ {
+		tab := NewTable(depth, 0)
+		k := epochKey{staticID: 5, proc: 2}
+		var model []arch.SharerSet
+		stride := 0
+		for i := 0; i < 500; i++ {
+			sig := alphabet[rng.Intn(len(alphabet))]
+			if len(model) >= 2 && sig == model[1] && sig != model[0] {
+				stride++
+			} else if len(model) >= 1 {
+				stride = 0
+			}
+			model = append([]arch.SharerSet{sig}, model...)
+			if len(model) > depth {
+				model = model[:depth]
+			}
+			tab.push(k, sig)
+			sigs, hits := tab.history(k)
+			if !slices.Equal(sigs, model) || hits != stride {
+				t.Fatalf("depth %d push %d: history %v stride %d, want %v stride %d",
+					depth, i, sigs, hits, model, stride)
+			}
+		}
+	}
+}
+
+// TestTablePushNoAlloc pins push to an existing full-depth entry at zero
+// allocations: the history shifts in place.
+func TestTablePushNoAlloc(t *testing.T) {
+	tab := NewTable(2, 0)
+	k := epochKey{staticID: 1, proc: 0}
+	a, b := arch.SetOf(1), arch.SetOf(2)
+	tab.push(k, a)
+	tab.push(k, b)
+	if avg := testing.AllocsPerRun(100, func() {
+		tab.push(k, a)
+		tab.push(k, b)
+	}); avg != 0 {
+		t.Errorf("push to a full-depth entry: %v allocs/op, want 0", avg)
 	}
 }

@@ -79,7 +79,8 @@ func (t *Table) get(k epochKey, create bool) *entry {
 }
 
 // push records a new signature for k, shifting out the oldest beyond Depth
-// and updating stride-pattern detection state.
+// and updating stride-pattern detection state. The history shifts in place,
+// so a slice returned by history is only valid until the next push.
 func (t *Table) push(k epochKey, sig arch.SharerSet) {
 	e := t.get(k, true)
 	e.instances++
@@ -88,10 +89,13 @@ func (t *Table) push(k epochKey, sig arch.SharerSet) {
 	} else if len(e.sigs) >= 1 {
 		e.strideHits = 0
 	}
-	e.sigs = append([]arch.SharerSet{sig}, e.sigs...)
-	if len(e.sigs) > t.Depth {
+	if len(e.sigs) < t.Depth {
+		e.sigs = append(e.sigs, arch.SharerSet{})
+	} else {
 		e.sigs = e.sigs[:t.Depth]
 	}
+	copy(e.sigs[1:], e.sigs)
+	e.sigs[0] = sig
 }
 
 // history returns the stored signatures for k (most recent first) and the

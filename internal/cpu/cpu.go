@@ -68,6 +68,13 @@ type Core struct {
 	// and sync resumptions re-enter the batching loop.
 	stepFn func()
 
+	// syncOp is the barrier, lock or unlock op the core is blocked on; the
+	// continuations below read it when the runtime or the memory system
+	// resumes the core. They are bound once at construction, like stepFn,
+	// so a sync op allocates no closure.
+	syncOp                      workload.Op
+	barrierFn, lockFn, unlockFn func()
+
 	// fastPort is the port's fast hit path; non-nil only after EnableFast.
 	fastPort FastPort
 }
@@ -79,6 +86,7 @@ func New(id int, sim *event.Sim, port MemPort, rt SyncRuntime, ops []workload.Op
 	}
 	c := &Core{ID: id, IssueWidth: issueWidth, sim: sim, port: port, rt: rt, ops: ops, onFinish: onFinish}
 	c.stepFn = c.step
+	c.barrierFn, c.lockFn, c.unlockFn = c.barrierReleased, c.lockAcquired, c.unlockDone
 	return c
 }
 
@@ -137,33 +145,19 @@ func (c *Core) step() {
 		// a single arrival write would be a far larger fraction of an
 		// epoch's communication than in the paper's full-size runs (see
 		// DESIGN.md §1).
-		id := op.Sync
-		c.rt.Barrier(c.ID, id, func() {
-			c.port.OnSync(predictor.SyncBarrier, id)
-			c.stepFn()
-		})
+		c.syncOp = op
+		c.rt.Barrier(c.ID, op.Sync, c.barrierFn)
 
 	case workload.OpLock:
 		c.stats.Locks++
-		op := op
+		c.syncOp = op
 		// The runtime keys locks by their line address; the sync-point
 		// static ID (op.Sync) is a separate notion exposed to predictors.
-		c.rt.Lock(c.ID, uint64(op.Addr), func() {
-			// Acquired: expose the sync-point first (the SP-table update
-			// happens "just after the lock is acquired", §4.3), then
-			// perform the atomic RMW on the lock line — a migratory,
-			// communicating miss coming from the previous holder.
-			c.port.OnSync(predictor.SyncLock, op.Sync)
-			c.port.Access(0, op.Addr, true, c.stepFn)
-		})
+		c.rt.Lock(c.ID, uint64(op.Addr), c.lockFn)
 
 	case workload.OpUnlock:
-		op := op
-		c.port.Access(0, op.Addr, true, func() {
-			c.port.OnSync(predictor.SyncUnlock, op.Sync)
-			c.rt.Unlock(c.ID, uint64(op.Addr))
-			c.stepFn()
-		})
+		c.syncOp = op
+		c.port.Access(0, op.Addr, true, c.unlockFn)
 
 	case workload.OpEnd:
 		c.finish()
@@ -171,6 +165,30 @@ func (c *Core) step() {
 	default:
 		panic(fmt.Sprintf("cpu: core %d: bad op kind %v", c.ID, op.Kind))
 	}
+}
+
+// barrierReleased resumes the core past a barrier: crossing it is the
+// sync-point exposed to the predictor.
+func (c *Core) barrierReleased() {
+	c.port.OnSync(predictor.SyncBarrier, c.syncOp.Sync)
+	c.stepFn()
+}
+
+// lockAcquired exposes the sync-point first (the SP-table update happens
+// "just after the lock is acquired", §4.3), then performs the atomic RMW on
+// the lock line — a migratory, communicating miss coming from the previous
+// holder.
+func (c *Core) lockAcquired() {
+	c.port.OnSync(predictor.SyncLock, c.syncOp.Sync)
+	c.port.Access(0, c.syncOp.Addr, true, c.stepFn)
+}
+
+// unlockDone releases the lock once the release write completes.
+func (c *Core) unlockDone() {
+	op := c.syncOp
+	c.port.OnSync(predictor.SyncUnlock, op.Sync)
+	c.rt.Unlock(c.ID, uint64(op.Addr))
+	c.stepFn()
 }
 
 // coreFastStep is the pre-bound form of (*Core).fastStep for event.AtFn.

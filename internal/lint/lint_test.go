@@ -293,17 +293,21 @@ func TestNoallocAnnotationConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	loader := NewLoader(root, modPath)
-	pkgs, err := loader.Load("./internal/event", "./internal/noc")
+	pkgs, err := loader.Load("./internal/event", "./internal/noc", "./internal/protocol")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The zero-alloc ceilings asserted by internal/event/bench_test.go and
-	// internal/noc/bench_test.go.
+	// The zero-alloc ceilings asserted by internal/event/bench_test.go,
+	// internal/noc/bench_test.go and internal/protocol/alloc_test.go (the
+	// miss path's scheduled entry points).
 	want := map[string]bool{
-		"internal/event.At":   true,
-		"internal/event.AtFn": true,
-		"internal/event.Step": true,
-		"internal/noc.SendFn": true,
+		"internal/event.At":               true,
+		"internal/event.AtFn":             true,
+		"internal/event.Step":             true,
+		"internal/noc.SendFn":             true,
+		"internal/protocol.fireMissIssue": true,
+		"internal/protocol.deliverMsg":    true,
+		"internal/protocol.fireDirGet":    true,
 	}
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {

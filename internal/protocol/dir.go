@@ -49,6 +49,12 @@ type DirSlice struct {
 	self  arch.NodeID
 	lines map[arch.LineAddr]*dirLine
 
+	// slab is the chunk new lines are carved from: entries are taken from
+	// its spare capacity and a full chunk is replaced, never grown, so the
+	// pointers in lines stay valid. Chunks double up to dirSlabMax, so a
+	// slice that touches a handful of lines pays for a handful.
+	slab []dirLine
+
 	// memo is a small direct-mapped front for the lines map: one transaction
 	// hits the same entry several times (request, forwards, unblock,
 	// accounting messages), and on big meshes many transactions on distinct
@@ -58,6 +64,11 @@ type DirSlice struct {
 }
 
 const dirMemoSize = 64 // power of two; ~1KB per slice
+
+const (
+	dirSlabMin = 4
+	dirSlabMax = 256
+)
 
 type dirMemoEnt struct {
 	addr arch.LineAddr
@@ -76,27 +87,39 @@ func (d *DirSlice) line(l arch.LineAddr) *dirLine {
 	}
 	e, ok := d.lines[l]
 	if !ok {
-		e = &dirLine{state: dirU, owner: arch.None, fwd: arch.None, pendingSupplier: arch.None} //spvet:allow noalloc -- lazy line materialization, once per line ever touched
+		e = d.newLine() //spvet:allow noalloc -- inlined newLine: slab refill, once per dirSlabMax lines at most
 		d.lines[l] = e
 	}
 	m.addr, m.line = l, e
 	return e
 }
 
+// newLine carves an idle (dirU) entry from the slab.
+func (d *DirSlice) newLine() *dirLine {
+	if len(d.slab) == cap(d.slab) {
+		n := min(max(2*cap(d.slab), dirSlabMin), dirSlabMax)
+		d.slab = make([]dirLine, 0, n)
+	}
+	d.slab = d.slab[:len(d.slab)+1]
+	e := &d.slab[len(d.slab)-1]
+	e.state, e.owner, e.fwd, e.pendingSupplier = dirU, arch.None, arch.None, arch.None
+	return e
+}
+
 // handle processes a directory-bound message.
-func (d *DirSlice) handle(m Msg) {
+func (d *DirSlice) handle(m *Msg) {
 	switch m.Kind {
 	case MsgGetS, MsgGetM:
 		e := d.line(m.Line)
 		if e.busy {
-			e.queue = append(e.queue, m)
+			e.queue = append(e.queue, *m)
 			return
 		}
 		d.startGet(e, m)
 	case MsgPutS, MsgPutE, MsgPutM:
 		e := d.line(m.Line)
 		if e.busy {
-			e.queue = append(e.queue, m)
+			e.queue = append(e.queue, *m)
 			return
 		}
 		d.handlePut(e, m)
@@ -136,9 +159,9 @@ func (d *DirSlice) drain(e *dirLine, l arch.LineAddr) {
 		e.queue = e.queue[1:]
 		switch m.Kind {
 		case MsgGetS, MsgGetM:
-			d.startGet(e, m)
+			d.startGet(e, &m)
 		default:
-			d.handlePut(e, m)
+			d.handlePut(e, &m)
 		}
 	}
 }
@@ -153,30 +176,33 @@ type dirGet struct {
 	m Msg
 }
 
+// fireDirGet processes the request in place and frees the record only once
+// that returns (the processors read the message by pointer).
+//
 //spcoh:noalloc
 func fireDirGet(a any) {
 	g := a.(*dirGet)
-	d, e, m := g.d, g.e, g.m
+	d := g.d
+	if g.m.Kind == MsgGetS {
+		d.processGetS(g.e, &g.m)
+	} else {
+		d.processGetM(g.e, &g.m)
+	}
 	g.d, g.e = nil, nil
 	d.sys.getPool = append(d.sys.getPool, g)
-	if m.Kind == MsgGetS {
-		d.processGetS(e, m)
-	} else {
-		d.processGetM(e, m)
-	}
 }
 
 // startGet begins a Get transaction after the directory access latency.
-func (d *DirSlice) startGet(e *dirLine, m Msg) {
+func (d *DirSlice) startGet(e *dirLine, m *Msg) {
 	e.busy = true
 	s := d.sys
 	var g *dirGet
 	if k := len(s.getPool); k > 0 {
 		g = s.getPool[k-1]
 		s.getPool = s.getPool[:k-1]
-		g.d, g.e, g.m = d, e, m
+		g.d, g.e, g.m = d, e, *m
 	} else {
-		g = &dirGet{d: d, e: e, m: m}
+		g = &dirGet{d: d, e: e, m: *m}
 	}
 	if s.Fast {
 		s.casc.After(s.Cfg.DirLatency, fireDirGet, g)
@@ -216,15 +242,15 @@ func fireMemFetch(a any) {
 
 // memData schedules a memory fetch and then a data response to the
 // requester. The line stays busy until the requester unblocks.
-func (d *DirSlice) memData(m Msg, excl bool, acks int) {
+func (d *DirSlice) memData(m *Msg, excl bool, acks int) {
 	s := d.sys
 	var f *memFetch
 	if k := len(s.memPool); k > 0 {
 		f = s.memPool[k-1]
 		s.memPool = s.memPool[:k-1]
-		f.d, f.m, f.excl, f.acks = d, m, excl, acks
+		f.d, f.m, f.excl, f.acks = d, *m, excl, acks
 	} else {
-		f = &memFetch{d: d, m: m, excl: excl, acks: acks}
+		f = &memFetch{d: d, m: *m, excl: excl, acks: acks}
 	}
 	if s.Fast {
 		s.casc.After(s.Cfg.MemLatency, fireMemFetch, f)
@@ -237,7 +263,7 @@ func (d *DirSlice) memData(m Msg, excl bool, acks int) {
 // serialized view, whether the predicted set was sufficient (§4.5); if so
 // the predicted holder has already forwarded data and the directory only
 // updates state and confirms.
-func (d *DirSlice) processGetS(e *dirLine, m Msg) {
+func (d *DirSlice) processGetS(e *dirLine, m *Msg) {
 	req := m.Requester
 	var supplier arch.NodeID = arch.None
 	switch e.state {
@@ -305,7 +331,7 @@ func (d *DirSlice) processGetS(e *dirLine, m Msg) {
 }
 
 // processGetM services a write or upgrade miss.
-func (d *DirSlice) processGetM(e *dirLine, m Msg) {
+func (d *DirSlice) processGetM(e *dirLine, m *Msg) {
 	req := m.Requester
 	switch e.state {
 	case dirU:
@@ -389,7 +415,7 @@ func (d *DirSlice) processGetM(e *dirLine, m Msg) {
 // handlePut retires an eviction notice. Stale puts (the evictor already
 // lost its registered role to a racing transaction) are acknowledged with
 // no state change.
-func (d *DirSlice) handlePut(e *dirLine, m Msg) {
+func (d *DirSlice) handlePut(e *dirLine, m *Msg) {
 	q := m.Src
 	switch {
 	case e.state == dirE && e.owner == q:

@@ -128,7 +128,10 @@ func (s *NodeStats) AvgActualTargets() float64 {
 	return float64(s.ActualTargets) / float64(s.Misses)
 }
 
-// mshr tracks one outstanding miss.
+// mshr tracks one outstanding miss. Records are recycled through
+// System.mshrPool: issueMiss takes one, and finalize clears it (keeping the
+// waiters backing array) and releases it once the waiters have been
+// replayed. No scheduled event may hold an *mshr (DESIGN.md §11).
 type mshr struct {
 	line  arch.LineAddr
 	kind  predictor.MissKind
@@ -194,10 +197,13 @@ type Node struct {
 	l2   *cache.Cache
 	pred predictor.Predictor
 
-	mshrs map[arch.LineAddr]*mshr
+	// mshrs holds the outstanding misses, one per line, in no particular
+	// order. A node rarely has more than a handful open at once, so a
+	// linear scan beats a map.
+	mshrs []*mshr
 	wb    map[arch.LineAddr]*wbEntry
 
-	// memoMshr short-circuits mshrs lookups for the line resolved last:
+	// memoMshr short-circuits mshrs scans for the line resolved last:
 	// every reply in one transaction targets the same MSHR (in fast mode the
 	// whole cascade does). Cleared when that MSHR retires.
 	memoLine arch.LineAddr
@@ -254,7 +260,6 @@ func newNode(sys *System, self arch.NodeID, p predictor.Predictor) *Node {
 		l1:            cache.New(sys.Cfg.L1),
 		l2:            cache.New(sys.Cfg.L2),
 		pred:          p,
-		mshrs:         make(map[arch.LineAddr]*mshr),
 		wb:            make(map[arch.LineAddr]*wbEntry),
 		recentPredInv: make(map[arch.LineAddr]event.Time),
 	}
@@ -360,12 +365,6 @@ func (n *Node) AccessFast(pc uint64, addr arch.Addr, write bool) (lat event.Time
 	return n.sys.Cfg.L1Latency + n.sys.Cfg.L2HitLatency(), true
 }
 
-// fireCPUDone surfaces a fast-mode miss completion to the CPU at the
-// transaction's virtual completion time (see checkComplete).
-//
-//spcoh:noalloc
-func fireCPUDone(a any) { a.(*mshr).cpuDone() }
-
 // mshrFor is the memoized mshrs lookup (see memoMshr).
 //
 //spcoh:noalloc
@@ -373,11 +372,41 @@ func (n *Node) mshrFor(l arch.LineAddr) (*mshr, bool) {
 	if n.memoMshr != nil && n.memoLine == l {
 		return n.memoMshr, true
 	}
-	m, ok := n.mshrs[l]
-	if ok {
-		n.memoLine, n.memoMshr = l, m
+	for _, m := range n.mshrs {
+		if m.line == l {
+			n.memoLine, n.memoMshr = l, m
+			return m, true
+		}
 	}
-	return m, ok
+	return nil, false
+}
+
+// getMSHR takes a record off the freelist. Released records are already
+// clear (see finalize) apart from the waiters backing array they keep.
+func (s *System) getMSHR() *mshr {
+	k := len(s.mshrPool)
+	if k == 0 {
+		return &mshr{}
+	}
+	m := s.mshrPool[k-1]
+	s.mshrPool = s.mshrPool[:k-1]
+	return m
+}
+
+// retire drops a finished MSHR from the outstanding set.
+func (n *Node) retire(ms *mshr) {
+	for i, m := range n.mshrs {
+		if m == ms {
+			last := len(n.mshrs) - 1
+			n.mshrs[i] = n.mshrs[last]
+			n.mshrs[last] = nil
+			n.mshrs = n.mshrs[:last]
+			break
+		}
+	}
+	if n.memoMshr == ms {
+		n.memoMshr = nil
+	}
 }
 
 // miss starts (or joins) a coherence transaction for line.
@@ -431,7 +460,7 @@ func fireMissIssue(a any) {
 	if n.sys.Fast {
 		// Fast mode: the entire coherence transaction executes as one
 		// atomic cascade at this real-clock instant. Only the CPU-visible
-		// completion (fireCPUDone) rides the real engine afterwards.
+		// completion (the MSHR's cpuDone) rides the real engine afterwards.
 		n.sys.casc.Begin(n.sys.Sim.Now())
 		n.issueMiss(pc, line, kind, done)
 		n.sys.casc.Drain()
@@ -466,11 +495,11 @@ func (n *Node) issueMiss(pc uint64, line arch.LineAddr, kind predictor.MissKind,
 	set, tag := n.pred.Predict(pm)
 	set = set.Remove(n.self)
 
-	m := &mshr{
-		line: line, kind: kind, pc: pc, start: n.sys.clockNow(),
-		predSet: set, predTag: tag, cpuDone: done, needData: kind != predictor.UpgradeMiss,
-		provider: arch.None, supplier: arch.None,
-	}
+	m := n.sys.getMSHR()
+	m.line, m.kind, m.pc, m.start = line, kind, pc, n.sys.clockNow()
+	m.predSet, m.predTag, m.cpuDone = set, tag, done
+	m.needData = kind != predictor.UpgradeMiss
+	m.provider, m.supplier = arch.None, arch.None
 	if at, ok := n.recentPredInv[line]; ok {
 		delete(n.recentPredInv, line)
 		if n.sys.Sim.Now()-at < n.predInvWindow() {
@@ -478,7 +507,7 @@ func (n *Node) issueMiss(pc uint64, line arch.LineAddr, kind predictor.MissKind,
 		}
 	}
 	n.prunePredInv()
-	n.mshrs[line] = m
+	n.mshrs = append(n.mshrs, m)
 	n.memoLine, n.memoMshr = line, m
 
 	// Prediction action (§4.5): multicast to the predicted nodes...
@@ -508,7 +537,7 @@ func (n *Node) send(m Msg) {
 }
 
 // handle processes a node-bound coherence message.
-func (n *Node) handle(m Msg) {
+func (n *Node) handle(m *Msg) {
 	switch m.Kind {
 	case MsgPredGetS:
 		n.handlePredGetS(m)
@@ -535,7 +564,7 @@ func (n *Node) handle(m Msg) {
 	}
 }
 
-func (n *Node) trainExternal(m Msg) {
+func (n *Node) trainExternal(m *Msg) {
 	if t, ok := n.pred.(externalTrainer); ok && m.Requester != n.self {
 		t.TrainExternal(m.Line, m.Requester)
 	}
@@ -556,7 +585,7 @@ func (n *Node) localState(l arch.LineAddr) cache.State {
 // handlePredGetS services a predicted read request (§4.5): forward if the
 // line is held in E, M or F; otherwise Nack. A node with its own miss
 // outstanding on the line cannot forward and Nacks.
-func (n *Node) handlePredGetS(m Msg) {
+func (n *Node) handlePredGetS(m *Msg) {
 	n.stats.SnoopLookups++
 	n.trainExternal(m)
 	if _, ok := n.mshrFor(m.Line); ok {
@@ -589,7 +618,7 @@ func (n *Node) handlePredGetS(m Msg) {
 // copy is already gone — so the requester's ack count, which the directory
 // derives from its serialized view, is always satisfied despite races with
 // other predicted invalidations.
-func (n *Node) handlePredGetM(m Msg) {
+func (n *Node) handlePredGetM(m *Msg) {
 	n.stats.SnoopLookups++
 	n.trainExternal(m)
 	if ms, ok := n.mshrFor(m.Line); ok {
@@ -622,7 +651,7 @@ func (n *Node) handlePredGetM(m Msg) {
 // serialized view guarantees the data is (semantically) here, possibly in
 // the writeback buffer or just-invalidated by a racing predicted request;
 // the node always responds with data.
-func (n *Node) handleFwdGetS(m Msg) {
+func (n *Node) handleFwdGetS(m *Msg) {
 	n.stats.SnoopLookups++
 	n.trainExternal(m)
 	st := n.localState(m.Line)
@@ -637,7 +666,7 @@ func (n *Node) handleFwdGetS(m Msg) {
 }
 
 // handleFwdGetM services a directory-issued forward-and-invalidate.
-func (n *Node) handleFwdGetM(m Msg) {
+func (n *Node) handleFwdGetM(m *Msg) {
 	n.stats.SnoopLookups++
 	n.trainExternal(m)
 	n.sendAfter(n.sys.Cfg.L2HitLatency(), Msg{Kind: MsgData, Dst: m.Requester, Line: m.Line,
@@ -646,7 +675,7 @@ func (n *Node) handleFwdGetM(m Msg) {
 }
 
 // handleInv invalidates a shared copy; the ack goes to the requester.
-func (n *Node) handleInv(m Msg) {
+func (n *Node) handleInv(m *Msg) {
 	n.stats.SnoopLookups++
 	n.trainExternal(m)
 	n.invalidateLocal(m.Line)
@@ -658,7 +687,7 @@ func (n *Node) invalidateLocal(l arch.LineAddr) {
 	n.l2.Invalidate(l)
 }
 
-func (n *Node) handleData(m Msg) {
+func (n *Node) handleData(m *Msg) {
 	ms, ok := n.mshrFor(m.Line)
 	if !ok {
 		n.stats.DupData++
@@ -689,7 +718,7 @@ func (n *Node) handleData(m Msg) {
 	n.checkComplete(ms)
 }
 
-func (n *Node) handleInvAck(m Msg) {
+func (n *Node) handleInvAck(m *Msg) {
 	ms, ok := n.mshrFor(m.Line)
 	if !ok {
 		return // stale ack from an already-finalized race; harmless
@@ -700,7 +729,7 @@ func (n *Node) handleInvAck(m Msg) {
 	n.checkComplete(ms)
 }
 
-func (n *Node) handleNack(m Msg) {
+func (n *Node) handleNack(m *Msg) {
 	n.stats.Nacks++
 	if ms, ok := n.mshrFor(m.Line); ok {
 		ms.predOverheadBytes += uint64(ControlBytes)
@@ -710,7 +739,7 @@ func (n *Node) handleNack(m Msg) {
 	}
 }
 
-func (n *Node) handleDirResp(m Msg) {
+func (n *Node) handleDirResp(m *Msg) {
 	ms, ok := n.mshrFor(m.Line)
 	if !ok {
 		return
@@ -753,8 +782,10 @@ func (n *Node) checkComplete(ms *mshr) {
 		}
 		if n.sys.Fast {
 			// The cascade resolves the transaction at one real instant;
-			// surface the completion to the CPU at its virtual time.
-			n.sys.Sim.AtFn(ms.start+ms.cpuLat, fireCPUDone, ms)
+			// surface the completion to the CPU at its virtual time. The
+			// event holds the callback, not the MSHR, which finalize may
+			// release before it fires.
+			n.sys.Sim.At(ms.start+ms.cpuLat, ms.cpuDone)
 		} else {
 			ms.cpuDone()
 		}
@@ -780,10 +811,7 @@ func (n *Node) checkComplete(ms *mshr) {
 // finalize installs the line, unblocks the directory, trains the predictor
 // and replays deferred/waiting work.
 func (n *Node) finalize(ms *mshr) {
-	delete(n.mshrs, ms.line)
-	if n.memoMshr == ms {
-		n.memoMshr = nil
-	}
+	n.retire(ms)
 
 	// Install the fill.
 	switch ms.kind {
@@ -850,10 +878,14 @@ func (n *Node) finalize(ms *mshr) {
 		n.invalidateLocal(ms.line)
 	}
 
-	// Replay same-line accesses that waited on this transaction.
-	for _, w := range ms.waiters {
+	// Replay same-line accesses that waited on this transaction, then
+	// clear the record and return it to the pool.
+	for i, w := range ms.waiters {
+		ms.waiters[i] = nil
 		w()
 	}
+	*ms = mshr{waiters: ms.waiters[:0]}
+	n.sys.mshrPool = append(n.sys.mshrPool, ms)
 }
 
 // fill inserts a line into the L2 (and L1), evicting as needed.
@@ -881,7 +913,7 @@ func (n *Node) evict(v cache.Victim) {
 	n.send(Msg{Kind: kind, Dst: n.sys.Home(v.Addr), Line: v.Addr, Requester: n.self})
 }
 
-func (n *Node) handlePutAck(m Msg) {
+func (n *Node) handlePutAck(m *Msg) {
 	e, ok := n.wb[m.Line]
 	if !ok {
 		return

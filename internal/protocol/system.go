@@ -100,12 +100,14 @@ type System struct {
 	// Freelists for the pooled scheduling records of the hot paths: every
 	// in-flight message, delayed send, miss issue, directory access and
 	// memory fetch rides a reused record through the event queue instead of
-	// a fresh closure (DESIGN.md §11). The simulation is single-threaded,
-	// so plain slice stacks suffice.
+	// a fresh closure, and every outstanding miss reuses a released MSHR
+	// (DESIGN.md §11). The simulation is single-threaded, so plain slice
+	// stacks suffice.
 	msgPool  []*delivery
 	missPool []*missIssue
 	getPool  []*dirGet
 	memPool  []*memFetch
+	mshrPool []*mshr
 
 	// homeMask is Cfg.Nodes-1 when the node count is a power of two: the
 	// Home interleaving then reduces to a mask, off the hot path's divide.
@@ -133,18 +135,19 @@ func (s *System) getDelivery(m Msg) *delivery {
 	return &delivery{s: s, m: m}
 }
 
-// deliverMsg fires at NoC arrival: it frees the record first (Msg is all
-// scalars, and dispatch may recursively send) and then dispatches.
+// deliverMsg fires at NoC arrival: it dispatches the message in place and
+// frees the record only once dispatch returns (handlers read the message by
+// pointer; sends they make meanwhile take other records).
 //
 //spcoh:noalloc
 func deliverMsg(a any) {
 	d := a.(*delivery)
-	s, m, sent := d.s, d.m, d.sent
-	s.msgPool = append(s.msgPool, d)
+	s := d.s
 	if s.obs != nil && s.obs.Message != nil {
-		s.obs.Message(m.Kind, s.clockNow()-sent)
+		s.obs.Message(d.m.Kind, s.clockNow()-d.sent)
 	}
-	s.dispatch(m)
+	s.dispatch(&d.m)
+	s.msgPool = append(s.msgPool, d)
 }
 
 // transmitMsg fires when a sendAfter source-side delay elapses.
@@ -261,9 +264,11 @@ func (s *System) fastShip(srcDelay event.Time, m Msg) {
 	s.casc.At(d.sent+lat, deliverMsg, d)
 }
 
-func (s *System) dispatch(m Msg) {
+// dispatch hands a delivered message to its handler. Handlers read it by
+// pointer and must copy *m to keep it past their return.
+func (s *System) dispatch(m *Msg) {
 	if s.Debug != nil {
-		s.Debug(s.clockNow(), m)
+		s.Debug(s.clockNow(), *m)
 	}
 	switch m.Kind {
 	case MsgGetS, MsgGetM, MsgPutS, MsgPutE, MsgPutM, MsgUnblock, MsgDirUpd, MsgWriteback, MsgGetRetry:

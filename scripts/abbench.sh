@@ -4,8 +4,10 @@
 #
 #   scripts/abbench.sh OUT
 #
-# The base is HEAD when tracked files have uncommitted changes and HEAD~1
-# otherwise, so it is always the parent of the change under review; it is
+# The base is HEAD when the working tree differs from it (`git status
+# --porcelain` lists modified, staged or untracked files; ignored files do
+# not count) and HEAD~1 when it is clean, so it is always the parent of the
+# change under review, also for a change made only of new files; it is
 # exported with `git archive` into a temporary directory. The candidate is
 # the working tree. For each workload, `pairs` pairs of
 #
@@ -39,7 +41,7 @@ head=$(git rev-parse --verify HEAD) || {
     echo "abbench: needs a git checkout with a commit" >&2
     exit 2
 }
-if git diff --quiet HEAD --; then
+if [ -z "$(git status --porcelain)" ]; then
     base=HEAD~1 cand=$head
 else
     base=HEAD cand=$head+uncommitted
