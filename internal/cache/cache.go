@@ -3,7 +3,10 @@
 // (paper Table 4: 64B lines; L1 16KB direct-mapped; L2 1MB 8-way).
 //
 // The package stores coherence metadata only — the simulator never models
-// data values, just which lines are resident and in which state.
+// data values, just which lines are resident and in which state. Each way
+// is one tag word (line address and state), and each set keeps its
+// resident lines packed at the front in recency order, so the replacement
+// victim of a full set is its last way (DESIGN.md §16).
 package cache
 
 import (
@@ -53,13 +56,6 @@ func (s State) CanForward() bool { return s == Exclusive || s == Modified || s =
 // Dirty reports whether eviction requires a writeback.
 func (s State) Dirty() bool { return s == Modified }
 
-// Line is one cache line's metadata.
-type Line struct {
-	Addr  arch.LineAddr
-	State State
-	lru   uint64 // last-touch stamp
-}
-
 // Config sizes a cache.
 type Config struct {
 	Bytes int // total capacity
@@ -77,18 +73,28 @@ type Stats struct {
 	Writebacks uint64
 }
 
-// Cache is a set-associative array of Lines with true-LRU replacement.
-// Lines live in one flat dense array (set-major), not a slice per set: the
-// big-mesh profiles showed the per-set pointer chase dominating lookup cost
-// once hundreds of tiles' arrays compete for the host cache.
+// Cache is a set-associative array with true-LRU replacement, stored as
+// tag words only: one uint64 per way, line<<stateBits | state, where 0 is
+// an empty way. The array is flat and set-major. Within a set the resident
+// lines are packed at the front, most recently used first, and empty ways
+// trail, so recency needs no stamps: a hit or an insert moves the line to
+// the front, a removal closes the gap, and a full set's LRU line is its
+// last way. An 8-way set is one 64-byte host cache line.
 type Cache struct {
 	cfg   Config
-	lines []Line
+	tags  []uint64
 	ways  int
-	clock uint64
 	stats Stats
 	mask  uint64
 }
+
+// stateBits is the width of the state field at the bottom of a tag word;
+// line addresses must fit in the remaining 61 bits.
+const (
+	stateBits = 3
+	stateMask = 1<<stateBits - 1
+	maxLine   = 1 << (64 - stateBits)
+)
 
 // New builds a cache. Capacity must be a positive multiple of
 // LineSize*Ways and the set count must be a power of two.
@@ -98,10 +104,10 @@ func New(cfg Config) *Cache {
 		panic(fmt.Sprintf("cache: set count %d not a positive power of two", sets))
 	}
 	return &Cache{
-		cfg:   cfg,
-		lines: make([]Line, sets*cfg.Ways),
-		ways:  cfg.Ways,
-		mask:  uint64(sets - 1),
+		cfg:  cfg,
+		tags: make([]uint64, sets*cfg.Ways),
+		ways: cfg.Ways,
+		mask: uint64(sets - 1),
 	}
 }
 
@@ -112,37 +118,72 @@ func (c *Cache) Config() Config { return c.cfg }
 func (c *Cache) Stats() Stats { return c.stats }
 
 //spcoh:noalloc
-func (c *Cache) set(addr arch.LineAddr) []Line {
+func (c *Cache) set(addr arch.LineAddr) []uint64 {
 	i := int(uint64(addr)&c.mask) * c.ways
-	return c.lines[i : i+c.ways]
+	return c.tags[i : i+c.ways]
 }
 
-// Lookup returns the line holding addr, or nil. A hit refreshes LRU and
-// counts in the statistics; use Peek for silent inspection.
-func (c *Cache) Lookup(addr arch.LineAddr) *Line {
-	set := c.set(addr)
-	for i := range set {
-		if set[i].State.Valid() && set[i].Addr == addr {
-			c.clock++
-			set[i].lru = c.clock
-			c.stats.Hits++
-			return &set[i]
+// find scans a set for addr. On a hit it returns the line's way; on a miss
+// it returns the first empty way, or len(set) when the set is full.
+//
+//spcoh:noalloc
+func find(set []uint64, addr arch.LineAddr) (int, bool) {
+	for i, t := range set {
+		if t == 0 {
+			return i, false
 		}
+		if t>>stateBits == uint64(addr) {
+			return i, true
+		}
+	}
+	return len(set), false
+}
+
+// toFront writes t at way 0, shifting ways 0..i-1 down by one (way i is
+// overwritten).
+//
+//spcoh:noalloc
+func toFront(set []uint64, i int, t uint64) {
+	copy(set[1:i+1], set[:i])
+	set[0] = t
+}
+
+// remove empties way i, shifting the ways behind it up by one.
+//
+//spcoh:noalloc
+func remove(set []uint64, i int) {
+	copy(set[i:], set[i+1:])
+	set[len(set)-1] = 0
+}
+
+// Lookup returns the state of addr, Invalid when it is not resident. A hit
+// makes the line most recently used and counts in the statistics; use Peek
+// for silent inspection.
+//
+//spcoh:noalloc
+func (c *Cache) Lookup(addr arch.LineAddr) State {
+	set := c.set(addr)
+	if i, hit := find(set, addr); hit {
+		t := set[i]
+		toFront(set, i, t)
+		c.stats.Hits++
+		return State(t & stateMask)
 	}
 	c.stats.Misses++
-	return nil
+	return Invalid
 }
 
-// Peek returns the line holding addr without touching LRU or statistics.
-// Used for coherence probes (snoops, invalidations, predicted requests).
-func (c *Cache) Peek(addr arch.LineAddr) *Line {
+// Peek returns the state of addr (Invalid when absent) without touching
+// recency or statistics. Used for coherence probes (snoops, invalidations,
+// predicted requests).
+//
+//spcoh:noalloc
+func (c *Cache) Peek(addr arch.LineAddr) State {
 	set := c.set(addr)
-	for i := range set {
-		if set[i].State.Valid() && set[i].Addr == addr {
-			return &set[i]
-		}
+	if i, hit := find(set, addr); hit {
+		return State(set[i] & stateMask)
 	}
-	return nil
+	return Invalid
 }
 
 // Victim describes a line displaced by Insert.
@@ -151,82 +192,74 @@ type Victim struct {
 	State State
 }
 
-// Insert fills addr with the given state, evicting the LRU way if the set
-// is full. It returns the victim (ok=false if an invalid way was used).
-// Inserting a line that is already resident updates its state in place.
+// Insert fills addr with the given state as the most recently used line,
+// evicting the LRU way if the set is full. It returns the victim
+// (evicted=false if an empty way was used). Inserting a line that is
+// already resident updates its state. It panics on an Invalid state and on
+// a line address of 61 bits or more.
+//
+//spcoh:noalloc
 func (c *Cache) Insert(addr arch.LineAddr, st State) (v Victim, evicted bool) {
 	if st == Invalid {
-		panic("cache: inserting Invalid line")
+		panic("cache: inserting Invalid line") //spvet:allow noalloc -- constant panic message: static data, no allocation
+	}
+	if uint64(addr) >= maxLine {
+		panic("cache: line address does not fit in 61 bits") //spvet:allow noalloc -- constant panic message: static data, no allocation
 	}
 	set := c.set(addr)
-	c.clock++
-	// Already resident: state change only.
-	for i := range set {
-		if set[i].State.Valid() && set[i].Addr == addr {
-			set[i].State = st
-			set[i].lru = c.clock
-			return Victim{}, false
+	i, hit := find(set, addr)
+	if !hit && i == len(set) {
+		i--
+		t := set[i]
+		v = Victim{Addr: arch.LineAddr(t >> stateBits), State: State(t & stateMask)}
+		evicted = true
+		c.stats.Evictions++
+		if v.State.Dirty() {
+			c.stats.Writebacks++
 		}
 	}
-	// Free way?
-	for i := range set {
-		if !set[i].State.Valid() {
-			set[i] = Line{Addr: addr, State: st, lru: c.clock}
-			return Victim{}, false
-		}
-	}
-	// Evict LRU.
-	vi := 0
-	for i := 1; i < len(set); i++ {
-		if set[i].lru < set[vi].lru {
-			vi = i
-		}
-	}
-	v = Victim{Addr: set[vi].Addr, State: set[vi].State}
-	c.stats.Evictions++
-	if v.State.Dirty() {
-		c.stats.Writebacks++
-	}
-	set[vi] = Line{Addr: addr, State: st, lru: c.clock}
-	return v, true
+	toFront(set, i, uint64(addr)<<stateBits|uint64(st))
+	return v, evicted
 }
 
-// SetState transitions a resident line to st; st == Invalid removes it.
-// It reports whether the line was resident.
+// SetState transitions a resident line to st without changing its
+// recency; st == Invalid removes it. It reports whether the line was
+// resident.
 func (c *Cache) SetState(addr arch.LineAddr, st State) bool {
 	set := c.set(addr)
-	for i := range set {
-		if set[i].State.Valid() && set[i].Addr == addr {
-			if st == Invalid {
-				set[i] = Line{}
-			} else {
-				set[i].State = st
-			}
-			return true
-		}
+	i, hit := find(set, addr)
+	if !hit {
+		return false
 	}
-	return false
+	if st == Invalid {
+		remove(set, i)
+	} else {
+		set[i] = uint64(addr)<<stateBits | uint64(st)
+	}
+	return true
 }
 
 // Invalidate removes addr if resident, reporting the prior state.
+//
+//spcoh:noalloc
 func (c *Cache) Invalidate(addr arch.LineAddr) (State, bool) {
 	set := c.set(addr)
-	for i := range set {
-		if set[i].State.Valid() && set[i].Addr == addr {
-			st := set[i].State
-			set[i] = Line{}
-			return st, true
-		}
+	i, hit := find(set, addr)
+	if !hit {
+		return Invalid, false
 	}
-	return Invalid, false
+	st := State(set[i] & stateMask)
+	remove(set, i)
+	return st, true
 }
 
-// ForEachValid calls fn for every valid line in array order (coherence
-// audit). Purely observational: no LRU or statistics effects.
+// ForEachValid calls fn for every valid line, in no specified order
+// (coherence audit). Purely observational: no recency or statistics
+// effects.
 func (c *Cache) ForEachValid(fn func(arch.LineAddr, State)) {
-	for i := range c.lines {
-		if c.lines[i].State.Valid() {
-			fn(c.lines[i].Addr, c.lines[i].State)
+	for _, t := range c.tags {
+		if t != 0 {
+			fn(arch.LineAddr(t>>stateBits), State(t&stateMask))
 		}
 	}
 }
@@ -234,8 +267,8 @@ func (c *Cache) ForEachValid(fn func(arch.LineAddr, State)) {
 // Occupancy returns the number of valid lines (test/debug aid).
 func (c *Cache) Occupancy() int {
 	n := 0
-	for i := range c.lines {
-		if c.lines[i].State.Valid() {
+	for _, t := range c.tags {
+		if t != 0 {
 			n++
 		}
 	}

@@ -47,12 +47,11 @@ func TestConfigSets(t *testing.T) {
 
 func TestInsertLookup(t *testing.T) {
 	c := small()
-	if c.Lookup(1) != nil {
+	if c.Lookup(1) != Invalid {
 		t.Fatal("cold lookup should miss")
 	}
 	c.Insert(1, Shared)
-	l := c.Lookup(1)
-	if l == nil || l.State != Shared {
+	if c.Lookup(1) != Shared {
 		t.Fatal("lookup after insert failed")
 	}
 	st := c.Stats()
@@ -67,7 +66,7 @@ func TestReinsertUpdatesState(t *testing.T) {
 	if _, ev := c.Insert(1, Modified); ev {
 		t.Fatal("re-insert must not evict")
 	}
-	if c.Peek(1).State != Modified {
+	if c.Peek(1) != Modified {
 		t.Fatal("state not updated")
 	}
 	if c.Occupancy() != 1 {
@@ -85,7 +84,7 @@ func TestLRUEviction(t *testing.T) {
 	if !ev || v.Addr != 4 {
 		t.Fatalf("victim = %+v (evicted=%v), want addr 4", v, ev)
 	}
-	if c.Peek(0) == nil || c.Peek(8) == nil || c.Peek(4) != nil {
+	if c.Peek(0) == Invalid || c.Peek(8) == Invalid || c.Peek(4) != Invalid {
 		t.Fatal("post-eviction residency wrong")
 	}
 }
@@ -105,7 +104,7 @@ func TestPeekSilent(t *testing.T) {
 	c := small()
 	c.Insert(1, Exclusive)
 	before := c.Stats()
-	if c.Peek(1) == nil || c.Peek(2) != nil {
+	if c.Peek(1) == Invalid || c.Peek(2) != Invalid {
 		t.Fatal("peek residency wrong")
 	}
 	if c.Stats() != before {
@@ -135,7 +134,7 @@ func TestSetStateAndInvalidate(t *testing.T) {
 	// SetState(Invalid) also removes.
 	c.Insert(2, Shared)
 	c.SetState(2, Invalid)
-	if c.Peek(2) != nil {
+	if c.Peek(2) != Invalid {
 		t.Fatal("SetState(Invalid) should remove line")
 	}
 }
@@ -177,7 +176,7 @@ func TestPropertyCapacityInvariant(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			a := arch.LineAddr(rng.Intn(64))
 			c.Insert(a, Shared)
-			if c.Peek(a) == nil {
+			if c.Peek(a) == Invalid {
 				return false
 			}
 			if c.Occupancy() > capacity {
@@ -226,7 +225,7 @@ func TestPropertyVictimGone(t *testing.T) {
 				if v.Addr == a {
 					return false
 				}
-				if c.Peek(v.Addr) != nil {
+				if c.Peek(v.Addr) != Invalid {
 					return false
 				}
 			}

@@ -293,13 +293,14 @@ func TestNoallocAnnotationConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	loader := NewLoader(root, modPath)
-	pkgs, err := loader.Load("./internal/event", "./internal/noc", "./internal/protocol")
+	pkgs, err := loader.Load("./internal/event", "./internal/noc", "./internal/protocol", "./internal/cache")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The zero-alloc ceilings asserted by internal/event/bench_test.go,
-	// internal/noc/bench_test.go and internal/protocol/alloc_test.go (the
-	// miss path's scheduled entry points).
+	// internal/noc/bench_test.go, internal/protocol/alloc_test.go (the
+	// miss path's scheduled entry points) and internal/cache/model_test.go
+	// (the warm cache operations and the set helpers they run on).
 	want := map[string]bool{
 		"internal/event.At":               true,
 		"internal/event.AtFn":             true,
@@ -308,6 +309,14 @@ func TestNoallocAnnotationConsistency(t *testing.T) {
 		"internal/protocol.fireMissIssue": true,
 		"internal/protocol.deliverMsg":    true,
 		"internal/protocol.fireDirGet":    true,
+		"internal/cache.set":              true,
+		"internal/cache.find":             true,
+		"internal/cache.toFront":          true,
+		"internal/cache.remove":           true,
+		"internal/cache.Lookup":           true,
+		"internal/cache.Peek":             true,
+		"internal/cache.Insert":           true,
+		"internal/cache.Invalidate":       true,
 	}
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {

@@ -139,7 +139,7 @@ func (d *DirSlice) handle(m *Msg) {
 			if m.MissKind != predictor.ReadMiss {
 				kind = MsgFwdGetM
 			}
-			d.reply(Msg{Kind: kind, Dst: e.pendingSupplier, Line: m.Line,
+			d.reply(&Msg{Kind: kind, Dst: e.pendingSupplier, Line: m.Line,
 				Requester: m.Requester, MissKind: m.MissKind})
 		} else {
 			d.memData(m, false, 0)
@@ -212,7 +212,7 @@ func (d *DirSlice) startGet(e *dirLine, m *Msg) {
 }
 
 // reply sends a message originating at this directory slice.
-func (d *DirSlice) reply(m Msg) {
+func (d *DirSlice) reply(m *Msg) {
 	m.Src = d.self
 	d.sys.send(m)
 }
@@ -234,7 +234,7 @@ func fireMemFetch(a any) {
 	d, m, excl, acks := f.d, f.m, f.excl, f.acks
 	f.d = nil
 	d.sys.memPool = append(d.sys.memPool, f)
-	d.reply(Msg{
+	d.reply(&Msg{
 		Kind: MsgData, Dst: m.Requester, Line: m.Line, Requester: m.Requester,
 		Excl: excl, FromMem: true, AckCount: acks, MissKind: m.MissKind,
 	})
@@ -282,7 +282,7 @@ func (d *DirSlice) processGetS(e *dirLine, m *Msg) {
 	if sufficient {
 		e.pendingSupplier = supplier
 	}
-	d.reply(Msg{
+	d.reply(&Msg{
 		Kind: MsgDirResp, Dst: req, Line: m.Line, Requester: req,
 		Excl: sufficient, NeedData: true, MissKind: m.MissKind,
 		Pred: m.Pred, HadLine: communicating, PredSupply: sufficient, Supplier: supplier,
@@ -293,7 +293,7 @@ func (d *DirSlice) processGetS(e *dirLine, m *Msg) {
 		// Writeback race: the requester is still the registered holder
 		// (its eviction is in flight). Its data lives in its own
 		// writeback buffer; confirm with a control-sized data grant.
-		d.reply(Msg{Kind: MsgData, Dst: req, Line: m.Line, Requester: req,
+		d.reply(&Msg{Kind: MsgData, Dst: req, Line: m.Line, Requester: req,
 			Excl: e.state == dirE, MissKind: m.MissKind})
 		if e.state == dirE {
 			// Stays exclusive at req.
@@ -311,7 +311,7 @@ func (d *DirSlice) processGetS(e *dirLine, m *Msg) {
 	case e.state == dirE:
 		prevOwner := e.owner
 		if !sufficient {
-			d.reply(Msg{Kind: MsgFwdGetS, Dst: prevOwner, Line: m.Line, Requester: req, MissKind: m.MissKind})
+			d.reply(&Msg{Kind: MsgFwdGetS, Dst: prevOwner, Line: m.Line, Requester: req, MissKind: m.MissKind})
 		}
 		e.state = dirS
 		e.owner = arch.None
@@ -323,7 +323,7 @@ func (d *DirSlice) processGetS(e *dirLine, m *Msg) {
 			// reader becomes the F holder.
 			d.memData(m, false, 0)
 		} else if !sufficient {
-			d.reply(Msg{Kind: MsgFwdGetS, Dst: supplier, Line: m.Line, Requester: req, MissKind: m.MissKind})
+			d.reply(&Msg{Kind: MsgFwdGetS, Dst: supplier, Line: m.Line, Requester: req, MissKind: m.MissKind})
 		}
 		e.sharers = e.sharers.Add(req)
 		e.fwd = req
@@ -339,7 +339,7 @@ func (d *DirSlice) processGetM(e *dirLine, m *Msg) {
 		e.owner = req
 		e.sharers = arch.EmptySet
 		e.fwd = arch.None
-		d.reply(Msg{Kind: MsgDirResp, Dst: req, Line: m.Line, Requester: req,
+		d.reply(&Msg{Kind: MsgDirResp, Dst: req, Line: m.Line, Requester: req,
 			Excl: false, NeedData: true, AckCount: 0, MissKind: m.MissKind, HadLine: false})
 		d.memData(m, true, 0)
 
@@ -349,21 +349,21 @@ func (d *DirSlice) processGetM(e *dirLine, m *Msg) {
 			// Writeback race: requester is still registered owner.
 			e.state = dirE
 			e.owner = req
-			d.reply(Msg{Kind: MsgDirResp, Dst: req, Line: m.Line, Requester: req,
+			d.reply(&Msg{Kind: MsgDirResp, Dst: req, Line: m.Line, Requester: req,
 				Excl: true, NeedData: false, AckCount: 0, MissKind: m.MissKind, HadLine: true})
-			d.reply(Msg{Kind: MsgData, Dst: req, Line: m.Line, Requester: req,
+			d.reply(&Msg{Kind: MsgData, Dst: req, Line: m.Line, Requester: req,
 				Excl: true, MissKind: m.MissKind})
 			return
 		}
 		sufficient := m.Pred.Contains(prevOwner)
 		if !sufficient {
-			d.reply(Msg{Kind: MsgFwdGetM, Dst: prevOwner, Line: m.Line, Requester: req, MissKind: m.MissKind})
+			d.reply(&Msg{Kind: MsgFwdGetM, Dst: prevOwner, Line: m.Line, Requester: req, MissKind: m.MissKind})
 		}
 		e.owner = req
 		if sufficient {
 			e.pendingSupplier = prevOwner
 		}
-		d.reply(Msg{Kind: MsgDirResp, Dst: req, Line: m.Line, Requester: req,
+		d.reply(&Msg{Kind: MsgDirResp, Dst: req, Line: m.Line, Requester: req,
 			Excl: sufficient, NeedData: true, AckCount: 0, MissKind: m.MissKind,
 			HadLine: true, Pred: arch.SetOf(prevOwner), PredSupply: sufficient, Supplier: prevOwner})
 
@@ -381,7 +381,7 @@ func (d *DirSlice) processGetM(e *dirLine, m *Msg) {
 		acks := toInval.Count()
 		dataFromFwd := fwd != arch.None && fwd != req
 		if dataFromFwd && !m.Pred.Contains(fwd) {
-			d.reply(Msg{Kind: MsgFwdGetM, Dst: fwd, Line: m.Line, Requester: req, MissKind: m.MissKind})
+			d.reply(&Msg{Kind: MsgFwdGetM, Dst: fwd, Line: m.Line, Requester: req, MissKind: m.MissKind})
 		}
 		// Invalidate unpredicted sharers (other than fwd, which got a
 		// FwdGetM above, and the requester itself).
@@ -390,14 +390,14 @@ func (d *DirSlice) processGetM(e *dirLine, m *Msg) {
 			pendingInv = pendingInv.Remove(fwd)
 		}
 		pendingInv.ForEach(func(n arch.NodeID) {
-			d.reply(Msg{Kind: MsgInv, Dst: n, Line: m.Line, Requester: req, MissKind: m.MissKind})
+			d.reply(&Msg{Kind: MsgInv, Dst: n, Line: m.Line, Requester: req, MissKind: m.MissKind})
 		})
 
 		predSupply := dataFromFwd && m.Pred.Contains(fwd)
 		if predSupply {
 			e.pendingSupplier = fwd
 		}
-		d.reply(Msg{Kind: MsgDirResp, Dst: req, Line: m.Line, Requester: req,
+		d.reply(&Msg{Kind: MsgDirResp, Dst: req, Line: m.Line, Requester: req,
 			Excl: sufficient, NeedData: !hadLine, AckCount: acks, MissKind: m.MissKind,
 			HadLine: communicating, Pred: toInval,
 			PredSupply: predSupply, Supplier: fwd})
@@ -431,7 +431,7 @@ func (d *DirSlice) handlePut(e *dirLine, m *Msg) {
 			e.fwd = arch.None
 		}
 	}
-	d.reply(Msg{Kind: MsgPutAck, Dst: q, Line: m.Line, Requester: q})
+	d.reply(&Msg{Kind: MsgPutAck, Dst: q, Line: m.Line, Requester: q})
 }
 
 // checkDirSide audits this slice's entries at quiescence. Violations come
@@ -458,13 +458,13 @@ func (d *DirSlice) checkDirSide(hard, soft *[]dirViol) {
 		}
 		switch e.state {
 		case dirE:
-			if d.sys.Nodes[e.owner].l2.Peek(l) == nil {
+			if !d.sys.Nodes[e.owner].l2.Peek(l).Valid() {
 				*soft = append(*soft, dirViol{l, e.owner,
 					fmt.Sprintf("line %#x: dir E owner %d has no copy", uint64(l), e.owner)})
 			}
 		case dirS:
 			e.sharers.ForEach(func(nid arch.NodeID) {
-				if d.sys.Nodes[nid].l2.Peek(l) == nil {
+				if !d.sys.Nodes[nid].l2.Peek(l).Valid() {
 					*soft = append(*soft, dirViol{l, nid,
 						fmt.Sprintf("line %#x: dir S sharer %d has no copy", uint64(l), nid)})
 				}

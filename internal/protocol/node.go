@@ -296,12 +296,12 @@ func (n *Node) Access(pc uint64, addr arch.Addr, write bool, done func()) {
 	n.stats.Accesses++
 	line := addr.Line()
 	if !write {
-		if n.l1.Lookup(line) != nil {
+		if n.l1.Lookup(line).Valid() {
 			n.stats.L1Hits++
 			n.sys.Sim.After(n.sys.Cfg.L1Latency, done)
 			return
 		}
-		if l := n.l2.Lookup(line); l != nil {
+		if n.l2.Lookup(line).Valid() {
 			n.stats.L2Hits++
 			n.l1.Insert(line, cache.Shared)
 			n.sys.Sim.After(n.sys.Cfg.L1Latency+n.sys.Cfg.L2HitLatency(), done)
@@ -311,10 +311,10 @@ func (n *Node) Access(pc uint64, addr arch.Addr, write bool, done func()) {
 		return
 	}
 	// Write: L1 is write-through, so ownership is checked at the L2.
-	if l := n.l2.Lookup(line); l != nil {
-		switch l.State {
+	if st := n.l2.Lookup(line); st.Valid() {
+		switch st {
 		case cache.Modified, cache.Exclusive:
-			l.State = cache.Modified // silent E->M upgrade
+			n.l2.SetState(line, cache.Modified) // silent E->M upgrade
 			n.stats.L2Hits++
 			n.l1.Insert(line, cache.Shared)
 			n.sys.Sim.After(n.sys.Cfg.L1Latency+n.sys.Cfg.L2HitLatency(), done)
@@ -336,12 +336,12 @@ func (n *Node) Access(pc uint64, addr arch.Addr, write bool, done func()) {
 func (n *Node) AccessFast(pc uint64, addr arch.Addr, write bool) (lat event.Time, ok bool) {
 	line := addr.Line()
 	if !write {
-		if n.l1.Lookup(line) != nil {
+		if n.l1.Lookup(line).Valid() {
 			n.stats.Accesses++
 			n.stats.L1Hits++
 			return n.sys.Cfg.L1Latency, true
 		}
-		if n.l2.Lookup(line) != nil {
+		if n.l2.Lookup(line).Valid() {
 			n.stats.Accesses++
 			n.stats.L2Hits++
 			n.l1.Insert(line, cache.Shared)
@@ -353,12 +353,11 @@ func (n *Node) AccessFast(pc uint64, addr arch.Addr, write bool) (lat event.Time
 	// (line present in S/F) does not get an extra LRU touch here — the
 	// re-issued Access performs the one mutating Lookup, as in detailed
 	// mode.
-	l := n.l2.Peek(line)
-	if l == nil || (l.State != cache.Modified && l.State != cache.Exclusive) {
+	if st := n.l2.Peek(line); st != cache.Modified && st != cache.Exclusive {
 		return 0, false
 	}
 	n.l2.Lookup(line)
-	l.State = cache.Modified // silent E->M upgrade
+	n.l2.SetState(line, cache.Modified) // silent E->M upgrade
 	n.stats.Accesses++
 	n.stats.L2Hits++
 	n.l1.Insert(line, cache.Shared)
@@ -519,7 +518,7 @@ func (n *Node) issueMiss(pc uint64, line arch.LineAddr, kind predictor.MissKind,
 	}
 	set.ForEach(func(p arch.NodeID) {
 		m.predOverheadBytes += uint64(ControlBytes)
-		n.send(Msg{Kind: reqKind, Dst: p, Line: line, Requester: n.self,
+		n.send(&Msg{Kind: reqKind, Dst: p, Line: line, Requester: n.self,
 			MissKind: kind, PC: pc})
 	})
 	if !set.Empty() {
@@ -527,11 +526,11 @@ func (n *Node) issueMiss(pc uint64, line arch.LineAddr, kind predictor.MissKind,
 		n.stats.PredTargets += uint64(set.Count())
 	}
 	// ...and the request to the home directory, carrying the predicted set.
-	n.send(Msg{Kind: dirKind, Dst: n.sys.Home(line), Line: line, Requester: n.self,
+	n.send(&Msg{Kind: dirKind, Dst: n.sys.Home(line), Line: line, Requester: n.self,
 		Pred: set, HadLine: kind == predictor.UpgradeMiss, MissKind: kind, PC: pc})
 }
 
-func (n *Node) send(m Msg) {
+func (n *Node) send(m *Msg) {
 	m.Src = n.self
 	n.sys.send(m)
 }
@@ -573,8 +572,8 @@ func (n *Node) trainExternal(m *Msg) {
 // localState returns the effective protocol state of a line at this node,
 // looking through both the cache and the writeback buffer.
 func (n *Node) localState(l arch.LineAddr) cache.State {
-	if ln := n.l2.Peek(l); ln != nil {
-		return ln.State
+	if st := n.l2.Peek(l); st.Valid() {
+		return st
 	}
 	if e, ok := n.wb[l]; ok {
 		return e.state
@@ -589,27 +588,25 @@ func (n *Node) handlePredGetS(m *Msg) {
 	n.stats.SnoopLookups++
 	n.trainExternal(m)
 	if _, ok := n.mshrFor(m.Line); ok {
-		n.sendAfter(n.sys.Cfg.L2TagLatency, Msg{Kind: MsgNack, Dst: m.Requester, Line: m.Line, Requester: m.Requester})
+		n.sendAfter(n.sys.Cfg.L2TagLatency, &Msg{Kind: MsgNack, Dst: m.Requester, Line: m.Line, Requester: m.Requester})
 		return
 	}
 	st := n.localState(m.Line)
 	if !st.CanForward() {
-		n.sendAfter(n.sys.Cfg.L2TagLatency, Msg{Kind: MsgNack, Dst: m.Requester, Line: m.Line, Requester: m.Requester})
+		n.sendAfter(n.sys.Cfg.L2TagLatency, &Msg{Kind: MsgNack, Dst: m.Requester, Line: m.Line, Requester: m.Requester})
 		return
 	}
 	// Forward a copy; downgrade to Shared. A Modified line is written back
 	// to the home (memory update on M->S, as in MESIF).
-	n.sendAfter(n.sys.Cfg.L2HitLatency(), Msg{Kind: MsgData, Dst: m.Requester, Line: m.Line,
+	n.sendAfter(n.sys.Cfg.L2HitLatency(), &Msg{Kind: MsgData, Dst: m.Requester, Line: m.Line,
 		Requester: m.Requester, MissKind: m.MissKind})
 	if st == cache.Modified {
-		n.sendAfter(n.sys.Cfg.L2HitLatency(), Msg{Kind: MsgWriteback, Dst: n.sys.Home(m.Line), Line: m.Line, Requester: n.self})
+		n.sendAfter(n.sys.Cfg.L2HitLatency(), &Msg{Kind: MsgWriteback, Dst: n.sys.Home(m.Line), Line: m.Line, Requester: n.self})
 	}
-	if n.l2.Peek(m.Line) != nil {
-		n.l2.SetState(m.Line, cache.Shared)
-	}
+	n.l2.SetState(m.Line, cache.Shared)
 	// Sharing-state update to the directory (accounting; the authoritative
 	// transition happens when the directory processes the request).
-	n.sendAfter(n.sys.Cfg.L2HitLatency(), Msg{Kind: MsgDirUpd, Dst: n.sys.Home(m.Line), Line: m.Line, Requester: m.Requester})
+	n.sendAfter(n.sys.Cfg.L2HitLatency(), &Msg{Kind: MsgDirUpd, Dst: n.sys.Home(m.Line), Line: m.Line, Requester: m.Requester})
 }
 
 // handlePredGetM services a predicted write request: forward and invalidate
@@ -625,16 +622,16 @@ func (n *Node) handlePredGetM(m *Msg) {
 		// Our own miss on this line is in flight: acknowledge the
 		// invalidation now and poison the eventual fill.
 		ms.poisoned = true
-		n.sendAfter(n.sys.Cfg.L2TagLatency, Msg{Kind: MsgInvAck, Dst: m.Requester, Line: m.Line, Requester: m.Requester})
+		n.sendAfter(n.sys.Cfg.L2TagLatency, &Msg{Kind: MsgInvAck, Dst: m.Requester, Line: m.Line, Requester: m.Requester})
 		return
 	}
 	st := n.localState(m.Line)
 	switch {
 	case st.CanForward():
-		n.sendAfter(n.sys.Cfg.L2HitLatency(), Msg{Kind: MsgData, Dst: m.Requester, Line: m.Line,
+		n.sendAfter(n.sys.Cfg.L2HitLatency(), &Msg{Kind: MsgData, Dst: m.Requester, Line: m.Line,
 			Requester: m.Requester, MissKind: m.MissKind})
 		n.invalidateLocal(m.Line)
-		n.sendAfter(n.sys.Cfg.L2HitLatency(), Msg{Kind: MsgDirUpd, Dst: n.sys.Home(m.Line), Line: m.Line, Requester: m.Requester})
+		n.sendAfter(n.sys.Cfg.L2HitLatency(), &Msg{Kind: MsgDirUpd, Dst: n.sys.Home(m.Line), Line: m.Line, Requester: m.Requester})
 	default:
 		if !st.Valid() {
 			// Nothing here yet: a miss of ours may be about to issue and
@@ -643,7 +640,7 @@ func (n *Node) handlePredGetM(m *Msg) {
 			n.recentPredInv[m.Line] = n.sys.Sim.Now()
 		}
 		n.invalidateLocal(m.Line)
-		n.sendAfter(n.sys.Cfg.L2TagLatency, Msg{Kind: MsgInvAck, Dst: m.Requester, Line: m.Line, Requester: m.Requester})
+		n.sendAfter(n.sys.Cfg.L2TagLatency, &Msg{Kind: MsgInvAck, Dst: m.Requester, Line: m.Line, Requester: m.Requester})
 	}
 }
 
@@ -655,12 +652,12 @@ func (n *Node) handleFwdGetS(m *Msg) {
 	n.stats.SnoopLookups++
 	n.trainExternal(m)
 	st := n.localState(m.Line)
-	n.sendAfter(n.sys.Cfg.L2HitLatency(), Msg{Kind: MsgData, Dst: m.Requester, Line: m.Line,
+	n.sendAfter(n.sys.Cfg.L2HitLatency(), &Msg{Kind: MsgData, Dst: m.Requester, Line: m.Line,
 		Requester: m.Requester, MissKind: m.MissKind})
 	if st == cache.Modified {
-		n.sendAfter(n.sys.Cfg.L2HitLatency(), Msg{Kind: MsgWriteback, Dst: n.sys.Home(m.Line), Line: m.Line, Requester: n.self})
+		n.sendAfter(n.sys.Cfg.L2HitLatency(), &Msg{Kind: MsgWriteback, Dst: n.sys.Home(m.Line), Line: m.Line, Requester: n.self})
 	}
-	if st.CanForward() && n.l2.Peek(m.Line) != nil {
+	if st.CanForward() {
 		n.l2.SetState(m.Line, cache.Shared)
 	}
 }
@@ -669,7 +666,7 @@ func (n *Node) handleFwdGetS(m *Msg) {
 func (n *Node) handleFwdGetM(m *Msg) {
 	n.stats.SnoopLookups++
 	n.trainExternal(m)
-	n.sendAfter(n.sys.Cfg.L2HitLatency(), Msg{Kind: MsgData, Dst: m.Requester, Line: m.Line,
+	n.sendAfter(n.sys.Cfg.L2HitLatency(), &Msg{Kind: MsgData, Dst: m.Requester, Line: m.Line,
 		Requester: m.Requester, MissKind: m.MissKind})
 	n.invalidateLocal(m.Line)
 }
@@ -679,7 +676,7 @@ func (n *Node) handleInv(m *Msg) {
 	n.stats.SnoopLookups++
 	n.trainExternal(m)
 	n.invalidateLocal(m.Line)
-	n.sendAfter(n.sys.Cfg.L2TagLatency, Msg{Kind: MsgInvAck, Dst: m.Requester, Line: m.Line, Requester: m.Requester})
+	n.sendAfter(n.sys.Cfg.L2TagLatency, &Msg{Kind: MsgInvAck, Dst: m.Requester, Line: m.Line, Requester: m.Requester})
 }
 
 func (n *Node) invalidateLocal(l arch.LineAddr) {
@@ -798,7 +795,7 @@ func (n *Node) checkComplete(ms *mshr) {
 		(ms.nackFrom.Contains(ms.supplier) ||
 			(ms.needData && !ms.dataArrived && ms.respFrom.Contains(ms.supplier) && ms.provider != ms.supplier)) {
 		ms.retried = true
-		n.send(Msg{Kind: MsgGetRetry, Dst: n.sys.Home(ms.line), Line: ms.line,
+		n.send(&Msg{Kind: MsgGetRetry, Dst: n.sys.Home(ms.line), Line: ms.line,
 			Requester: n.self, MissKind: ms.kind})
 		return
 	}
@@ -826,7 +823,7 @@ func (n *Node) finalize(ms *mshr) {
 	}
 
 	// Unblock the home so queued transactions may proceed.
-	n.send(Msg{Kind: MsgUnblock, Dst: n.sys.Home(ms.line), Line: ms.line, Requester: n.self})
+	n.send(&Msg{Kind: MsgUnblock, Dst: n.sys.Home(ms.line), Line: ms.line, Requester: n.self})
 
 	// Statistics and training.
 	if ms.communicating {
@@ -910,7 +907,7 @@ func (n *Node) evict(v cache.Victim) {
 	case cache.Shared, cache.Invalid:
 		// Shared keeps the preset PutS; Insert never yields an Invalid victim.
 	}
-	n.send(Msg{Kind: kind, Dst: n.sys.Home(v.Addr), Line: v.Addr, Requester: n.self})
+	n.send(&Msg{Kind: kind, Dst: n.sys.Home(v.Addr), Line: v.Addr, Requester: n.self})
 }
 
 func (n *Node) handlePutAck(m *Msg) {
@@ -924,7 +921,7 @@ func (n *Node) handlePutAck(m *Msg) {
 	}
 }
 
-func (n *Node) sendAfter(d event.Time, m Msg) {
+func (n *Node) sendAfter(d event.Time, m *Msg) {
 	m.Src = n.self
 	n.sys.sendAfter(d, m)
 }

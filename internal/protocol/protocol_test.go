@@ -110,8 +110,8 @@ func TestColdReadFromMemory(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 	// Fill should be Exclusive (sole copy).
-	if l := sys.Nodes[0].L2().Peek(arch.Addr(0x1000).Line()); l == nil || l.State != cache.Exclusive {
-		t.Fatalf("fill state = %v", l)
+	if st := sys.Nodes[0].L2().Peek(arch.Addr(0x1000).Line()); st != cache.Exclusive {
+		t.Fatalf("fill state = %v", st)
 	}
 	quiesce(t, sim, sys, false)
 }
@@ -142,11 +142,11 @@ func TestCacheToCacheRead(t *testing.T) {
 	}
 	// Post state: node 1 downgraded to S, node 0 holds F.
 	line := arch.Addr(0x2000).Line()
-	if l := sys.Nodes[1].L2().Peek(line); l == nil || l.State != cache.Shared {
-		t.Fatalf("node1 state = %v, want S", l)
+	if st := sys.Nodes[1].L2().Peek(line); st != cache.Shared {
+		t.Fatalf("node1 state = %v, want S", st)
 	}
-	if l := sys.Nodes[0].L2().Peek(line); l == nil || l.State != cache.Forward {
-		t.Fatalf("node0 state = %v, want F", l)
+	if st := sys.Nodes[0].L2().Peek(line); st != cache.Forward {
+		t.Fatalf("node0 state = %v, want F", st)
 	}
 	quiesce(t, sim, sys, false)
 }
@@ -159,12 +159,12 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 	access(t, sim, sys.Nodes[3], 0x3000, true)
 	line := arch.Addr(0x3000).Line()
 	for i := 0; i < 3; i++ {
-		if l := sys.Nodes[i].L2().Peek(line); l != nil {
-			t.Fatalf("node %d still holds %v after invalidation", i, l.State)
+		if st := sys.Nodes[i].L2().Peek(line); st.Valid() {
+			t.Fatalf("node %d still holds %v after invalidation", i, st)
 		}
 	}
-	if l := sys.Nodes[3].L2().Peek(line); l == nil || l.State != cache.Modified {
-		t.Fatalf("writer state = %v, want M", l)
+	if st := sys.Nodes[3].L2().Peek(line); st != cache.Modified {
+		t.Fatalf("writer state = %v, want M", st)
 	}
 	quiesce(t, sim, sys, false)
 }
@@ -179,11 +179,11 @@ func TestUpgradeMiss(t *testing.T) {
 		t.Fatalf("upgrade misses = %d; stats %+v", st.UpgradeMisses, st)
 	}
 	line := arch.Addr(0x4000).Line()
-	if l := sys.Nodes[0].L2().Peek(line); l == nil || l.State != cache.Modified {
-		t.Fatalf("upgrader state = %v, want M", l)
+	if st := sys.Nodes[0].L2().Peek(line); st != cache.Modified {
+		t.Fatalf("upgrader state = %v, want M", st)
 	}
-	if l := sys.Nodes[1].L2().Peek(line); l != nil {
-		t.Fatalf("node1 should be invalidated, has %v", l.State)
+	if st := sys.Nodes[1].L2().Peek(line); st.Valid() {
+		t.Fatalf("node1 should be invalidated, has %v", st)
 	}
 	quiesce(t, sim, sys, false)
 }
@@ -259,7 +259,7 @@ func TestPredictedWriteWithSharers(t *testing.T) {
 	}
 	line := arch.Addr(0x8000).Line()
 	for i := 0; i < 3; i++ {
-		if l := sys.Nodes[i].L2().Peek(line); l != nil {
+		if sys.Nodes[i].L2().Peek(line).Valid() {
 			t.Fatalf("node %d not invalidated", i)
 		}
 	}

@@ -26,7 +26,7 @@ func TestPartialWritePrediction(t *testing.T) {
 	access(t, sim, sys.Nodes[3], 0xA000, true)
 	line := arch.Addr(0xA000).Line()
 	for i := 0; i < 3; i++ {
-		if sys.Nodes[i].L2().Peek(line) != nil {
+		if sys.Nodes[i].L2().Peek(line).Valid() {
 			t.Fatalf("node %d not invalidated", i)
 		}
 	}
@@ -55,7 +55,7 @@ func TestPredictedSharedHolderNacksRead(t *testing.T) {
 	if st.Nacks == 0 {
 		t.Fatal("S-state holder must Nack a predicted read")
 	}
-	if l := sys.Nodes[0].L2().Peek(arch.Addr(0xB000).Line()); l == nil {
+	if !sys.Nodes[0].L2().Peek(arch.Addr(0xB000).Line()).Valid() {
 		t.Fatal("requester must still be served")
 	}
 	quiesce(t, sim, sys, true)
@@ -72,7 +72,7 @@ func TestPredictionOfHomeNode(t *testing.T) {
 	sim, sys := newTestSystem(t, testConfig(), preds)
 	access(t, sim, sys.Nodes[owner], 0xC000, true)
 	access(t, sim, sys.Nodes[2], 0xC000, false) // predicts home (wrong owner)
-	if l := sys.Nodes[2].L2().Peek(line); l == nil {
+	if !sys.Nodes[2].L2().Peek(line).Valid() {
 		t.Fatal("read must complete despite predicting the home")
 	}
 	quiesce(t, sim, sys, true)
@@ -93,9 +93,8 @@ func TestEvictionOfForwardHolderThenReRead(t *testing.T) {
 	quiesce(t, sim, sys, false)
 	// Node 2 reads: no F holder on chip; memory supplies; node 2 gets F.
 	access(t, sim, sys.Nodes[2], 0xD000, false)
-	l := sys.Nodes[2].L2().Peek(arch.Addr(0xD000).Line())
-	if l == nil || l.State != cache.Forward {
-		t.Fatalf("new reader state = %v, want F", l)
+	if st := sys.Nodes[2].L2().Peek(arch.Addr(0xD000).Line()); st != cache.Forward {
+		t.Fatalf("new reader state = %v, want F", st)
 	}
 	quiesce(t, sim, sys, false)
 }
@@ -138,7 +137,7 @@ func TestUpgradeRaceWithRemoteWrite(t *testing.T) {
 	line := arch.Addr(0xF000).Line()
 	owners := 0
 	for _, n := range sys.Nodes {
-		if l := n.L2().Peek(line); l != nil && l.State == cache.Modified {
+		if n.L2().Peek(line) == cache.Modified {
 			owners++
 		}
 	}

@@ -125,14 +125,16 @@ type delivery struct {
 	sent event.Time // injection time, for the metrics observer
 }
 
-func (s *System) getDelivery(m Msg) *delivery {
+// getDelivery takes a record off the freelist and copies *m into it: the
+// one copy of a message on its way out (DESIGN.md §11).
+func (s *System) getDelivery(m *Msg) *delivery {
 	if k := len(s.msgPool); k > 0 {
 		d := s.msgPool[k-1]
 		s.msgPool = s.msgPool[:k-1]
-		d.m = m
+		d.m = *m
 		return d
 	}
-	return &delivery{s: s, m: m}
+	return &delivery{s: s, m: *m}
 }
 
 // deliverMsg fires at NoC arrival: it dispatches the message in place and
@@ -224,10 +226,11 @@ func (s *System) clockNow() event.Time {
 	return s.Sim.Now()
 }
 
-// send routes a message over the NoC and dispatches it on arrival.
+// send routes a message over the NoC and dispatches it on arrival. It
+// copies *m before returning, so callers may pass a stack literal.
 //
 //spcoh:noalloc
-func (s *System) send(m Msg) {
+func (s *System) send(m *Msg) {
 	if s.Fast {
 		s.fastShip(0, m)
 		return
@@ -244,7 +247,7 @@ func (s *System) transmit(d *delivery) {
 // sendAfter routes a message after a local processing delay at the source.
 //
 //spcoh:noalloc
-func (s *System) sendAfter(d event.Time, m Msg) {
+func (s *System) sendAfter(d event.Time, m *Msg) {
 	if s.Fast {
 		s.fastShip(d, m)
 		return
@@ -257,7 +260,7 @@ func (s *System) sendAfter(d event.Time, m Msg) {
 // cascade at source delay + network latency in virtual time.
 //
 //spcoh:noalloc
-func (s *System) fastShip(srcDelay event.Time, m Msg) {
+func (s *System) fastShip(srcDelay event.Time, m *Msg) {
 	d := s.getDelivery(m) //spvet:allow noalloc -- inlined getDelivery: cold-path freelist refill
 	lat := s.Net.FastSend(m.Src, m.Dst, m.Kind.Bytes())
 	d.sent = s.casc.Now() + srcDelay

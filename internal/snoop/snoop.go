@@ -271,12 +271,12 @@ func (n *Node) Access(pc uint64, addr arch.Addr, write bool, done func()) {
 	line := addr.Line()
 	cfg := n.sys.Cfg
 	if !write {
-		if n.l1.Lookup(line) != nil {
+		if n.l1.Lookup(line).Valid() {
 			n.stats.L1Hits++
 			n.sys.Sim.After(cfg.L1Latency, done)
 			return
 		}
-		if n.l2.Lookup(line) != nil {
+		if n.l2.Lookup(line).Valid() {
 			n.stats.L2Hits++
 			n.l1.Insert(line, cache.Shared)
 			n.sys.Sim.After(cfg.L1Latency+cfg.L2HitLatency(), done)
@@ -285,10 +285,10 @@ func (n *Node) Access(pc uint64, addr arch.Addr, write bool, done func()) {
 		n.miss(line, predictor.ReadMiss, done)
 		return
 	}
-	if l := n.l2.Lookup(line); l != nil {
-		switch l.State {
+	if st := n.l2.Lookup(line); st.Valid() {
+		switch st {
 		case cache.Modified, cache.Exclusive:
-			l.State = cache.Modified
+			n.l2.SetState(line, cache.Modified)
 			n.stats.L2Hits++
 			n.l1.Insert(line, cache.Shared)
 			n.sys.Sim.After(cfg.L1Latency+cfg.L2HitLatency(), done)
@@ -309,12 +309,12 @@ func (n *Node) AccessFast(pc uint64, addr arch.Addr, write bool) (lat event.Time
 	line := addr.Line()
 	cfg := n.sys.Cfg
 	if !write {
-		if n.l1.Lookup(line) != nil {
+		if n.l1.Lookup(line).Valid() {
 			n.stats.Accesses++
 			n.stats.L1Hits++
 			return cfg.L1Latency, true
 		}
-		if n.l2.Lookup(line) != nil {
+		if n.l2.Lookup(line).Valid() {
 			n.stats.Accesses++
 			n.stats.L2Hits++
 			n.l1.Insert(line, cache.Shared)
@@ -322,12 +322,11 @@ func (n *Node) AccessFast(pc uint64, addr arch.Addr, write bool) (lat event.Time
 		}
 		return 0, false
 	}
-	l := n.l2.Peek(line)
-	if l == nil || (l.State != cache.Modified && l.State != cache.Exclusive) {
+	if st := n.l2.Peek(line); st != cache.Modified && st != cache.Exclusive {
 		return 0, false
 	}
 	n.l2.Lookup(line)
-	l.State = cache.Modified
+	n.l2.SetState(line, cache.Modified)
 	n.stats.Accesses++
 	n.stats.L2Hits++
 	n.l1.Insert(line, cache.Shared)
@@ -477,11 +476,7 @@ func (n *Node) snoop(t *txn) {
 	if t.kind == predictor.UpgradeMiss {
 		t.node.complete(t) // ordered fabric: delivery is the invalidation
 	}
-	l := n.l2.Peek(t.line)
-	st := cache.Invalid
-	if l != nil {
-		st = l.State
-	}
+	st := n.l2.Peek(t.line)
 	respond := func(lat event.Time, bytes int, had, data bool) {
 		var r *snoopResp
 		if k := len(s.respPool); k > 0 {

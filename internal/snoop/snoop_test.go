@@ -54,8 +54,8 @@ func TestColdReadUsesMemory(t *testing.T) {
 		t.Fatalf("stats = %+v", sys.Stats())
 	}
 	// Sole copy installs Exclusive.
-	if l := sys.Nodes[0].L2().Peek(arch.Addr(0x100).Line()); l == nil || l.State != cache.Exclusive {
-		t.Fatalf("fill = %v", l)
+	if st := sys.Nodes[0].L2().Peek(arch.Addr(0x100).Line()); st != cache.Exclusive {
+		t.Fatalf("fill = %v", st)
 	}
 }
 
@@ -76,11 +76,11 @@ func TestCacheToCacheBeatsMemory(t *testing.T) {
 		t.Fatalf("snoop lookups = %d", st.SnoopLookups)
 	}
 	line := arch.Addr(0x200).Line()
-	if l := sys.Nodes[1].L2().Peek(line); l == nil || l.State != cache.Shared {
-		t.Fatalf("provider state = %v", l)
+	if st := sys.Nodes[1].L2().Peek(line); st != cache.Shared {
+		t.Fatalf("provider state = %v", st)
 	}
-	if l := sys.Nodes[0].L2().Peek(line); l == nil || l.State != cache.Forward {
-		t.Fatalf("requester state = %v", l)
+	if st := sys.Nodes[0].L2().Peek(line); st != cache.Forward {
+		t.Fatalf("requester state = %v", st)
 	}
 }
 
@@ -93,12 +93,12 @@ func TestWriteInvalidatesAll(t *testing.T) {
 	access(t, sim, sys.Nodes[3], 0x300, true)
 	line := arch.Addr(0x300).Line()
 	for i := 0; i < 3; i++ {
-		if sys.Nodes[i].L2().Peek(line) != nil {
+		if sys.Nodes[i].L2().Peek(line).Valid() {
 			t.Fatalf("node %d not invalidated", i)
 		}
 	}
-	if l := sys.Nodes[3].L2().Peek(line); l == nil || l.State != cache.Modified {
-		t.Fatalf("writer = %v", l)
+	if st := sys.Nodes[3].L2().Peek(line); st != cache.Modified {
+		t.Fatalf("writer = %v", st)
 	}
 }
 
@@ -111,8 +111,8 @@ func TestUpgradeNeedsNoData(t *testing.T) {
 	if lat >= sys.Cfg.MemLatency {
 		t.Fatalf("upgrade should not wait for memory: %d", lat)
 	}
-	if l := sys.Nodes[0].L2().Peek(arch.Addr(0x400).Line()); l == nil || l.State != cache.Modified {
-		t.Fatalf("upgrader = %v", l)
+	if st := sys.Nodes[0].L2().Peek(arch.Addr(0x400).Line()); st != cache.Modified {
+		t.Fatalf("upgrader = %v", st)
 	}
 }
 
@@ -183,7 +183,7 @@ func TestStressConcurrent(t *testing.T) {
 		for _, n := range sys.Nodes {
 			for i := 0; i < 12; i++ {
 				l := arch.LineAddr(i)
-				if ln := n.L2().Peek(l); ln != nil && (ln.State == cache.Modified || ln.State == cache.Exclusive) {
+				if st := n.L2().Peek(l); st == cache.Modified || st == cache.Exclusive {
 					owners[l]++
 				}
 			}

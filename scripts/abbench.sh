@@ -17,15 +17,18 @@
 # each side building into its own CARGO_TARGET_DIR under the temporary
 # directory. Every run must report "correct":true and "failed":0 (perfbench
 # exits 0 on wrong output, so the check is here). The JSON record written to
-# OUT holds the host's nproc, both revisions, each pair's sim_cycles_per_s,
-# both medians, the base's quartiles, the threshold and the verdict. The
-# gate fails (exit 1) when any workload's median candidate/base ratio of
-# sim_cycles_per_s is below `threshold`; DESIGN.md §11 says how it was
-# calibrated.
+# OUT holds the host's nproc, both revisions, each pair's sim_cycles_per_s
+# and peak_rss_mb, both medians, the base's quartiles, the median ratios,
+# the thresholds and the verdict. The gate fails (exit 1) when any
+# workload's median candidate/base ratio of sim_cycles_per_s is below
+# `threshold`, or its median candidate/base ratio of peak_rss_mb is above
+# `rss_threshold` (the peak_rss_mb bound of BENCHMARK.json); DESIGN.md §11
+# says how they were set.
 set -eu
 
 pairs=5
 threshold=0.88
+rss_threshold=1.15
 # suite-dir-sp runs the directory and SP cells, suite-bcast broadcast
 # snooping: together every protocol path the paper's figures time.
 workloads="suite-dir-sp suite-bcast"
@@ -58,7 +61,8 @@ mkdir "$tmp/base"
 git archive "$base" | tar -x -C "$tmp/base"
 
 # bench SIDE DIR WORKLOAD runs perfbench once from DIR and prints its
-# sim_cycles_per_s, or fails on a failed run, wrong output or failed cells.
+# sim_cycles_per_s and peak_rss_mb, or fails on a failed run, wrong output
+# or failed cells.
 bench() {
     log="$tmp/$1-$3.log"
     (cd "$2" && CARGO_TARGET_DIR="$tmp/$1-build" \
@@ -70,14 +74,17 @@ bench() {
     }
     rec=$(grep '^{"correct"' "$log" | tail -n 1)
     case $rec in
-    *'"correct":true,'*'"failed":0,'*'"sim_cycles_per_s":{"value":'*) ;;
+    # perfbench marshals its metrics map with sorted keys.
+    *'"correct":true,'*'"failed":0,'*'"peak_rss_mb":{"value":'*'"sim_cycles_per_s":{"value":'*) ;;
     *)
         echo "abbench: $1 run of $3 is not correct or failed cells:" >&2
         tail -n 20 "$log" >&2
         return 1
         ;;
     esac
-    printf '%s\n' "$rec" | sed -n 's/.*"sim_cycles_per_s":{"value":\([^,}]*\).*/\1/p'
+    cyc=$(printf '%s\n' "$rec" | sed -n 's/.*"sim_cycles_per_s":{"value":\([^,}]*\).*/\1/p')
+    rss=$(printf '%s\n' "$rec" | sed -n 's/.*"peak_rss_mb":{"value":\([^,}]*\).*/\1/p')
+    echo "$cyc $rss"
 }
 
 verdict=pass
@@ -86,6 +93,7 @@ sep=""
     printf '{\n  "host": {"nproc": %s},\n' "$(getconf _NPROCESSORS_ONLN)"
     printf '  "base": "%s",\n  "candidate": "%s",\n' "$base" "$cand"
     printf '  "metric": "sim_cycles_per_s",\n  "pairs": %s,\n  "threshold": %s,\n' "$pairs" "$threshold"
+    printf '  "rss_metric": "peak_rss_mb",\n  "rss_threshold": %s,\n' "$rss_threshold"
     printf '  "workloads": ['
 } > "$tmp/record"
 for w in $workloads; do
@@ -99,13 +107,14 @@ for w in $workloads; do
             c=$(bench candidate . "$w")
             b=$(bench base "$tmp/base" "$w")
         fi
-        echo "abbench: $w pair $i: base $b candidate $c" >&2
+        echo "abbench: $w pair $i: base $b candidate $c (cycles/s MB)" >&2
         echo "$b $c" >> "$tmp/$w.pairs"
         i=$((i + 1))
     done
     # The workload's JSON object goes to stdout; awk exits 1 when the
     # workload fails. Quantiles interpolate linearly between order statistics.
-    awk -v w="$w" -v th="$threshold" '
+    # Columns: base cycles/s, base MB, candidate cycles/s, candidate MB.
+    awk -v w="$w" -v th="$threshold" -v rth="$rss_threshold" '
         function q(a, n, p,    h, l) {
             h = 1 + (n - 1) * p; l = int(h)
             return l >= n ? a[n] : a[l] + (h - l) * (a[l + 1] - a[l])
@@ -114,15 +123,18 @@ for w in $workloads; do
             for (i = 2; i <= n; i++)
                 for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
         }
-        { n++; b[n] = $1; c[n] = $2; r[n] = $2 / $1
-          pr = pr sprintf("%s\n        {\"base\": %s, \"candidate\": %s, \"ratio\": %.4f}", n > 1 ? "," : "", $1, $2, r[n]) }
+        { n++; b[n] = $1; bm[n] = $2; c[n] = $3; cm[n] = $4; r[n] = $3 / $1; rm[n] = $4 / $2
+          pr = pr sprintf("%s\n        {\"base\": %s, \"candidate\": %s, \"ratio\": %.4f, \"base_rss_mb\": %s, \"candidate_rss_mb\": %s, \"rss_ratio\": %.4f}",
+              n > 1 ? "," : "", $1, $3, r[n], $2, $4, rm[n]) }
         END {
-            isort(b, n); isort(c, n); isort(r, n)
-            mr = q(r, n, 0.5); ok = mr >= th
+            isort(b, n); isort(c, n); isort(r, n); isort(bm, n); isort(cm, n); isort(rm, n)
+            mr = q(r, n, 0.5); mrm = q(rm, n, 0.5); ok = mr >= th && mrm <= rth
             printf "    {\"workload\": \"%s\",\n      \"pairs\": [%s\n      ],\n", w, pr
             printf "      \"base_median\": %.0f, \"base_q1\": %.0f, \"base_q3\": %.0f,\n", q(b, n, 0.5), q(b, n, 0.25), q(b, n, 0.75)
-            printf "      \"candidate_median\": %.0f, \"median_ratio\": %.4f, \"pass\": %s}", q(c, n, 0.5), mr, ok ? "true" : "false"
-            printf "abbench: %s median candidate/base %.4f (threshold %s)\n", w, mr, th > "/dev/stderr"
+            printf "      \"candidate_median\": %.0f, \"median_ratio\": %.4f,\n", q(c, n, 0.5), mr
+            printf "      \"base_rss_median\": %.1f, \"candidate_rss_median\": %.1f, \"rss_median_ratio\": %.4f, \"pass\": %s}",
+                q(bm, n, 0.5), q(cm, n, 0.5), mrm, ok ? "true" : "false"
+            printf "abbench: %s median candidate/base %.4f (threshold %s), peak_rss_mb %.4f (threshold %s)\n", w, mr, th, mrm, rth > "/dev/stderr"
             exit !ok
         }' "$tmp/$w.pairs" > "$tmp/$w.json" || verdict=fail
     printf '%s\n' "$sep" >> "$tmp/record"
@@ -133,7 +145,7 @@ printf '\n  ],\n  "verdict": "%s"\n}\n' "$verdict" >> "$tmp/record"
 cp "$tmp/record" "$out"
 
 if [ "$verdict" != pass ]; then
-    echo "abbench: candidate is slower than base $base beyond the threshold $threshold (record: $out)" >&2
+    echo "abbench: candidate is slower than base $base beyond the threshold $threshold, or uses more memory beyond $rss_threshold (record: $out)" >&2
     exit 1
 fi
 echo "abbench: pass against base $base (record: $out)" >&2

@@ -55,7 +55,8 @@
 #   speed gate    scripts/abbench.sh: perfbench suite-dir-sp and suite-bcast
 #                 for the change and its base, alternately on this host; fails
 #                 when a median candidate/base sim_cycles_per_s ratio is
-#                 below the script's threshold (DESIGN.md §11). Allocation
+#                 below the script's threshold, or a median peak_rss_mb
+#                 ratio is above its memory threshold (DESIGN.md §11). Allocation
 #                 regressions are gated by the AllocsPerRun ceilings inside
 #                 go test
 #
