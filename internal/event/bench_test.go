@@ -14,7 +14,7 @@ func nopArg(any) {}
 // TestAllocsSteadyStateZero enforces the headline allocation contract: once
 // the ring buckets are warm, scheduling and firing allocates nothing — for
 // both the closure form (At with a non-capturing func) and the pre-bound
-// form (AtFn with a pointer argument).
+// form (AtFn with a pointer argument), fired by Step or by Run.
 func TestAllocsSteadyStateZero(t *testing.T) {
 	s := New()
 	arg := new(int)
@@ -35,6 +35,19 @@ func TestAllocsSteadyStateZero(t *testing.T) {
 		s.Step()
 	}); avg != 0 {
 		t.Errorf("steady-state AtFn+Step: %v allocs/op, want 0", avg)
+	}
+	// Run drains ring buckets and the far heap; warm the heap's backing
+	// slice first.
+	s.At(s.Now()+2*ringSize, nop)
+	s.At(s.Now()+2*ringSize+1, nop)
+	s.Run()
+	if avg := testing.AllocsPerRun(1000, func() {
+		s.At(s.Now()+3, nop)
+		s.AtFn(s.Now()+3, nopArg, arg)
+		s.AtFn(s.Now()+ringSize+5, nopArg, arg)
+		s.Run()
+	}); avg != 0 {
+		t.Errorf("steady-state At/AtFn+Run: %v allocs/op, want 0", avg)
 	}
 }
 

@@ -20,11 +20,20 @@
 //     sequence comparisons.
 //
 // Events are stored as plain struct values in reused bucket slices: no
-// interface boxing, no per-event allocation, and steady-state scheduling
-// allocates nothing (see bench_test.go for the enforced ceilings). Hot call
-// sites that would otherwise allocate a closure per schedule can use the
-// pre-bound AtFn/AfterFn forms, which carry a func(any) plus a pointer-
-// shaped argument through the queue allocation-free.
+// per-event allocation, and steady-state scheduling allocates nothing (see
+// bench_test.go for the enforced ceilings). Every event is one (fn, arg)
+// pair: the pre-bound AtFn/AfterFn forms store theirs directly, and At/After
+// store their Func as the arg of a package-level trampoline (a func value is
+// pointer-shaped, so it is not boxed). Hot call sites that would otherwise
+// allocate a closure per schedule use the pre-bound forms with a pointer-
+// shaped argument.
+//
+// Run drains each cycle's ring bucket in one loop once that cycle's heap
+// events have fired, instead of searching for the next event per firing.
+// FIFO still holds: while cycle T runs, every new event for T has delta 0
+// and lands at the tail of T's bucket, so the loop reaches it in
+// scheduling order. Step fires a single event and serves RunUntil,
+// RunWhile and budgeted callers.
 package event
 
 // Time is a simulation timestamp in clock cycles.
@@ -50,20 +59,14 @@ const (
 	ringMask = ringSize - 1
 )
 
-// ev is one scheduled event. Exactly one of fn / pfn is set.
+// ev is one scheduled event: fn(arg) runs at its cycle.
 type ev struct {
-	fn  Func
-	pfn ArgFunc
+	fn  ArgFunc
 	arg any
 }
 
-func (e *ev) call() {
-	if e.pfn != nil {
-		e.pfn(e.arg)
-	} else {
-		e.fn()
-	}
-}
+// callFunc is the ArgFunc under At/After: arg is the scheduled Func.
+func callFunc(arg any) { arg.(Func)() }
 
 // bucket is one calendar cycle's FIFO: appended at the tail, consumed by
 // advancing head. The backing slice is retained across reuse (head = len
@@ -158,9 +161,9 @@ type Sim struct {
 }
 
 // SetObserver attaches (or, with nil, detaches) a per-event observer for
-// the run-time metrics layer: it fires on every Step after the clock
-// advances and before the event's callback runs, receiving the current
-// time and the remaining queue depth.
+// the run-time metrics layer: it fires for every fired event (in Step and
+// Run alike) after the clock advances and before the event's callback
+// runs, receiving the current time and the remaining queue depth.
 func (s *Sim) SetObserver(fn func(now Time, queueDepth int)) { s.obs = fn }
 
 // New returns an empty simulator at time 0.
@@ -174,24 +177,24 @@ func (s *Sim) Now() Time { return s.now }
 // instead, preserving monotonicity.
 //
 //spcoh:noalloc
-func (s *Sim) At(t Time, fn Func) { s.schedule(t, ev{fn: fn}) }
+func (s *Sim) At(t Time, fn Func) { s.schedule(t, ev{callFunc, fn}) }
 
 // AtFn schedules fn(arg) at absolute time t. Semantics match At; the
 // pre-bound form exists so hot call sites need not allocate a closure per
 // schedule (pass a pointer as arg to stay allocation-free end to end).
 //
 //spcoh:noalloc
-func (s *Sim) AtFn(t Time, fn ArgFunc, arg any) { s.schedule(t, ev{pfn: fn, arg: arg}) }
+func (s *Sim) AtFn(t Time, fn ArgFunc, arg any) { s.schedule(t, ev{fn, arg}) }
 
 // After schedules fn to run d cycles from now.
 //
 //spcoh:noalloc
-func (s *Sim) After(d Time, fn Func) { s.schedule(s.now+d, ev{fn: fn}) }
+func (s *Sim) After(d Time, fn Func) { s.schedule(s.now+d, ev{callFunc, fn}) }
 
 // AfterFn schedules fn(arg) to run d cycles from now.
 //
 //spcoh:noalloc
-func (s *Sim) AfterFn(d Time, fn ArgFunc, arg any) { s.schedule(s.now+d, ev{pfn: fn, arg: arg}) }
+func (s *Sim) AfterFn(d Time, fn ArgFunc, arg any) { s.schedule(s.now+d, ev{fn, arg}) }
 
 //spcoh:noalloc
 func (s *Sim) schedule(t Time, e ev) {
@@ -295,17 +298,42 @@ func (s *Sim) Step() bool {
 		return false
 	}
 	s.now = when
+	s.fire(e)
+	return true
+}
+
+// fire runs one event that has just left the queue at the current clock.
+//
+//spcoh:noalloc
+func (s *Sim) fire(e ev) {
 	s.Fired++
 	if s.obs != nil {
 		s.obs(s.now, s.Pending())
 	}
-	e.call()
-	return true
+	e.fn(e.arg)
 }
 
-// Run fires events until the queue drains.
+// Run fires events until the queue drains. It fires exactly the events
+// a Step loop would, in the same order and with the same observer calls,
+// but once a cycle's heap events have fired it drains the rest of that
+// cycle's ring bucket in one loop (see the package comment for why that
+// is still FIFO).
+//
+//spcoh:noalloc
 func (s *Sim) Run() {
 	for s.Step() {
+		if len(s.far) > 0 && s.far[0].when == s.now {
+			continue // the heap's events for this cycle go first
+		}
+		b := &s.ring[uint64(s.now)&ringMask]
+		for b.head < len(b.evs) {
+			e := b.evs[b.head]
+			b.evs[b.head] = ev{} // release callback references
+			b.head++
+			s.ringCnt--
+			s.fire(e)
+		}
+		b.head, b.evs = 0, b.evs[:0]
 	}
 }
 

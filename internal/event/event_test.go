@@ -2,6 +2,7 @@ package event
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -186,5 +187,127 @@ func TestPropertyFiredCount(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// stepScript is a self-extending random schedule for TestRunMatchesStep.
+// Event ids are handed out in scheduling order, and what an event
+// schedules when it fires depends only on its id, so two engines that fire
+// in the same order build the same schedule, and the first divergence
+// shows in the firing log.
+type stepScript struct {
+	s      *Sim
+	seed   uint64
+	nextID int
+	budget int
+	log    []stepFired
+	obs    []stepFired
+}
+
+type stepFired struct {
+	id    int
+	at    Time
+	depth int
+}
+
+// scriptEv is the pre-bound argument of an AtFn/AfterFn event.
+type scriptEv struct {
+	sc *stepScript
+	id int
+}
+
+func splitmix(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// scriptDeltas mixes delta 0 (the bucket being drained), small ring
+// deltas, the ring edge and far-heap deltas (>= ringSize).
+var scriptDeltas = []Time{0, 0, 1, 2, 3, 7, 150, ringSize - 1, ringSize, ringSize + 1, 3 * ringSize, 5000}
+
+func fireScriptEv(a any) {
+	e := a.(*scriptEv)
+	e.sc.fire(e.id)
+}
+
+// add schedules one new event with pseudo-random delta and call form.
+func (sc *stepScript) add(h uint64) {
+	id := sc.nextID
+	sc.nextID++
+	d := scriptDeltas[h%uint64(len(scriptDeltas))]
+	switch (h >> 8) % 5 {
+	case 0:
+		sc.s.At(sc.s.Now()+d, func() { sc.fire(id) })
+	case 1:
+		sc.s.After(d, func() { sc.fire(id) })
+	case 2:
+		sc.s.AtFn(sc.s.Now()+d, fireScriptEv, &scriptEv{sc, id})
+	case 3:
+		sc.s.AfterFn(d, fireScriptEv, &scriptEv{sc, id})
+	default: // in the past: clamps to now
+		sc.s.At(sc.s.Now()-min(sc.s.Now(), 3), func() { sc.fire(id) })
+	}
+}
+
+func (sc *stepScript) fire(id int) {
+	sc.log = append(sc.log, stepFired{id, sc.s.Now(), 0})
+	h := splitmix(sc.seed ^ uint64(id)*0x100000001b3)
+	for k := h % 4; k > 0 && sc.budget > 0; k-- {
+		sc.budget--
+		h = splitmix(h)
+		sc.add(h)
+	}
+}
+
+func newStepScript(seed uint64, observe bool) *stepScript {
+	sc := &stepScript{s: New(), seed: seed, budget: 4000}
+	if observe {
+		sc.s.SetObserver(func(now Time, depth int) {
+			sc.obs = append(sc.obs, stepFired{len(sc.obs), now, depth})
+		})
+	}
+	h := seed
+	for i := 0; i < 40; i++ {
+		h = splitmix(h)
+		sc.add(h)
+	}
+	return sc
+}
+
+// TestRunMatchesStep checks that Run's bucket drain fires exactly what a
+// Step loop fires: the same events in the same order at the same cycles,
+// the same (now, depth) observer sequence and the same Fired count, on
+// random self-extending schedules that mix delta-0, ring-edge and
+// far-heap deltas, nested schedules from inside callbacks, both call
+// forms, past-clamped schedules, and a clock already advanced by RunUntil.
+func TestRunMatchesStep(t *testing.T) {
+	for seed := uint64(1); seed <= 40; seed++ {
+		observe := seed%2 == 0
+		run, step := newStepScript(seed, observe), newStepScript(seed, observe)
+		if seed%4 == 1 {
+			run.s.RunUntil(100)
+			step.s.RunUntil(100)
+		}
+		run.s.Run()
+		for step.s.Step() {
+		}
+		if len(run.log) < 1000 {
+			t.Fatalf("seed %d: only %d events fired", seed, len(run.log))
+		}
+		if !slices.Equal(run.log, step.log) {
+			t.Fatalf("seed %d: firing logs diverge (%d vs %d events)", seed, len(run.log), len(step.log))
+		}
+		if !slices.Equal(run.obs, step.obs) {
+			t.Fatalf("seed %d: observer sequences diverge", seed)
+		}
+		if observe && len(run.obs) != len(run.log) {
+			t.Fatalf("seed %d: %d observer calls for %d events", seed, len(run.obs), len(run.log))
+		}
+		if run.s.Fired != step.s.Fired || run.s.Now() != step.s.Now() || run.s.Pending() != 0 {
+			t.Fatalf("seed %d: Fired %d/%d, Now %d/%d, Pending %d", seed,
+				run.s.Fired, step.s.Fired, run.s.Now(), step.s.Now(), run.s.Pending())
+		}
 	}
 }

@@ -33,7 +33,6 @@ var obsDeny = map[string]string{
 	"internal/event.Sim.SetObserver":       "re-wires observation mid-run",
 	"internal/noc.Network.Send":            "injects network traffic",
 	"internal/noc.Network.SendFn":          "injects network traffic",
-	"internal/noc.Network.Multicast":       "injects network traffic",
 	"internal/noc.Network.Broadcast":       "injects network traffic",
 	"internal/noc.Network.SetObserver":     "re-wires observation mid-run",
 	"internal/cache.Cache.Lookup":          "updates cache replacement state",

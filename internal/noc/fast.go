@@ -54,32 +54,28 @@ func (n *Network) FastSend(src, dst arch.NodeID, payloadBytes int) event.Time {
 
 // FastBroadcast accounts one in-network-tree broadcast (each tree link
 // carries the packet exactly once, as in Broadcast) and invokes deliver
-// synchronously per destination with that endpoint's contention-free
-// latency. With free links the head-flit time at any tree node is a pure
-// function of its route depth, so each destination's latency equals the
-// unicast FastLat; the tree walk only deduplicates FlitHops/RouterHops.
+// synchronously per destination, in ascending order, with that endpoint's
+// contention-free latency. With free links the head-flit time at any tree
+// node is a pure function of its route depth, so each destination's latency
+// equals the unicast FastLat; the tree's extents (treeExtent) give its link
+// count for FlitHops/RouterHops.
 func (n *Network) FastBroadcast(src arch.NodeID, dsts arch.SharerSet, payloadBytes int, deliver func(d arch.NodeID, lat event.Time)) {
 	flits := n.Flits(payloadBytes)
 	ser := event.Time(flits) * n.cfg.LinkDelay
-	n.bcEpoch++
 	n.stats.Packets++
 	n.stats.Bytes += uint64(flits * n.cfg.FlitBytes)
+	lo, hi := n.treeExtent(src, dsts)
+	links := hi - lo
+	for x := lo; x <= hi; x++ {
+		links += n.colHi[x] - n.colLo[x]
+	}
+	n.stats.FlitHops += uint64(flits * links)
+	n.stats.RouterHops += uint64(links)
+	perHop := n.cfg.LinkDelay + n.cfg.RouterDelay
 	dsts.ForEach(func(d arch.NodeID) {
-		var lat event.Time
-		if d == src {
-			lat = n.cfg.RouterDelay
-		} else {
-			head := n.cfg.RouterDelay
-			it := n.routeFrom(src, d)
-			for l, ok := it.next(); ok; l, ok = it.next() {
-				if n.bcStamp[l] != n.bcEpoch {
-					n.bcStamp[l] = n.bcEpoch
-					n.stats.FlitHops += uint64(flits)
-					n.stats.RouterHops++
-				}
-				head += n.cfg.LinkDelay + n.cfg.RouterDelay
-			}
-			lat = head + ser - n.cfg.LinkDelay
+		lat := n.cfg.RouterDelay
+		if d != src {
+			lat += event.Time(n.Hops(src, d))*perHop + ser - n.cfg.LinkDelay
 		}
 		n.stats.Deliveries++
 		n.stats.TotalLat += uint64(lat)

@@ -10,12 +10,16 @@
 // latency, serialization bandwidth, and congestion — without simulating
 // individual flits or virtual channels.
 //
+// Routes are walked from per-node coordinate tables: an X-Y route is an X
+// leg and a Y leg, each a run of directed links at a fixed index stride (±4
+// per hop east or west, ±4·Width per hop south or north), so no hop divides
+// or looks a node up. Broadcast builds its tree in one pass from the
+// destinations' extents (treeExtent) and claims each tree link once.
+//
 // The injection path is allocation-free in steady state (DESIGN.md §11):
-// routes are walked with a stack-resident iterator instead of materialized
-// slices, per-destination multicast/broadcast bindings come from a
-// freelist, Broadcast's tree state lives in epoch-stamped per-network
-// scratch arrays, and SendFn carries a pre-bound callback through the
-// event queue without a closure.
+// per-destination broadcast bindings come from a freelist, Broadcast's tree
+// state lives in per-network scratch arrays, and SendFn and Broadcast
+// carry pre-bound callbacks through the event queue without a closure.
 package noc
 
 import (
@@ -49,10 +53,11 @@ func (c Config) Nodes() int { return c.Width * c.Height }
 // each count one injection (Packets) however many endpoints receive the
 // packet, while Deliveries counts endpoint arrivals. A Broadcast to k
 // destinations is therefore 1 injection / k deliveries (the in-network
-// tree replicates), whereas Multicast to the same k is k injections / k
-// deliveries (source-side replication, one Send per destination). TotalLat
-// accumulates per-*delivery* latency, so mean latency must divide by
-// Deliveries — dividing by Packets inflates broadcast latency by up to k.
+// tree replicates), whereas k Sends to the same destinations are k
+// injections / k deliveries (source-side replication, as the directory
+// protocol sends predicted requests). TotalLat accumulates per-*delivery*
+// latency, so mean latency must divide by Deliveries — dividing by Packets
+// inflates broadcast latency by up to k.
 type Stats struct {
 	Packets     uint64 // packets injected (one per Send, one per Broadcast)
 	Deliveries  uint64 // endpoint arrivals (k per Broadcast to k destinations)
@@ -88,24 +93,25 @@ type Observer interface {
 	Deliver(lat event.Time)
 }
 
-// nodeCb is a pooled per-destination delivery binding for Multicast and
-// Broadcast: deliverNode unpacks it, returns it to the network's freelist,
-// and invokes fn(d) — so fanning out to k endpoints allocates nothing in
+// nodeCb is a pooled per-destination delivery binding for Broadcast:
+// deliverNode unpacks it, returns it to the network's freelist, and
+// invokes fn(d, arg) — so fanning out to k endpoints allocates nothing in
 // steady state.
 //
 //spcoh:pooled
 type nodeCb struct {
 	net *Network
-	fn  func(arch.NodeID)
+	fn  func(arch.NodeID, any)
+	arg any
 	d   arch.NodeID
 }
 
 //spcoh:noalloc
 func deliverNode(a any) {
 	c := a.(*nodeCb)
-	net, fn, d := c.net, c.fn, c.d
+	net, fn, arg, d := c.net, c.fn, c.arg, c.d
 	net.putNodeCb(c)
-	fn(d)
+	fn(d, arg)
 }
 
 // Network is a mesh instance bound to a simulator clock.
@@ -117,12 +123,14 @@ type Network struct {
 	stats     Stats
 	obs       Observer
 
-	// bcHead/bcStamp replace Broadcast's former per-call map: bcHead[l] is
-	// the head-flit time after tree link l, valid iff bcStamp[l] == bcEpoch
-	// (stamping avoids clearing the scratch between broadcasts).
-	bcHead  []event.Time
-	bcStamp []uint64
-	bcEpoch uint64
+	// col[id] and row[id] are node id's mesh coordinates.
+	col, row []int
+
+	// Scratch, rewritten by every packet: headAt[id] is the current
+	// packet's head-flit time at node id (claim), and colLo[x]/colHi[x]
+	// are the row span a broadcast tree covers in column x (treeExtent).
+	headAt       []event.Time
+	colLo, colHi []int
 
 	// cbPool is the nodeCb freelist.
 	cbPool []*nodeCb
@@ -137,13 +145,20 @@ func New(sim *event.Sim, cfg Config) *Network {
 		panic(fmt.Sprintf("noc: %d nodes exceeds arch.MaxNodes", cfg.Nodes()))
 	}
 	// 4 directed links per node (N,E,S,W); edge links exist but are unused.
-	links := cfg.Nodes() * 4
-	return &Network{
+	nodes := cfg.Nodes()
+	n := &Network{
 		cfg: cfg, sim: sim,
-		busyUntil: make([]event.Time, links),
-		bcHead:    make([]event.Time, links),
-		bcStamp:   make([]uint64, links),
+		busyUntil: make([]event.Time, nodes*4),
+		col:       make([]int, nodes),
+		row:       make([]int, nodes),
+		headAt:    make([]event.Time, nodes),
+		colLo:     make([]int, cfg.Width),
+		colHi:     make([]int, cfg.Width),
 	}
+	for id := range nodes {
+		n.col[id], n.row[id] = id%cfg.Width, id/cfg.Width
+	}
+	return n
 }
 
 // Config returns the network configuration.
@@ -160,9 +175,7 @@ func (n *Network) SetObserver(o Observer) { n.obs = o }
 func (n *Network) NumLinks() int { return len(n.busyUntil) }
 
 // XY returns the mesh coordinates of a node.
-func (n *Network) XY(id arch.NodeID) (x, y int) {
-	return int(id) % n.cfg.Width, int(id) / n.cfg.Width
-}
+func (n *Network) XY(id arch.NodeID) (x, y int) { return n.col[id], n.row[id] }
 
 // NodeAt returns the node at mesh coordinates (x, y).
 func (n *Network) NodeAt(x, y int) arch.NodeID {
@@ -171,9 +184,7 @@ func (n *Network) NodeAt(x, y int) arch.NodeID {
 
 // Hops returns the Manhattan distance between two nodes.
 func (n *Network) Hops(a, b arch.NodeID) int {
-	ax, ay := n.XY(a)
-	bx, by := n.XY(b)
-	return abs(ax-bx) + abs(ay-by)
+	return abs(n.col[a]-n.col[b]) + abs(n.row[a]-n.row[b])
 }
 
 const (
@@ -183,51 +194,28 @@ const (
 	dirSouth
 )
 
-// linkIndex identifies the directed link leaving node id in direction dir.
-func (n *Network) linkIndex(id arch.NodeID, dir int) int { return int(id)*4 + dir }
+// leg is a straight run of hops directed links: the first leaves node in
+// direction dir, and each next one leaves the node step indices further
+// on (±1 east or west, ±Width south or north), i.e. 4·step link indices.
+type leg struct{ node, dir, step, hops int }
 
-// routeIter walks the X-Y route from src to dst one directed link at a
-// time. It is a plain value (no backing slice), so hot paths walk routes
-// without allocating; Route materializes a slice for tests and debugging.
-type routeIter struct {
-	n      *Network
-	x, y   int // current coordinates
-	dx, dy int // destination coordinates
-	cur    arch.NodeID
-}
-
-func (n *Network) routeFrom(src, dst arch.NodeID) routeIter {
-	x, y := n.XY(src)
-	dx, dy := n.XY(dst)
-	return routeIter{n: n, x: x, y: y, dx: dx, dy: dy, cur: src}
-}
-
-// next returns the next directed link on the route, or ok=false at dst.
-func (it *routeIter) next() (link int, ok bool) {
-	n := it.n
-	if it.x != it.dx {
-		var dir int
-		if it.x < it.dx {
-			dir, it.x = dirEast, it.x+1
-		} else {
-			dir, it.x = dirWest, it.x-1
-		}
-		link = n.linkIndex(it.cur, dir)
-		it.cur = n.NodeAt(it.x, it.y)
-		return link, true
+// xyLegs returns the X leg, then the Y leg, of the X-Y route from src to
+// dst. A leg with no hops is empty.
+func (n *Network) xyLegs(src, dst arch.NodeID) (x, y leg) {
+	sx, sy := n.col[src], n.row[src]
+	dx, dy := n.col[dst], n.row[dst]
+	if dx > sx {
+		x = leg{int(src), dirEast, 1, dx - sx}
+	} else {
+		x = leg{int(src), dirWest, -1, sx - dx}
 	}
-	if it.y != it.dy {
-		var dir int
-		if it.y < it.dy {
-			dir, it.y = dirSouth, it.y+1
-		} else {
-			dir, it.y = dirNorth, it.y-1
-		}
-		link = n.linkIndex(it.cur, dir)
-		it.cur = n.NodeAt(it.x, it.y)
-		return link, true
+	corner := int(src) + dx - sx
+	if dy > sy {
+		y = leg{corner, dirSouth, n.cfg.Width, dy - sy}
+	} else {
+		y = leg{corner, dirNorth, -n.cfg.Width, sy - dy}
 	}
-	return 0, false
+	return x, y
 }
 
 // Route returns the sequence of directed links a packet traverses from src
@@ -237,9 +225,11 @@ func (n *Network) Route(src, dst arch.NodeID) []int {
 		return nil
 	}
 	links := make([]int, 0, n.Hops(src, dst))
-	it := n.routeFrom(src, dst)
-	for l, ok := it.next(); ok; l, ok = it.next() {
-		links = append(links, l)
+	x, y := n.xyLegs(src, dst)
+	for _, g := range [2]leg{x, y} {
+		for i, l := 0, g.node*4+g.dir; i < g.hops; i, l = i+1, l+4*g.step {
+			links = append(links, l)
+		}
 	}
 	return links
 }
@@ -334,14 +324,15 @@ func (n *Network) send(src, dst arch.NodeID, payloadBytes int, deliver func(), p
 
 	// Head-flit time advances hop by hop; each link is held for the packet's
 	// serialization time starting when the head flit enters it.
-	head := now + n.cfg.RouterDelay // source router/injection
+	n.headAt[src] = now + n.cfg.RouterDelay // source router/injection
 	ser := event.Time(flits) * n.cfg.LinkDelay
-	it := n.routeFrom(src, dst)
-	for l, ok := it.next(); ok; l, ok = it.next() {
-		head = n.occupyLink(l, head, ser)
-		n.stats.FlitHops += uint64(flits)
-		n.stats.RouterHops++
-	}
+	x, y := n.xyLegs(src, dst)
+	n.claim(x, ser)
+	n.claim(y, ser)
+	head := n.headAt[dst]
+	hops := uint64(x.hops + y.hops)
+	n.stats.FlitHops += uint64(flits) * hops
+	n.stats.RouterHops += hops
 	// Tail flit trails the head by the serialization time of the last link.
 	arrival := head + ser - n.cfg.LinkDelay
 	if arrival < head {
@@ -350,31 +341,53 @@ func (n *Network) send(src, dst arch.NodeID, payloadBytes int, deliver func(), p
 	n.deliverAt(arrival, arrival-now, deliver, pfn, arg)
 }
 
-func (n *Network) getNodeCb(fn func(arch.NodeID), d arch.NodeID) *nodeCb {
+// claim occupies g's links in path order for a packet whose head flit is
+// at g.node at headAt[g.node], and records in headAt the head-flit time at
+// each node the leg reaches.
+//
+//spcoh:noalloc
+func (n *Network) claim(g leg, ser event.Time) {
+	head, node, stride := n.headAt[g.node], g.node, 4*g.step
+	for i, l := 0, g.node*4+g.dir; i < g.hops; i, l = i+1, l+stride {
+		head = n.occupyLink(l, head, ser)
+		node += g.step
+		n.headAt[node] = head
+	}
+}
+
+func (n *Network) getNodeCb(fn func(arch.NodeID, any), arg any, d arch.NodeID) *nodeCb {
 	if k := len(n.cbPool); k > 0 {
 		c := n.cbPool[k-1]
 		n.cbPool = n.cbPool[:k-1]
-		c.fn, c.d = fn, d
+		c.fn, c.arg, c.d = fn, arg, d
 		return c
 	}
-	return &nodeCb{net: n, fn: fn, d: d}
+	return &nodeCb{net: n, fn: fn, arg: arg, d: d}
 }
 
 func (n *Network) putNodeCb(c *nodeCb) {
-	c.fn = nil
+	c.fn, c.arg = nil, nil
 	n.cbPool = append(n.cbPool, c)
 }
 
-// Multicast sends an identical packet to every member of dsts, invoking
-// deliver(node) at each arrival. Replication happens at the source (no
-// in-network multicast trees), matching the paper's multicast cost model
-// for *predicted* requests, which target a handful of nodes.
-//
-//spcoh:noalloc
-func (n *Network) Multicast(src arch.NodeID, dsts arch.SharerSet, payloadBytes int, deliver func(arch.NodeID)) {
-	dsts.ForEach(func(d arch.NodeID) { //spvet:allow noalloc -- inlined getNodeCb: cold-path freelist refill
-		n.send(src, d, payloadBytes, nil, deliverNode, n.getNodeCb(deliver, d))
+// treeExtent returns the column span [lo, hi] of the X-Y broadcast tree
+// from src to dsts and sets colLo[x]/colHi[x] to the row span the tree
+// covers in each column x of it. The tree is the union of the X-Y routes:
+// row sy from column lo to hi, then in each column x the links from row sy
+// out to colLo[x] and colHi[x]. It has (hi−lo) + Σ(colHi[x]−colLo[x])
+// links.
+func (n *Network) treeExtent(src arch.NodeID, dsts arch.SharerSet) (lo, hi int) {
+	sx, sy := n.col[src], n.row[src]
+	for x := range n.colLo {
+		n.colLo[x], n.colHi[x] = sy, sy
+	}
+	lo, hi = sx, sx
+	dsts.ForEach(func(d arch.NodeID) {
+		x, y := n.col[d], n.row[d]
+		lo, hi = min(lo, x), max(hi, x)
+		n.colLo[x], n.colHi[x] = min(n.colLo[x], y), max(n.colHi[x], y)
 	})
+	return lo, hi
 }
 
 // Broadcast delivers a packet to every member of dsts along an in-network
@@ -382,42 +395,53 @@ func (n *Network) Multicast(src arch.NodeID, dsts arch.SharerSet, payloadBytes i
 // the packet exactly once. This models the replicating, totally-ordered
 // fabric the paper assumes for its snooping comparison (§5.1); source-side
 // replication would serialize 15 packets through one injection port and
-// unfairly penalize broadcast.
+// unfairly penalize broadcast. fn(d, arg) runs at each destination d's
+// arrival, in ascending order of d within a cycle; with a pointer-shaped
+// arg a warm broadcast allocates nothing.
+//
+// The tree is claimed in one pass, row links outward from src and then
+// each column's links outward from the row. Each link's head-flit time
+// depends only on links upstream of it, and each link is claimed once, so
+// occupancy, stalls and arrivals are those of walking every destination's
+// route in turn.
 //
 //spcoh:noalloc
-func (n *Network) Broadcast(src arch.NodeID, dsts arch.SharerSet, payloadBytes int, deliver func(arch.NodeID)) {
+func (n *Network) Broadcast(src arch.NodeID, dsts arch.SharerSet, payloadBytes int, fn func(arch.NodeID, any), arg any) {
 	now := n.sim.Now()
 	flits := n.Flits(payloadBytes)
 	ser := event.Time(flits) * n.cfg.LinkDelay
-	n.bcEpoch++
 	n.stats.Packets++
 	n.stats.Bytes += uint64(flits * n.cfg.FlitBytes)
+
+	lo, hi := n.treeExtent(src, dsts)
+	sx, sy, w := n.col[src], n.row[src], n.cfg.Width
+	n.headAt[src] = now + n.cfg.RouterDelay
+	n.claim(leg{int(src), dirEast, 1, hi - sx}, ser)
+	n.claim(leg{int(src), dirWest, -1, sx - lo}, ser)
+	links := hi - lo
+	for x := lo; x <= hi; x++ {
+		r := int(src) + x - sx // (x, sy)
+		n.claim(leg{r, dirSouth, w, n.colHi[x] - sy}, ser)
+		n.claim(leg{r, dirNorth, -w, sy - n.colLo[x]}, ser)
+		links += n.colHi[x] - n.colLo[x]
+	}
+	n.stats.FlitHops += uint64(flits * links)
+	n.stats.RouterHops += uint64(links)
+
 	dsts.ForEach(func(d arch.NodeID) { //spvet:allow noalloc -- inlined getNodeCb: cold-path freelist refill
 		if d == src {
 			// Loopback is a delivery like any other: it costs the local
 			// router traversal and is counted in Deliveries/TotalLat
 			// (mirroring Send's src == dst path).
-			n.deliverAt(now+n.cfg.RouterDelay, n.cfg.RouterDelay, nil, deliverNode, n.getNodeCb(deliver, d))
+			n.deliverAt(now+n.cfg.RouterDelay, n.cfg.RouterDelay, nil, deliverNode, n.getNodeCb(fn, arg, d))
 			return
 		}
-		head := now + n.cfg.RouterDelay
-		it := n.routeFrom(src, d)
-		for l, ok := it.next(); ok; l, ok = it.next() {
-			if n.bcStamp[l] == n.bcEpoch {
-				head = n.bcHead[l] // link already carries the packet for this subtree
-				continue
-			}
-			head = n.occupyLink(l, head, ser)
-			n.bcHead[l] = head
-			n.bcStamp[l] = n.bcEpoch
-			n.stats.FlitHops += uint64(flits)
-			n.stats.RouterHops++
-		}
+		head := n.headAt[d]
 		arrival := head + ser - n.cfg.LinkDelay
 		if arrival < head {
 			arrival = head
 		}
-		n.deliverAt(arrival, arrival-now, nil, deliverNode, n.getNodeCb(deliver, d))
+		n.deliverAt(arrival, arrival-now, nil, deliverNode, n.getNodeCb(fn, arg, d))
 	})
 }
 

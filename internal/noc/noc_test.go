@@ -150,20 +150,6 @@ func TestFartherIsSlower(t *testing.T) {
 	}
 }
 
-func TestMulticast(t *testing.T) {
-	sim, n := newNet()
-	got := arch.EmptySet
-	dsts := arch.SetOf(1, 4, 15)
-	n.Multicast(0, dsts, 8, func(d arch.NodeID) { got = got.Add(d) })
-	sim.Run()
-	if got != dsts {
-		t.Fatalf("multicast delivered to %v, want %v", got, dsts)
-	}
-	if n.Stats().Packets != 3 {
-		t.Fatalf("packets = %d, want 3", n.Stats().Packets)
-	}
-}
-
 func TestStatsAccounting(t *testing.T) {
 	sim, n := newNet()
 	n.Send(0, 3, 64, func() {}) // 3 hops, 5 flits
@@ -191,7 +177,7 @@ func TestBroadcastAvgLatencyIsPerDelivery(t *testing.T) {
 	sim, n := newNet()
 	dsts := arch.SetOf(1, 5, 15)
 	arrivals := make(map[arch.NodeID]event.Time)
-	n.Broadcast(0, dsts, 8, func(d arch.NodeID) { arrivals[d] = sim.Now() })
+	n.Broadcast(0, dsts, 8, func(d arch.NodeID, _ any) { arrivals[d] = sim.Now() }, nil)
 	sim.Run()
 
 	s := n.Stats()
@@ -237,7 +223,7 @@ func TestBroadcastDeliveriesPerDestination(t *testing.T) {
 			dsts = dsts.Add(arch.NodeID(d))
 		}
 		got := 0
-		n.Broadcast(0, dsts, 8, func(arch.NodeID) { got++ })
+		n.Broadcast(0, dsts, 8, func(arch.NodeID, any) { got++ }, nil)
 		sim.Run()
 		if got != k {
 			t.Fatalf("k=%d: delivered %d times", k, got)
@@ -248,14 +234,17 @@ func TestBroadcastDeliveriesPerDestination(t *testing.T) {
 	}
 }
 
-// Invariant: Send and Multicast keep Deliveries == Packets (each fan-out
-// leg of a Multicast is a source-replicated packet — the documented
-// asymmetry with Broadcast), including local delivery.
+// Invariant: Send keeps Deliveries == Packets, including local delivery,
+// so source-side replication to k destinations (k Sends, as predicted
+// requests go out) is k injections / k deliveries — the documented
+// asymmetry with Broadcast.
 func TestSendAndMulticastDeliveriesMatchPackets(t *testing.T) {
 	sim, n := newNet()
 	n.Send(0, 1, 8, func() {})
 	n.Send(3, 3, 64, func() {}) // local
-	n.Multicast(0, arch.SetOf(2, 7, 9), 8, func(arch.NodeID) {})
+	for _, d := range []arch.NodeID{2, 7, 9} {
+		n.Send(0, d, 8, func() {})
+	}
 	sim.Run()
 	s := n.Stats()
 	if s.Packets != 5 || s.Deliveries != 5 {
@@ -276,7 +265,7 @@ func TestBroadcastStallMatchesSend(t *testing.T) {
 	simB, b := newNet()
 	b.Send(0, 1, 64, func() {}) // same contention
 	var bcastArrival event.Time
-	b.Broadcast(0, arch.SetOf(1), 8, func(arch.NodeID) { bcastArrival = simB.Now() })
+	b.Broadcast(0, arch.SetOf(1), 8, func(arch.NodeID, any) { bcastArrival = simB.Now() }, nil)
 	simB.Run()
 	bcastStalls := b.Stats().StallCycles
 

@@ -29,7 +29,9 @@ func (c digestCell) key() string {
 // digestCells lists every pinned run: each built-in profile under all three
 // protocol kinds on the 4x4 mesh at two seeds, plus three profiles under
 // the directory with and without the SP-predictor on the 8x8 and 16x16
-// meshes.
+// meshes, and under broadcast snooping on the 8x8 mesh. (A 16x16
+// broadcast cell takes 25-85 s; noc's differential test covers that
+// geometry instead.)
 func digestCells() []digestCell {
 	var cells []digestCell
 	for _, name := range workload.Builtin().Names() {
@@ -41,7 +43,11 @@ func digestCells() []digestCell {
 	}
 	for _, threads := range []int{64, 256} {
 		for _, name := range []string{"ocean", "water-ns", "vips"} {
-			for _, kind := range []string{"dir", "sp"} {
+			kinds := []string{"dir", "sp"}
+			if threads == 64 {
+				kinds = append(kinds, "bcast")
+			}
+			for _, kind := range kinds {
 				cells = append(cells, digestCell{name, threads, kind, 3, 0.01})
 			}
 		}
@@ -227,10 +233,13 @@ var pinnedDigests = map[string]string{
 	"x264/16/bcast/2":          "46a466fc2a5868462bd3e2aa35b507db4e72cef3616d7ed8b64de2417f520ec4",
 	"ocean/64/dir/3":           "da1301f42241856a2839bd72b0cc186e28584f792c5539815bd58d6d814c22fd",
 	"ocean/64/sp/3":            "1c440a611da69eb2f039d45153527d4e24668f5ff80864c120733d5adbb9d7b7",
+	"ocean/64/bcast/3":         "b0edcab9f70ded67a60c94bb6a0dfed2652728ad321b9996965e018db4f59f76",
 	"water-ns/64/dir/3":        "72d75c852f113ab890cc77bf2fe760bb9fef511160d115405055c933e91f3d82",
 	"water-ns/64/sp/3":         "fa630452b7f9cab32e490cfa10ee3fb10a312c07b79e003a811e1f6760dadb0f",
+	"water-ns/64/bcast/3":      "30e53f128639f1c5856c26b83a53a397e888995ec90138d02e223c24ccf8a240",
 	"vips/64/dir/3":            "a9dec715adea406d8d42b59cd38af4830b44020fa16a75f5ff53c54f3f48ed89",
 	"vips/64/sp/3":             "bf85557129471d6c756afcef4b3f4be9a3c119fa2f8bb0aff9212070ab6ae47e",
+	"vips/64/bcast/3":          "59db49bb0b8170d05fab749788740f66623c6ce4bd2636076d4c8482f5bd73e8",
 	"ocean/256/dir/3":          "74743ce5570e6661fbf756f6f4c7d111a007dee2268460b43e314be84edce9ec",
 	"ocean/256/sp/3":           "ef47b904d87ca83ca8077f321c464e0d9dfb146a0ee6eb865847b251ae07dce4",
 	"water-ns/256/dir/3":       "c104aa6ca243e91d0f8fbdd587facb4abb6ed960bfd36260d4d67368d7b2ab55",

@@ -53,8 +53,9 @@ type System struct {
 	Nodes []*Node
 
 	// arb is the per-line arbitration queue modeling the ordered
-	// interconnect: the head transaction owns the line.
-	arb map[arch.LineAddr][]*txn
+	// interconnect: arb[line] is the head transaction, which owns the line,
+	// and the queue behind it is linked through txn.next.
+	arb map[arch.LineAddr]*txn
 
 	// Fast selects the fast functional mode (DESIGN.md §15): each miss's
 	// broadcast transaction executes as one atomic virtual-time cascade at
@@ -200,15 +201,19 @@ type txn struct {
 	done         func()
 	waiters      []func()
 
-	// home is the home tile once its speculative fetch is launched; memSent
-	// stamps the memory data's injection time for the metrics observer.
-	home    *Node
-	memSent event.Time
+	// home is the home tile once its speculative fetch is launched; sent
+	// and memSent stamp the snoop broadcast's and the memory data's
+	// injection times for the metrics observer.
+	home          *Node
+	sent, memSent event.Time
+
+	// next is the transaction queued behind this one in arb.
+	next *txn
 }
 
 // New assembles a snoop system.
 func New(sim *event.Sim, cfg protocol.Config) *System {
-	s := &System{Cfg: cfg, Sim: sim, Net: noc.New(sim, cfg.NoC), arb: make(map[arch.LineAddr][]*txn)}
+	s := &System{Cfg: cfg, Sim: sim, Net: noc.New(sim, cfg.NoC), arb: make(map[arch.LineAddr]*txn)}
 	s.Nodes = make([]*Node, cfg.Nodes)
 	for i := range s.Nodes {
 		s.Nodes[i] = &Node{sys: s, self: arch.NodeID(i), l1: cache.New(cfg.L1), l2: cache.New(cfg.L2),
@@ -362,11 +367,16 @@ func arbJoin(a any) {
 		n.sys.casc.Drain()
 		return
 	}
-	q := n.sys.arb[t.line]
-	n.sys.arb[t.line] = append(q, t)
-	if len(q) == 0 { // we are the head: go
+	head, busy := n.sys.arb[t.line]
+	if !busy { // we are the head: go
+		n.sys.arb[t.line] = t
 		n.broadcast(t)
+		return
 	}
+	for head.next != nil {
+		head = head.next
+	}
+	head.next = t
 }
 
 // broadcast sends the snoop request to every other tile along the fabric's
@@ -389,13 +399,8 @@ func (n *Node) broadcast(t *txn) {
 		}
 		return
 	}
-	sent := s.Sim.Now()
-	s.Net.Broadcast(n.self, dsts, protocol.ControlBytes, func(d arch.NodeID) {
-		if s.obs != nil && s.obs.Request != nil {
-			s.obs.Request(s.Sim.Now() - sent)
-		}
-		s.Nodes[d].snoop(t)
-	})
+	t.sent = s.Sim.Now()
+	s.Net.Broadcast(n.self, dsts, protocol.ControlBytes, snoopArrive, t)
 	// The home's memory controller sees the ordered broadcast too and
 	// fetches speculatively; the fetch is cancelled if a cache supplies
 	// first (the HITM signal of bus-based snooping). When the requester is
@@ -403,6 +408,19 @@ func (n *Node) broadcast(t *txn) {
 	if t.kind != predictor.UpgradeMiss && s.Home(t.line) == n.self {
 		s.Sim.AfterFn(s.Cfg.MemLatency, localMemFetch, t)
 	}
+}
+
+// snoopArrive fires at each broadcast destination d: the snoop request
+// for transaction a reaches tile d.
+//
+//spcoh:noalloc
+func snoopArrive(d arch.NodeID, a any) {
+	t := a.(*txn)
+	s := t.node.sys
+	if s.obs != nil && s.obs.Request != nil {
+		s.obs.Request(s.Sim.Now() - t.sent)
+	}
+	s.Nodes[d].snoop(t)
 }
 
 // localMemFetch completes a requester-is-home speculative fetch: the data
@@ -570,16 +588,15 @@ func (n *Node) complete(t *txn) {
 	}
 
 	// Release the line arbitration and start the next queued request.
-	q := n.sys.arb[t.line]
-	if len(q) > 0 && q[0] == t {
-		q = q[1:]
+	head := n.sys.arb[t.line]
+	if head == t {
+		head, t.next = t.next, nil
 	}
-	if len(q) == 0 {
+	if head == nil {
 		delete(n.sys.arb, t.line)
 	} else {
-		n.sys.arb[t.line] = q
-		next := q[0]
-		next.node.broadcast(next)
+		n.sys.arb[t.line] = head
+		head.node.broadcast(head)
 	}
 
 	if n.sys.Fast {
