@@ -78,7 +78,6 @@ func run() int {
 	all := flag.Bool("all", false, "run every benchmark")
 	specPath := flag.String("spec", "", `scenario spec file instead of a built-in benchmark ("-" = stdin)`)
 	pred := flag.String("pred", "dir", "configuration: "+strings.Join(experiments.Kinds(), "|"))
-	modeFlag := flag.String("mode", "detailed", "simulation fidelity: detailed|fast (fast skips NoC contention; counts stay exact, timing is approximate)")
 	scale := flag.Float64("scale", 0.2, "workload scale factor")
 	seed := flag.Int64("seed", 42, "workload build seed")
 	threads := flag.Int("threads", 16, "thread/node count (a perfect-square mesh: 16, 64, 256, ...)")
@@ -120,16 +119,6 @@ func run() int {
 			*pred, strings.Join(experiments.Kinds(), ","))
 		return 2
 	}
-	mode, err := sim.ParseMode(*modeFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "spsim:", err)
-		return 2
-	}
-	// "detailed" (the flag default) runs as "", the spelling every other
-	// entry point uses for the detailed model.
-	if mode == sim.ModeDetailed {
-		mode = ""
-	}
 
 	if *metricsOut != "" && *metricsEpoch == 0 {
 		fmt.Fprintln(os.Stderr, "spsim: -metrics-out requires -metrics-epoch")
@@ -146,6 +135,7 @@ func run() int {
 	}
 
 	var spec *scenario.Spec
+	var err error
 	if *specPath != "" {
 		if *all {
 			fmt.Fprintln(os.Stderr, "spsim: -spec is incompatible with -all")
@@ -162,7 +152,7 @@ func run() int {
 		names = workload.Builtin().Names()
 	}
 	r := experiments.NewRunner(runcfg.RunConfig{Threads: *threads, Scale: *scale, Seed: *seed,
-		MetricsEpoch: *metricsEpoch, Mode: string(mode)})
+		MetricsEpoch: *metricsEpoch})
 	if spec != nil {
 		names = []string{spec.Name}
 		r.Spec = spec

@@ -12,23 +12,13 @@
 //	               [-summary results/BENCH_sweep.json]
 //	spsweep resume [-jobs N] [-timeout ...] [-retries ...] [-dir ...]
 //	               [-format ...] [-summary ...]       # continue an interrupted sweep
-//	spsweep status [-dir ...] | [-server URL [-sweep ID]]
-//	                                                  # completion state; exits non-zero
+//	spsweep status [-dir ...] [-v]                    # completion state; exits non-zero
 //	                                                  # when any cell terminally failed
 //	spsweep list   [matrix flags]                     # expanded jobs + digests
-//	spsweep run     -server URL [matrix flags]        # submit to spsweepd, stream, merge
-//	spsweep work    -server URL [-jobs N] [-drain]    # remote worker: lease/execute/push
-//	spsweep results -server URL [-sweep ID]           # fetch a finished sweep's merge
-//	spsweep xval    [matrix flags] [-jobs N] [-threshold 0.05]
-//	                [-out results/BENCH_xval.json]    # detailed-vs-fast cross-validation
-//
-// Server commands take -token (default $SPSWEEPD_TOKEN) when the daemon
-// requires bearer-token authentication.
 //
 // The merged output (stdout) is sorted by job key and byte-identical for
-// any -jobs value — and, in server mode, for any worker count,
-// distribution or server restart; timing and scheduling details go to
-// stderr and the -summary file.
+// any -jobs value; timing and scheduling details go to stderr and the
+// -summary file.
 package main
 
 import (
@@ -47,7 +37,6 @@ import (
 	"spcoh/internal/scenario"
 	"spcoh/internal/sim"
 	"spcoh/internal/sweep"
-	"spcoh/internal/sweepd"
 	"spcoh/internal/workload"
 )
 
@@ -66,12 +55,6 @@ func main() {
 		err = cmdStatus(os.Args[2:])
 	case "list":
 		err = cmdList(os.Args[2:])
-	case "work":
-		err = cmdWork(os.Args[2:])
-	case "results":
-		err = cmdResults(os.Args[2:])
-	case "xval":
-		err = cmdXval(os.Args[2:])
 	case "-h", "-help", "--help", "help":
 		usage()
 		return
@@ -87,18 +70,13 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: spsweep <run|resume|status|list|work|results|xval> [flags]
+	fmt.Fprintln(os.Stderr, `usage: spsweep <run|resume|status|list> [flags]
 
   run     execute a sweep matrix, checkpointing each finished job
-          (-server URL submits it to a spsweepd daemon instead)
   resume  continue the interrupted sweep recorded in the store's manifest
-  status  report completion state of a store or a spsweepd server;
+  status  report completion state of a store;
           exits non-zero when any cell terminally failed
   list    print the expanded job matrix and digests
-  work    serve a spsweepd daemon as a remote worker (lease/execute/push)
-  results fetch a finished sweep's merged results from a spsweepd server
-  xval    cross-validate: run a matrix in both detailed and fast mode and
-          report the per-cell divergence (DESIGN.md §15)
 
 Run 'spsweep <subcommand> -h' for flags.`)
 }
@@ -110,7 +88,6 @@ type matrixFlags struct {
 	threads                     *int
 	quick                       *bool
 	metricsEpoch                *uint64
-	mode                        *string
 }
 
 func addMatrixFlags(fs *flag.FlagSet) *matrixFlags {
@@ -123,7 +100,6 @@ func addMatrixFlags(fs *flag.FlagSet) *matrixFlags {
 		threads:      fs.Int("threads", 16, "threads per workload (must match the machine's node count)"),
 		quick:        fs.Bool("quick", false, "shorthand for -scales 0.25"),
 		metricsEpoch: fs.Uint64("metrics-epoch", 0, "metrics sampling epoch in cycles for every cell (0 = no metrics)"),
-		mode:         fs.String("mode", "detailed", "simulation fidelity for every cell: detailed|fast (DESIGN.md §15)"),
 	}
 }
 
@@ -175,16 +151,6 @@ func (m *matrixFlags) matrix() (sweep.Matrix, error) {
 		}
 		scaleVals = append(scaleVals, v)
 	}
-	// "detailed" (the flag default) stores as "" so explicit and implicit
-	// default spellings produce one matrix digest.
-	md, err := sim.ParseMode(*m.mode)
-	if err != nil {
-		return sweep.Matrix{}, err
-	}
-	mode := ""
-	if md == sim.ModeFast {
-		mode = string(sim.ModeFast)
-	}
 	mat := sweep.Matrix{
 		Benches:      benches,
 		Specs:        specRefs,
@@ -193,9 +159,8 @@ func (m *matrixFlags) matrix() (sweep.Matrix, error) {
 		Scales:       scaleVals,
 		Threads:      *m.threads,
 		MetricsEpoch: *m.metricsEpoch,
-		Mode:         mode,
 	}
-	return mat, sweepd.ValidateMatrix(mat)
+	return mat, sweep.ValidateMatrix(mat)
 }
 
 func splitList(s string) []string {
@@ -235,11 +200,8 @@ func cmdRun(args []string, resume bool) error {
 	}
 	fs := flag.NewFlagSet("spsweep "+name, flag.ExitOnError)
 	var mf *matrixFlags
-	var server, token *string
 	if !resume {
 		mf = addMatrixFlags(fs)
-		server = fs.String("server", "", "submit to this spsweepd base URL instead of running locally")
-		token = serverTokenFlag(fs)
 	}
 	jobs := fs.Int("jobs", runtime.NumCPU(), "worker pool size")
 	timeout := fs.Duration("timeout", 0, "per-attempt wall-clock timeout (0 = none)")
@@ -260,11 +222,6 @@ func cmdRun(args []string, resume bool) error {
 			return err
 		}
 		matrix = m
-		if *server != "" {
-			ctx, stop := signalContext()
-			defer stop()
-			return serverRun(ctx, *server, *token, matrix, *format)
-		}
 	}
 
 	store, err := sweep.Open(*dir)
@@ -350,15 +307,8 @@ func cmdRun(args []string, resume bool) error {
 func cmdStatus(args []string) error {
 	fs := flag.NewFlagSet("spsweep status", flag.ExitOnError)
 	dir := fs.String("dir", "results/sweep", "artifact store directory")
-	server := fs.String("server", "", "query this spsweepd base URL instead of a local store")
-	token := serverTokenFlag(fs)
-	sweepID := fs.String("sweep", "", "with -server: show one sweep's jobs")
-	verbose := fs.Bool("v", false, "list pending job keys (with -server: done jobs too)")
+	verbose := fs.Bool("v", false, "list pending job keys")
 	fs.Parse(args)
-
-	if *server != "" {
-		return serverStatus(*server, *token, *sweepID, *verbose)
-	}
 
 	store, err := sweep.Open(*dir)
 	if err != nil {
@@ -403,16 +353,6 @@ func cmdStatus(args []string) error {
 		return fmt.Errorf("%d job(s) terminally failed", len(failed))
 	}
 	return nil
-}
-
-// newFlagSet builds a flag set with the conventional error mode.
-func newFlagSet(name string) *flag.FlagSet {
-	return flag.NewFlagSet(name, flag.ExitOnError)
-}
-
-// signalContext is the conventional SIGINT/SIGTERM run context.
-func signalContext() (context.Context, context.CancelFunc) {
-	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 }
 
 func cmdList(args []string) error {

@@ -32,9 +32,10 @@
 // events have fired, instead of searching for the next event per firing.
 // FIFO still holds: while cycle T runs, every new event for T has delta 0
 // and lands at the tail of T's bucket, so the loop reaches it in
-// scheduling order. Step fires a single event and serves RunUntil,
-// RunWhile and budgeted callers.
+// scheduling order. Step fires a single event and serves RunUntil.
 package event
+
+import "fmt"
 
 // Time is a simulation timestamp in clock cycles.
 type Time uint64
@@ -222,19 +223,34 @@ func (s *Sim) schedule(t Time, e ev) {
 func (s *Sim) Pending() int { return s.ringCnt + len(s.far) }
 
 // scanRing returns the cycle of the earliest ring event, advancing cursor
-// past drained buckets. It must only be called when ringCnt > 0.
+// past drained buckets. It must only be called when ringCnt > 0. Every
+// ring event lies in [now, now+ringSize), so the scan stops after one
+// revolution: finding no event there means ringCnt disagrees with the
+// buckets, and the engine panics rather than spinning forever.
 //
 //spcoh:noalloc
 func (s *Sim) scanRing() Time {
 	if s.cursor < s.now {
 		s.cursor = s.now
 	}
-	for {
-		if !s.ring[uint64(s.cursor)&ringMask].empty() {
-			return s.cursor
-		}
+	for s.ring[uint64(s.cursor)&ringMask].empty() {
 		s.cursor++
+		if s.cursor-s.now >= ringSize {
+			panic(ringCorrupt{s})
+		}
 	}
+	return s.cursor
+}
+
+// ringCorrupt is the panic value of a ring whose event count disagrees
+// with its buckets. It holds only the engine pointer, so raising it
+// allocates nothing and scanRing stays small enough to inline; the
+// message is formatted only when the panic is printed.
+type ringCorrupt struct{ s *Sim }
+
+func (e ringCorrupt) Error() string {
+	return fmt.Sprintf("event: ring holds no event in one revolution but ringCnt = %d (cursor %d, now %d)",
+		e.s.ringCnt, e.s.cursor, e.s.now)
 }
 
 // NextTime returns the timestamp of the earliest pending event, and false
@@ -364,11 +380,5 @@ func (s *Sim) AdvanceTo(t Time) {
 	}
 	if t > s.now {
 		s.now = t
-	}
-}
-
-// RunWhile fires events while cond() holds and events remain.
-func (s *Sim) RunWhile(cond func() bool) {
-	for cond() && s.Step() {
 	}
 }

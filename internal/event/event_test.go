@@ -3,6 +3,7 @@ package event
 import (
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -135,15 +136,27 @@ func TestAdvanceTo(t *testing.T) {
 	}
 }
 
-func TestRunWhile(t *testing.T) {
+// TestScanRingCorruptPanics: a ring event count that disagrees with the
+// buckets must stop the engine with a diagnosable panic after one ring
+// revolution, not spin forever looking for an event that is not there.
+func TestScanRingCorruptPanics(t *testing.T) {
 	s := New()
-	count := 0
-	for i := 0; i < 100; i++ {
-		s.After(Time(i), func() { count++ })
+	s.After(3, func() {})
+	s.Run()
+	s.ringCnt = 1 // every bucket is empty
+	p := func() (p any) {
+		defer func() { p = recover() }()
+		s.Step()
+		return nil
+	}()
+	err, ok := p.(error)
+	if !ok {
+		t.Fatalf("Step on a corrupt ring: recovered %v, want an error panic", p)
 	}
-	s.RunWhile(func() bool { return count < 7 })
-	if count != 7 {
-		t.Fatalf("RunWhile stopped at %d, want 7", count)
+	for _, want := range []string{"ringCnt = 1", "cursor 515", "now 3"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("panic %q does not name %q", err, want)
+		}
 	}
 }
 

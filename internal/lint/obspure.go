@@ -29,7 +29,6 @@ var obsDeny = map[string]string{
 	"internal/event.Sim.Step":              "advances the simulation",
 	"internal/event.Sim.Run":               "advances the simulation",
 	"internal/event.Sim.RunUntil":          "advances the simulation",
-	"internal/event.Sim.RunWhile":          "advances the simulation",
 	"internal/event.Sim.SetObserver":       "re-wires observation mid-run",
 	"internal/noc.Network.Send":            "injects network traffic",
 	"internal/noc.Network.SendFn":          "injects network traffic",

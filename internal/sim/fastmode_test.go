@@ -5,8 +5,9 @@ package sim
 // interleaving is not timing-sensitive. The benchmarks pinned exact here
 // are structurally timing-independent at the tested scale (no lock
 // hand-off whose winner depends on miss latency); timing-sensitive ones
-// (facesim, dedup, ...) drift by a fraction of a percent and are
-// quantified by `spsweep xval` instead of gated here.
+// (facesim, dedup, ...) drift by a fraction of a percent and are not
+// gated. Fast mode has no command-line entry point; it stays only for the
+// sweep-fast-server perfbench workload (DESIGN.md §15).
 
 import (
 	"fmt"

@@ -5,25 +5,25 @@ import (
 	"testing"
 
 	"spcoh/internal/protocol"
+	"spcoh/internal/workload"
 )
 
-func TestMaxCyclesAborts(t *testing.T) {
-	prog := buildProgram(t, "ocean", 16, 0.2, 1)
-	opt := DefaultOptions()
-	opt.MaxCycles = 100 // far too few
-	_, err := Run(prog, opt)
-	if err == nil || !strings.Contains(err.Error(), "exceeded") {
-		t.Fatalf("expected MaxCycles abort, got %v", err)
+// TestDeadlockDetected: a run whose event queue drains while a core is
+// still blocked fails with a deadlock error instead of returning a result.
+// This is the guard that keeps a stuck cell from running forever.
+func TestDeadlockDetected(t *testing.T) {
+	cfg, err := protocol.ConfigFor(4)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestMaxCyclesGenerous(t *testing.T) {
-	prog := buildProgram(t, "x264", 16, 0.1, 1)
+	prog := workload.NewBuilder("stuck", 4, 1).Finish(1, 0)
+	// Only thread 0 reaches the barrier; the other three end without it.
+	prog.Threads[0] = append([]workload.Op{{Kind: workload.OpBarrier, Sync: 7, Addr: workload.BarrierAddr(7)}},
+		prog.Threads[0]...)
 	opt := DefaultOptions()
-	opt.MaxCycles = 1 << 40
-	res, err := Run(prog, opt)
-	if err != nil || res.Cycles == 0 {
-		t.Fatalf("generous MaxCycles must not abort: %v", err)
+	opt.Machine = cfg
+	if _, err := Run(prog, opt); err == nil || !strings.Contains(err.Error(), "deadlock") {
+		t.Fatalf("blocked core: got err %v, want a deadlock error", err)
 	}
 }
 

@@ -30,7 +30,9 @@ const (
 	Broadcast
 )
 
-// Mode selects the simulation fidelity (DESIGN.md §15).
+// Mode selects the simulation fidelity (DESIGN.md §15). No command
+// selects ModeFast: it stays only for the perfbench sweep-fast-server
+// workload.
 type Mode string
 
 const (
@@ -76,9 +78,6 @@ type Options struct {
 
 	// Energy model parameters; zero value uses defaults.
 	Energy energy.Params
-
-	// MaxCycles aborts runaway simulations (0 = no limit).
-	MaxCycles event.Time
 
 	// MetricsEpoch, when non-zero, attaches the run-time metrics collector
 	// sampling the whole system every MetricsEpoch cycles; the resulting
@@ -166,8 +165,7 @@ func (r *Result) CommRatio() float64 {
 }
 
 // Run executes a program to completion and returns measurements. It errors
-// on deadlock (cores unfinished with an empty event queue) or when
-// MaxCycles is exceeded.
+// on deadlock (cores unfinished with an empty event queue).
 func Run(prog *workload.Program, opt Options) (*Result, error) {
 	if opt.IssueWidth == 0 {
 		opt.IssueWidth = 2
@@ -258,21 +256,6 @@ func Run(prog *workload.Program, opt Options) (*Result, error) {
 		c.Start()
 	}
 
-	if opt.MaxCycles > 0 {
-		// Budget check via a peek loop rather than RunUntil: RunUntil now
-		// parks the clock at its limit (epoch-sampling semantics), which
-		// would inflate the reported Cycles of a run that finishes early.
-		for {
-			next, ok := s.NextTime()
-			if !ok || next > opt.MaxCycles {
-				break
-			}
-			s.Step()
-		}
-		if finished < n {
-			return nil, fmt.Errorf("sim: %s exceeded %d cycles (%d/%d cores done)", prog.Name, opt.MaxCycles, finished, n)
-		}
-	}
 	s.Run()
 	if finished < n {
 		return nil, fmt.Errorf("sim: deadlock in %s: %d/%d cores finished; %s", prog.Name, finished, n, co.Pending())

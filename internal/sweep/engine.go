@@ -26,8 +26,9 @@ type Options struct {
 	Workers int
 	// Timeout bounds one attempt's wall-clock time; 0 means no bound.
 	// A timed-out attempt's goroutine runs on to completion in the
-	// background (a simulation is not preemptible) — the in-band bound is
-	// sim.Options.MaxCycles inside the RunFunc; Timeout is the backstop.
+	// background (a simulation is not preemptible). A simulation cannot
+	// run forever: sim.Run stops at deadlock, when the event queue drains
+	// with cores unfinished, so Timeout bounds slow cells, not stuck ones.
 	Timeout time.Duration
 	// Retries is the number of additional attempts after a failed first
 	// one. Simulation failures are deterministic, so retries mainly cover

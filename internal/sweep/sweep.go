@@ -27,10 +27,17 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 
+	"spcoh/internal/experiments"
+	"spcoh/internal/protocol"
 	"spcoh/internal/runcfg"
+	"spcoh/internal/workload"
 )
 
 // Job is one independent cell of a sweep matrix: a single simulation of
@@ -182,4 +189,46 @@ func (m Matrix) Digest() string {
 		h.Write([]byte{'\n'})
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// ValidateMatrix rejects matrices no worker could run, before any job is
+// registered or the store is touched. spsweep applies it before a local
+// run and internal/sweepd at submit, so both refuse the same matrices.
+func ValidateMatrix(m Matrix) error {
+	if len(m.Benches) == 0 && len(m.Specs) == 0 {
+		return errors.New("empty matrix: no benchmarks and no specs")
+	}
+	for _, b := range m.Benches {
+		if _, ok := workload.Builtin().Lookup(b); !ok {
+			return fmt.Errorf("workload: unknown benchmark %q", b)
+		}
+	}
+	if len(m.Kinds) == 0 {
+		return errors.New("empty matrix: no kinds")
+	}
+	for _, k := range m.Kinds {
+		if !slices.Contains(experiments.Kinds(), k) {
+			return fmt.Errorf("unknown kind %q (have: %s)", k, strings.Join(experiments.Kinds(), ","))
+		}
+	}
+	if len(m.Seeds) == 0 {
+		return errors.New("empty matrix: no seeds")
+	}
+	if len(m.Scales) == 0 {
+		return errors.New("empty matrix: no scales")
+	}
+	for _, sc := range m.Scales {
+		if sc <= 0 {
+			return fmt.Errorf("bad scale %g", sc)
+		}
+	}
+	if _, err := protocol.ConfigFor(m.Threads); err != nil {
+		return fmt.Errorf("threads: %w", err)
+	}
+	switch m.Mode {
+	case "", "detailed", "fast":
+	default:
+		return fmt.Errorf("unknown mode %q (want detailed or fast)", m.Mode)
+	}
+	return nil
 }

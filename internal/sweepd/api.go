@@ -5,11 +5,11 @@
 // expiry → requeue with bounded attempts, per-job attempt history).
 //
 // Workers come in two forms sharing one code path (RunWorker +
-// sweep.RunAttempt): the server's in-process pool, and remote
-// `spsweep work -server <url>` processes that poll/lease/execute/push over
-// HTTP. Completed cells land in the shared sweep.Store, so a restarted
-// server resumes with zero recomputation, and the merge endpoint renders
-// results byte-identically to a local `spsweep run` of the same matrix:
+// sweep.RunAttempt): the server's in-process pool, and RunWorker driving a
+// *Client that polls/leases/executes/pushes over HTTP. Completed cells
+// land in the shared sweep.Store, so a restarted server resumes with zero
+// recomputation, and the merge endpoint renders results byte-identically
+// to a local sweep.Run of the same matrix:
 //
 //   - every cell is one deterministic simulation, so any worker, on any
 //     host, at any time produces the identical result bytes;
@@ -23,12 +23,14 @@
 // spvet's SimOnly checks (lint.DefaultIsSim) while remaining subject to
 // maprange/floatorder.
 //
+// No command serves or calls this package. It stays only for the perfbench
+// sweep-fast-server workload, and goes once that workload runs a local
+// sweep.Run instead (DESIGN.md §14).
+//
 // This file defines the wire types of the HTTP/JSON API (version 1, under
-// /api/v1). Authentication is a single shared bearer token (Options.Token
-// / the daemon's -token flag): when set, every request except the health
-// probe must carry "Authorization: Bearer <token>". A daemon bound to a
-// loopback address may run tokenless; binding a routable address without
-// a token requires the explicit -insecure flag. Request bodies are capped
+// /api/v1). Authentication is a single shared bearer token (Options.Token):
+// when set, every request except the health probe must carry
+// "Authorization: Bearer <token>". Request bodies are capped
 // (Options.MaxBodyBytes, default 8 MiB); oversized payloads get HTTP 413.
 package sweepd
 

@@ -13,10 +13,9 @@ import (
 	"spcoh/internal/sim"
 )
 
-// Client talks to a spsweepd server. It implements WorkerAPI, so
-// `spsweep work -server <url>` drives the exact worker loop (RunWorker)
-// that the daemon's in-process pool runs — the only difference is the
-// transport.
+// Client talks to a Server over HTTP. It implements WorkerAPI, so
+// RunWorker drives the exact worker loop through it that the server's
+// in-process pool runs — the only difference is the transport.
 type Client struct {
 	base  string
 	token string
@@ -34,7 +33,7 @@ func NewClient(base string) *Client {
 }
 
 // SetToken makes every subsequent request carry "Authorization: Bearer
-// <token>" — required against a daemon started with -token. An empty
+// <token>" — required against a Server with Options.Token set. An empty
 // token sends no header.
 func (c *Client) SetToken(token string) { c.token = token }
 

@@ -9,18 +9,14 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"sync"
 	"time"
 
 	"spcoh/internal/detutil"
-	"spcoh/internal/experiments"
-	"spcoh/internal/protocol"
 	"spcoh/internal/scenario"
 	"spcoh/internal/sim"
 	"spcoh/internal/sweep"
-	"spcoh/internal/workload"
 )
 
 // Options configures a Server.
@@ -51,8 +47,7 @@ type Options struct {
 	// inject stubs here.
 	Exec ExecFunc
 	// Token, when non-empty, requires every API request (except the
-	// health probe) to carry "Authorization: Bearer <Token>". The daemon
-	// refuses to bind a non-loopback address without one unless forced.
+	// health probe) to carry "Authorization: Bearer <Token>".
 	Token string
 	// MaxBodyBytes caps every request body; a larger payload is rejected
 	// with 413 before the decoder buffers it. Default 8 MiB — an order of
@@ -216,7 +211,7 @@ func (s *Server) specPath(digest string) string {
 // state and artifact.
 func (s *Server) Submit(req *SubmitRequest) (*SubmitResponse, error) {
 	m := req.Matrix
-	if err := ValidateMatrix(m); err != nil {
+	if err := sweep.ValidateMatrix(m); err != nil {
 		return nil, err
 	}
 	// Re-home specs: every SpecRef must arrive with content hashing to
@@ -312,7 +307,7 @@ func (s *Server) sweepIDs() []string {
 // sweep: jobs in key order, results recalled from the content-addressed
 // store, failures rendered exactly as the local engine renders them. The
 // bytes of every sweep.Format* rendering are therefore identical to a
-// local `spsweep run` of the same matrix, regardless of worker count,
+// local sweep.Run of the same matrix, regardless of worker count,
 // distribution, duplicate completions or server restarts.
 func (s *Server) report(ss *sweepState) (*sweep.Report, error) {
 	rep := &sweep.Report{}
@@ -425,54 +420,12 @@ func (s *Server) Fail(leaseID, errMsg string) error {
 	return nil
 }
 
-// ValidateMatrix rejects matrices no worker could run, before any job is
-// registered. The server applies it at submit and spsweep before a local
-// run, so both refuse the same matrices.
-func ValidateMatrix(m sweep.Matrix) error {
-	if len(m.Benches) == 0 && len(m.Specs) == 0 {
-		return errors.New("empty matrix: no benchmarks and no specs")
-	}
-	for _, b := range m.Benches {
-		if _, ok := workload.Builtin().Lookup(b); !ok {
-			return fmt.Errorf("workload: unknown benchmark %q", b)
-		}
-	}
-	if len(m.Kinds) == 0 {
-		return errors.New("empty matrix: no kinds")
-	}
-	for _, k := range m.Kinds {
-		if !slices.Contains(experiments.Kinds(), k) {
-			return fmt.Errorf("unknown kind %q (have: %s)", k, strings.Join(experiments.Kinds(), ","))
-		}
-	}
-	if len(m.Seeds) == 0 {
-		return errors.New("empty matrix: no seeds")
-	}
-	if len(m.Scales) == 0 {
-		return errors.New("empty matrix: no scales")
-	}
-	for _, sc := range m.Scales {
-		if sc <= 0 {
-			return fmt.Errorf("bad scale %g", sc)
-		}
-	}
-	if _, err := protocol.ConfigFor(m.Threads); err != nil {
-		return fmt.Errorf("threads: %w", err)
-	}
-	switch m.Mode {
-	case "", "detailed", "fast":
-	default:
-		return fmt.Errorf("unknown mode %q (want detailed or fast)", m.Mode)
-	}
-	return nil
-}
-
 // --- HTTP layer -------------------------------------------------------
 
 // Handler returns the server's HTTP API: the route mux behind two guards
 // applied to every request — the bearer-token check (when a token is
-// configured; the health probe stays open so load balancers and `spsweep
-// server status` can ping without credentials) and the request-body cap.
+// configured; the health probe stays open so load balancers can ping
+// without credentials) and the request-body cap.
 func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if s.opt.Token != "" && r.URL.Path != APIBase+"/healthz" {

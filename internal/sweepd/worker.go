@@ -14,9 +14,9 @@ import (
 )
 
 // WorkerAPI is everything a worker needs from its job source. Two
-// implementations share every caller: *Client (HTTP, for
-// `spsweep work -server`) and *Server (direct calls, for the daemon's
-// in-process pool) — one worker code path, two transports.
+// implementations share every caller: *Client (HTTP, for remote workers)
+// and *Server (direct calls, for the server's in-process pool) — one
+// worker code path, two transports.
 type WorkerAPI interface {
 	// Lease requests one job. A nil grant means no job is available;
 	// drained additionally means every known job is terminal.
@@ -76,8 +76,8 @@ type WorkerOptions struct {
 
 // RunWorker leases, executes and reports jobs until ctx is canceled (or,
 // with Drain, until the server has no work left). It is the one worker
-// code path: the daemon's in-process pool calls it with the Server itself
-// as api; `spsweep work` calls it with an HTTP *Client. Every attempt is
+// code path: the server's in-process pool calls it with the Server itself
+// as api; a remote worker calls it with an HTTP *Client. Every attempt is
 // contained by sweep.RunAttempt (panic → error, optional timeout), and
 // every scenario-spec cell re-verifies its spec content against the digest
 // in the job identity before executing.
