@@ -237,18 +237,25 @@ func TestInsertWideLinePanics(t *testing.T) {
 }
 
 // TestFootprintPaperL2 bounds what New allocates for the paper's L2 (1 MB,
-// 8-way): one 8-byte tag word per way plus the Cache header.
+// 8-way): one 8-byte tag word per way plus the Cache header. TotalAlloc is
+// process-wide, so a runtime allocation landing inside one measured window
+// would count against New; the smallest of several windows is New's own
+// cost.
 func TestFootprintPaperL2(t *testing.T) {
 	cfg := Config{Bytes: 1 << 20, Ways: 8}
 	ways := uint64(cfg.Sets() * cfg.Ways)
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	c := New(cfg)
-	runtime.ReadMemStats(&after)
-	runtime.KeepAlive(c)
+	got := ^uint64(0)
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		c := New(cfg)
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(c)
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
+	}
 	header := uint64(128)
-	if got := after.TotalAlloc - before.TotalAlloc; got > 8*ways+header {
+	if got > 8*ways+header {
 		t.Fatalf("New(1MB 8-way) allocated %d B, ceiling %d B (8 B per way for %d ways + %d B header)",
 			got, 8*ways+header, ways, header)
 	}

@@ -135,7 +135,7 @@ func (c *Core) step() {
 
 	case workload.OpRead, workload.OpWrite:
 		c.stats.MemOps++
-		c.port.Access(op.PC, op.Addr, op.Kind == workload.OpWrite, c.stepFn)
+		c.port.Access(op.Static, op.Addr, op.Kind == workload.OpWrite, c.stepFn)
 
 	case workload.OpBarrier:
 		c.stats.Barriers++
@@ -146,13 +146,13 @@ func (c *Core) step() {
 		// epoch's communication than in the paper's full-size runs (see
 		// DESIGN.md §1).
 		c.syncOp = op
-		c.rt.Barrier(c.ID, op.Sync, c.barrierFn)
+		c.rt.Barrier(c.ID, op.Static, c.barrierFn)
 
 	case workload.OpLock:
 		c.stats.Locks++
 		c.syncOp = op
 		// The runtime keys locks by their line address; the sync-point
-		// static ID (op.Sync) is a separate notion exposed to predictors.
+		// static ID (op.Static) is a separate notion exposed to predictors.
 		c.rt.Lock(c.ID, uint64(op.Addr), c.lockFn)
 
 	case workload.OpUnlock:
@@ -170,7 +170,7 @@ func (c *Core) step() {
 // barrierReleased resumes the core past a barrier: crossing it is the
 // sync-point exposed to the predictor.
 func (c *Core) barrierReleased() {
-	c.port.OnSync(predictor.SyncBarrier, c.syncOp.Sync)
+	c.port.OnSync(predictor.SyncBarrier, c.syncOp.Static)
 	c.stepFn()
 }
 
@@ -179,14 +179,14 @@ func (c *Core) barrierReleased() {
 // the lock line — a migratory, communicating miss coming from the previous
 // holder.
 func (c *Core) lockAcquired() {
-	c.port.OnSync(predictor.SyncLock, c.syncOp.Sync)
+	c.port.OnSync(predictor.SyncLock, c.syncOp.Static)
 	c.port.Access(0, c.syncOp.Addr, true, c.stepFn)
 }
 
 // unlockDone releases the lock once the release write completes.
 func (c *Core) unlockDone() {
 	op := c.syncOp
-	c.port.OnSync(predictor.SyncUnlock, op.Sync)
+	c.port.OnSync(predictor.SyncUnlock, op.Static)
 	c.rt.Unlock(c.ID, uint64(op.Addr))
 	c.stepFn()
 }
@@ -226,7 +226,7 @@ func (c *Core) fastStep() {
 			vt += d
 
 		case workload.OpRead, workload.OpWrite:
-			lat, ok := c.fastPort.AccessFast(op.PC, op.Addr, op.Kind == workload.OpWrite)
+			lat, ok := c.fastPort.AccessFast(op.Static, op.Addr, op.Kind == workload.OpWrite)
 			if ok {
 				c.ip++
 				c.stats.MemOps++
@@ -242,7 +242,7 @@ func (c *Core) fastStep() {
 			}
 			c.ip++
 			c.stats.MemOps++
-			c.port.Access(op.PC, op.Addr, op.Kind == workload.OpWrite, c.stepFn)
+			c.port.Access(op.Static, op.Addr, op.Kind == workload.OpWrite, c.stepFn)
 			return
 
 		default:

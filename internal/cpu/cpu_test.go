@@ -88,7 +88,7 @@ func TestBarrierBlocksUntilAllArrive(t *testing.T) {
 			ops = append(ops, workload.Op{Kind: workload.OpCompute, N: 2000})
 		}
 		ops = append(ops,
-			workload.Op{Kind: workload.OpBarrier, Sync: 7},
+			workload.Op{Kind: workload.OpBarrier, Static: 7},
 			workload.Op{Kind: workload.OpEnd})
 		return ops
 	})
@@ -106,9 +106,9 @@ func TestLockMutualExclusionFIFO(t *testing.T) {
 	// All cores contend for one lock; the lock body writes the lock line.
 	cores, stubs, _ := runOps(t, 4, func(tid int) []workload.Op {
 		return []workload.Op{
-			{Kind: workload.OpLock, Sync: 0xAA, Addr: arch.Addr(0xAA << 6)},
+			{Kind: workload.OpLock, Static: 0xAA, Addr: arch.Addr(0xAA << 6)},
 			{Kind: workload.OpCompute, N: 100},
-			{Kind: workload.OpUnlock, Sync: 0xAB, Addr: arch.Addr(0xAA << 6)},
+			{Kind: workload.OpUnlock, Static: 0xAB, Addr: arch.Addr(0xAA << 6)},
 			{Kind: workload.OpEnd},
 		}
 	})
@@ -147,8 +147,8 @@ func TestLockSyncBeforeLockLineAccess(t *testing.T) {
 	order := []string{}
 	wrap := &orderPort{inner: stub, order: &order}
 	c := New(0, sim, wrap, co, []workload.Op{
-		{Kind: workload.OpLock, Sync: 1, Addr: 0x40},
-		{Kind: workload.OpUnlock, Sync: 2, Addr: 0x40},
+		{Kind: workload.OpLock, Static: 1, Addr: 0x40},
+		{Kind: workload.OpUnlock, Static: 2, Addr: 0x40},
 		{Kind: workload.OpEnd},
 	}, 2, nil)
 	c.Start()

@@ -64,7 +64,7 @@ func (b *Builder) Locks(k int) []int {
 // Bar appends the barrier to every thread and opens a new epoch context.
 func (b *Builder) Bar(id uint64) {
 	for tid := 0; tid < b.n; tid++ {
-		b.threads[tid] = append(b.threads[tid], Op{Kind: OpBarrier, Sync: id, Addr: BarrierAddr(id)})
+		b.threads[tid] = append(b.threads[tid], Op{Kind: OpBarrier, Static: id, Addr: BarrierAddr(id)})
 		b.epochStatic[tid] = id
 		b.helperIdx[tid] = 0
 	}
@@ -82,12 +82,26 @@ func (b *Builder) ForAll(body func(t *T)) {
 // the spec interpreter uses it to drive per-thread emission.
 func (b *Builder) Thread(tid int) *T { return &T{b: b, tid: tid} }
 
-// Finish appends program termination and returns the program.
+// Finish appends program termination and returns the program. Every
+// thread's stream is copied into one exact-sized array, so the program
+// keeps no growth slack; each thread is a subslice with cap == len, so
+// appending to one never writes into its neighbour.
 func (b *Builder) Finish(staticBarriers, staticCS int) *Program {
-	for tid := 0; tid < b.n; tid++ {
-		b.threads[tid] = append(b.threads[tid], Op{Kind: OpEnd})
+	total := b.n // one OpEnd per thread
+	for _, ops := range b.threads {
+		total += len(ops)
 	}
-	return &Program{Name: b.name, Threads: b.threads,
+	all := make([]Op, total)
+	threads := make([][]Op, b.n)
+	off := 0
+	for tid, ops := range b.threads {
+		end := off + copy(all[off:], ops)
+		all[end] = Op{Kind: OpEnd}
+		end++
+		threads[tid] = all[off:end:end]
+		off = end
+	}
+	return &Program{Name: b.name, Threads: threads,
 		StaticBarriers: staticBarriers, StaticCritSections: staticCS}
 }
 
@@ -125,7 +139,7 @@ func (t *T) readLoop(n int, addr func(i int) Op) {
 	pc := t.pc()
 	for i := 0; i < n; i++ {
 		op := addr(i)
-		op.PC = pc
+		op.Static = pc
 		t.emit(op)
 	}
 }
@@ -193,10 +207,10 @@ func (t *T) Private(n, wsLines int, cursor *int) {
 	pcW := t.pc()
 	for i := 0; i < n; i++ {
 		*cursor = (*cursor + 17) % wsLines // stride-17 walk: spreads over sets
-		op := Op{Kind: OpRead, Addr: PrivateAddr(t.tid, *cursor), PC: pcR}
+		op := Op{Kind: OpRead, Addr: PrivateAddr(t.tid, *cursor), Static: pcR}
 		if i%4 == 3 {
 			op.Kind = OpWrite
-			op.PC = pcW
+			op.Static = pcW
 		}
 		t.emit(op)
 	}
@@ -207,7 +221,7 @@ func (t *T) Private(n, wsLines int, cursor *int) {
 // protected region is derived from the lock ID, so every thread contends
 // over the same data — producing the migratory sharing of §3.4.
 func (t *T) CS(lockID, region, lines, n int) {
-	t.emit(Op{Kind: OpLock, Sync: uint64(LockAddr(lockID)), Addr: LockAddr(lockID)})
+	t.emit(Op{Kind: OpLock, Static: uint64(LockAddr(lockID)), Addr: LockAddr(lockID)})
 	// The critical-section epoch body.
 	prevEpoch := t.b.epochStatic[t.tid]
 	prevIdx := t.b.helperIdx[t.tid]
@@ -215,14 +229,14 @@ func (t *T) CS(lockID, region, lines, n int) {
 	t.b.helperIdx[t.tid] = 0
 	pcR, pcW := t.pc(), t.pc()
 	for i := 0; i < n; i++ {
-		op := Op{Kind: OpRead, Addr: SharedAddr(region, lockID*64+i%lines), PC: pcR}
+		op := Op{Kind: OpRead, Addr: SharedAddr(region, lockID*64+i%lines), Static: pcR}
 		if i%2 == 1 {
 			op.Kind = OpWrite
-			op.PC = pcW
+			op.Static = pcW
 		}
 		t.emit(op)
 	}
-	t.emit(Op{Kind: OpUnlock, Sync: uint64(LockAddr(lockID)) + 1, Addr: LockAddr(lockID)})
+	t.emit(Op{Kind: OpUnlock, Static: uint64(LockAddr(lockID)) + 1, Addr: LockAddr(lockID)})
 	t.b.epochStatic[t.tid] = prevEpoch
 	t.b.helperIdx[t.tid] = prevIdx
 }

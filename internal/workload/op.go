@@ -44,13 +44,14 @@ func (k OpKind) String() string {
 	}
 }
 
-// Op is one thread operation.
+// Op is one thread operation, 24 bytes: Kind and N share the first word.
+// Static holds whichever static identity the kind has (no op has both), so
+// a program's ops cost three words each.
 type Op struct {
-	Kind OpKind
-	Addr arch.Addr // memory target; lock line for lock/unlock
-	N    uint32    // compute cycles (OpCompute)
-	PC   uint64    // static instruction address (memory ops)
-	Sync uint64    // static sync-point ID (barrier/lock/unlock)
+	Kind   OpKind
+	N      uint32    // compute cycles (OpCompute)
+	Addr   arch.Addr // memory target; lock line for lock/unlock
+	Static uint64    // instruction PC (read/write); sync-point ID (barrier/lock/unlock)
 }
 
 // Address-space layout. Regions are widely separated so they never collide;

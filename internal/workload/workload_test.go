@@ -2,6 +2,7 @@ package workload
 
 import (
 	"testing"
+	"unsafe"
 
 	"spcoh/internal/arch"
 )
@@ -64,7 +65,7 @@ func TestBuilderStaticIdentity(t *testing.T) {
 			}
 			cur = []uint64{}
 		case OpRead, OpWrite:
-			cur = append(cur, op.PC)
+			cur = append(cur, op.Static)
 		}
 	}
 	instances = append(instances, cur)
@@ -101,7 +102,7 @@ func TestCSStructure(t *testing.T) {
 	if ops[8].Kind != OpUnlock {
 		t.Fatalf("ops[8] = %+v", ops[8])
 	}
-	if ops[1].Sync != uint64(LockAddr(3)) {
+	if ops[1].Static != uint64(LockAddr(3)) {
 		t.Fatal("lock static ID should be the lock address")
 	}
 	reads, writes := 0, 0
@@ -149,6 +150,10 @@ func TestAllProfilesBuild(t *testing.T) {
 			if ops[len(ops)-1].Kind != OpEnd {
 				t.Fatalf("%s thread %d: missing OpEnd", name, tid)
 			}
+			// Finish leaves no growth slack.
+			if cap(ops) != len(ops) {
+				t.Fatalf("%s thread %d: cap %d, len %d", name, tid, cap(ops), len(ops))
+			}
 			depth := 0
 			for _, op := range ops {
 				switch op.Kind {
@@ -175,6 +180,32 @@ func TestAllProfilesBuild(t *testing.T) {
 	}
 }
 
+// TestOpSize pins the op layout: Kind and N share a word, and one Static
+// field carries the PC or the sync-point ID.
+func TestOpSize(t *testing.T) {
+	if got := unsafe.Sizeof(Op{}); got != 24 {
+		t.Fatalf("unsafe.Sizeof(Op{}) = %d, want 24", got)
+	}
+}
+
+// TestThreadAppendLeavesNeighbour checks that the threads sharing a
+// program's array cannot write into each other through append.
+func TestThreadAppendLeavesNeighbour(t *testing.T) {
+	p, _ := Builtin().Lookup("ocean")
+	prog, err := FromSpec(p.Spec, 4, 0.05, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := append([]Op(nil), prog.Threads[1]...)
+	prog.Threads[0] = append(prog.Threads[0], Op{Kind: OpCompute, N: 1})
+	for i := range next {
+		if prog.Threads[1][i] != next[i] {
+			t.Fatalf("appending to thread 0 changed thread 1's op %d: %+v, was %+v",
+				i, prog.Threads[1][i], next[i])
+		}
+	}
+}
+
 func TestProfilesSPMDBarriers(t *testing.T) {
 	// All threads must execute the same barrier sequence or the runtime
 	// deadlocks.
@@ -185,7 +216,7 @@ func TestProfilesSPMDBarriers(t *testing.T) {
 			var seq []uint64
 			for _, op := range ops {
 				if op.Kind == OpBarrier {
-					seq = append(seq, op.Sync)
+					seq = append(seq, op.Static)
 				}
 			}
 			if tid == 0 {

@@ -17,13 +17,13 @@
 # each side building into its own CARGO_TARGET_DIR under the temporary
 # directory. Every run must report "correct":true and "failed":0 (perfbench
 # exits 0 on wrong output, so the check is here). The JSON record written to
-# OUT holds the host's nproc, both revisions, each pair's sim_cycles_per_s
-# and peak_rss_mb, both medians, the base's quartiles, the median ratios,
-# the thresholds and the verdict. The gate fails (exit 1) when any
+# OUT holds the host's nproc, both revisions, each pair's sim_cycles_per_s,
+# peak_rss_mb and setup_s, both medians, the base's quartiles, the median
+# ratios, the thresholds and the verdict. The gate fails (exit 1) when any
 # workload's median candidate/base ratio of sim_cycles_per_s is below
 # `threshold`, or its median candidate/base ratio of peak_rss_mb is above
 # `rss_threshold` (the peak_rss_mb bound of BENCHMARK.json); DESIGN.md §11
-# says how they were set.
+# says how they were set. setup_s is reported only: no threshold reads it.
 set -eu
 
 pairs=5
@@ -61,8 +61,8 @@ mkdir "$tmp/base"
 git archive "$base" | tar -x -C "$tmp/base"
 
 # bench SIDE DIR WORKLOAD runs perfbench once from DIR and prints its
-# sim_cycles_per_s and peak_rss_mb, or fails on a failed run, wrong output
-# or failed cells.
+# sim_cycles_per_s, peak_rss_mb and setup_s, or fails on a failed run,
+# wrong output or failed cells.
 bench() {
     log="$tmp/$1-$3.log"
     (cd "$2" && CARGO_TARGET_DIR="$tmp/$1-build" \
@@ -75,7 +75,7 @@ bench() {
     rec=$(grep '^{"correct"' "$log" | tail -n 1)
     case $rec in
     # perfbench marshals its metrics map with sorted keys.
-    *'"correct":true,'*'"failed":0,'*'"peak_rss_mb":{"value":'*'"sim_cycles_per_s":{"value":'*) ;;
+    *'"correct":true,'*'"failed":0,'*'"peak_rss_mb":{"value":'*'"setup_s":{"value":'*'"sim_cycles_per_s":{"value":'*) ;;
     *)
         echo "abbench: $1 run of $3 is not correct or failed cells:" >&2
         tail -n 20 "$log" >&2
@@ -84,7 +84,8 @@ bench() {
     esac
     cyc=$(printf '%s\n' "$rec" | sed -n 's/.*"sim_cycles_per_s":{"value":\([^,}]*\).*/\1/p')
     rss=$(printf '%s\n' "$rec" | sed -n 's/.*"peak_rss_mb":{"value":\([^,}]*\).*/\1/p')
-    echo "$cyc $rss"
+    setup=$(printf '%s\n' "$rec" | sed -n 's/.*"setup_s":{"value":\([^,}]*\).*/\1/p')
+    echo "$cyc $rss $setup"
 }
 
 verdict=pass
@@ -107,13 +108,13 @@ for w in $workloads; do
             c=$(bench candidate . "$w")
             b=$(bench base "$tmp/base" "$w")
         fi
-        echo "abbench: $w pair $i: base $b candidate $c (cycles/s MB)" >&2
+        echo "abbench: $w pair $i: base $b candidate $c (cycles/s MB s)" >&2
         echo "$b $c" >> "$tmp/$w.pairs"
         i=$((i + 1))
     done
     # The workload's JSON object goes to stdout; awk exits 1 when the
     # workload fails. Quantiles interpolate linearly between order statistics.
-    # Columns: base cycles/s, base MB, candidate cycles/s, candidate MB.
+    # Columns: base cycles/s, MB and setup s, then the candidate's.
     awk -v w="$w" -v th="$threshold" -v rth="$rss_threshold" '
         function q(a, n, p,    h, l) {
             h = 1 + (n - 1) * p; l = int(h)
@@ -123,18 +124,21 @@ for w in $workloads; do
             for (i = 2; i <= n; i++)
                 for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
         }
-        { n++; b[n] = $1; bm[n] = $2; c[n] = $3; cm[n] = $4; r[n] = $3 / $1; rm[n] = $4 / $2
-          pr = pr sprintf("%s\n        {\"base\": %s, \"candidate\": %s, \"ratio\": %.4f, \"base_rss_mb\": %s, \"candidate_rss_mb\": %s, \"rss_ratio\": %.4f}",
-              n > 1 ? "," : "", $1, $3, r[n], $2, $4, rm[n]) }
+        { n++; b[n] = $1; bm[n] = $2; bs[n] = $3; c[n] = $4; cm[n] = $5; cs[n] = $6
+          r[n] = $4 / $1; rm[n] = $5 / $2; rs[n] = $6 / $3
+          pr = pr sprintf("%s\n        {\"base\": %s, \"candidate\": %s, \"ratio\": %.4f, \"base_rss_mb\": %s, \"candidate_rss_mb\": %s, \"rss_ratio\": %.4f, \"base_setup_s\": %s, \"candidate_setup_s\": %s, \"setup_ratio\": %.4f}",
+              n > 1 ? "," : "", $1, $4, r[n], $2, $5, rm[n], $3, $6, rs[n]) }
         END {
             isort(b, n); isort(c, n); isort(r, n); isort(bm, n); isort(cm, n); isort(rm, n)
+            isort(bs, n); isort(cs, n); isort(rs, n)
             mr = q(r, n, 0.5); mrm = q(rm, n, 0.5); ok = mr >= th && mrm <= rth
             printf "    {\"workload\": \"%s\",\n      \"pairs\": [%s\n      ],\n", w, pr
             printf "      \"base_median\": %.0f, \"base_q1\": %.0f, \"base_q3\": %.0f,\n", q(b, n, 0.5), q(b, n, 0.25), q(b, n, 0.75)
             printf "      \"candidate_median\": %.0f, \"median_ratio\": %.4f,\n", q(c, n, 0.5), mr
-            printf "      \"base_rss_median\": %.1f, \"candidate_rss_median\": %.1f, \"rss_median_ratio\": %.4f, \"pass\": %s}",
-                q(bm, n, 0.5), q(cm, n, 0.5), mrm, ok ? "true" : "false"
-            printf "abbench: %s median candidate/base %.4f (threshold %s), peak_rss_mb %.4f (threshold %s)\n", w, mr, th, mrm, rth > "/dev/stderr"
+            printf "      \"base_rss_median\": %.1f, \"candidate_rss_median\": %.1f, \"rss_median_ratio\": %.4f,\n", q(bm, n, 0.5), q(cm, n, 0.5), mrm
+            printf "      \"base_setup_median\": %.4f, \"candidate_setup_median\": %.4f, \"setup_median_ratio\": %.4f, \"pass\": %s}",
+                q(bs, n, 0.5), q(cs, n, 0.5), q(rs, n, 0.5), ok ? "true" : "false"
+            printf "abbench: %s median candidate/base %.4f (threshold %s), peak_rss_mb %.4f (threshold %s), setup_s %.4f (reported only)\n", w, mr, th, mrm, rth, q(rs, n, 0.5) > "/dev/stderr"
             exit !ok
         }' "$tmp/$w.pairs" > "$tmp/$w.json" || verdict=fail
     printf '%s\n' "$sep" >> "$tmp/record"
