@@ -51,25 +51,11 @@ type Env struct {
 // maxDefDepth bounds def-to-def reference chains.
 const maxDefDepth = 16
 
-// lookupVar resolves an identifier: builtins first, then loop variables,
-// then defs.
+// lookupVar resolves a loop variable or, failing that, a def. The
+// builtins (i, n, it, j, iters, locks, bars) never reach it: the parser
+// resolves them to field reads, which is how they keep precedence over
+// loop variables and defs.
 func (e *Env) lookupVar(name string) (int64, error) {
-	switch name {
-	case "i":
-		return e.I, nil
-	case "n":
-		return e.N, nil
-	case "it":
-		return e.It, nil
-	case "j":
-		return e.J, nil
-	case "iters":
-		return e.Iters, nil
-	case "locks":
-		return e.Locks, nil
-	case "bars":
-		return e.Bars, nil
-	}
 	if v, ok := e.loop[name]; ok {
 		return v, nil
 	}
@@ -130,6 +116,11 @@ func (e *Expr) EvalBool(env *Env) (bool, error) {
 // AST
 // ---------------------------------------------------------------------------
 
+// The parser resolves every operator, builtin variable and function name
+// to a small code, so evaluation compares no strings, and a call
+// evaluates its arguments into a fixed array: walking an expression
+// allocates nothing unless it fails.
+
 type node interface {
 	eval(*Env) (int64, error)
 }
@@ -138,95 +129,143 @@ type intNode int64
 
 func (n intNode) eval(*Env) (int64, error) { return int64(n), nil }
 
+// builtinNode reads one of the walker's fixed loop indices.
+type builtinNode uint8
+
+const (
+	varI builtinNode = iota
+	varN
+	varIt
+	varJ
+	varIters
+	varLocks
+	varBars
+)
+
+// builtinVars maps the builtin variable names to their nodes. Defs and
+// loop variables may not take these names.
+var builtinVars = map[string]builtinNode{
+	"i": varI, "n": varN, "it": varIt, "j": varJ,
+	"iters": varIters, "locks": varLocks, "bars": varBars,
+}
+
+func (n builtinNode) eval(env *Env) (int64, error) {
+	switch n {
+	case varI:
+		return env.I, nil
+	case varN:
+		return env.N, nil
+	case varIt:
+		return env.It, nil
+	case varJ:
+		return env.J, nil
+	case varIters:
+		return env.Iters, nil
+	case varLocks:
+		return env.Locks, nil
+	default:
+		return env.Bars, nil
+	}
+}
+
+// varNode names a loop variable or a def.
 type varNode string
 
 func (n varNode) eval(env *Env) (int64, error) { return env.lookupVar(string(n)) }
 
 type unaryNode struct {
-	op string
-	x  node
+	neg bool // "-"; otherwise "!"
+	x   node
 }
 
-func (n unaryNode) eval(env *Env) (int64, error) {
+func (n *unaryNode) eval(env *Env) (int64, error) {
 	v, err := n.x.eval(env)
 	if err != nil {
 		return 0, err
 	}
-	if n.op == "-" {
+	if n.neg {
 		return -v, nil
 	}
-	if v == 0 {
-		return 1, nil
-	}
-	return 0, nil
+	return b2i(v == 0), nil
+}
+
+type binOp uint8
+
+const (
+	opOr binOp = iota
+	opAnd
+	opAdd
+	opSub
+	opMul
+	opDiv
+	opMod
+	opEq
+	opNe
+	opLt
+	opLe
+	opGt
+	opGe
+)
+
+// binOps maps the binary operator tokens to their codes.
+var binOps = map[string]binOp{
+	"||": opOr, "&&": opAnd, "+": opAdd, "-": opSub, "*": opMul, "/": opDiv, "%": opMod,
+	"==": opEq, "!=": opNe, "<": opLt, "<=": opLe, ">": opGt, ">=": opGe,
 }
 
 type binNode struct {
-	op   string
+	op   binOp
 	l, r node
 }
 
-func (n binNode) eval(env *Env) (int64, error) {
+func (n *binNode) eval(env *Env) (int64, error) {
 	l, err := n.l.eval(env)
 	if err != nil {
 		return 0, err
 	}
 	// Short-circuit the logical operators.
-	switch n.op {
-	case "&&":
-		if l == 0 {
-			return 0, nil
-		}
-		r, err := n.r.eval(env)
-		if err != nil {
-			return 0, err
-		}
-		return b2i(r != 0), nil
-	case "||":
-		if l != 0 {
-			return 1, nil
-		}
-		r, err := n.r.eval(env)
-		if err != nil {
-			return 0, err
-		}
-		return b2i(r != 0), nil
+	switch {
+	case n.op == opAnd && l == 0:
+		return 0, nil
+	case n.op == opOr && l != 0:
+		return 1, nil
 	}
 	r, err := n.r.eval(env)
 	if err != nil {
 		return 0, err
 	}
 	switch n.op {
-	case "+":
+	case opOr, opAnd:
+		return b2i(r != 0), nil
+	case opAdd:
 		return l + r, nil
-	case "-":
+	case opSub:
 		return l - r, nil
-	case "*":
+	case opMul:
 		return l * r, nil
-	case "/":
+	case opDiv:
 		if r == 0 {
 			return 0, fmt.Errorf("division by zero")
 		}
 		return l / r, nil
-	case "%":
+	case opMod:
 		if r == 0 {
 			return 0, fmt.Errorf("modulo by zero")
 		}
 		return l % r, nil
-	case "==":
+	case opEq:
 		return b2i(l == r), nil
-	case "!=":
+	case opNe:
 		return b2i(l != r), nil
-	case "<":
+	case opLt:
 		return b2i(l < r), nil
-	case "<=":
+	case opLe:
 		return b2i(l <= r), nil
-	case ">":
+	case opGt:
 		return b2i(l > r), nil
-	case ">=":
+	default:
 		return b2i(l >= r), nil
 	}
-	return 0, fmt.Errorf("unknown operator %q", n.op)
 }
 
 func b2i(b bool) int64 {
@@ -236,64 +275,79 @@ func b2i(b bool) int64 {
 	return 0
 }
 
+type funcCode uint8
+
+const (
+	fnEast funcCode = iota
+	fnWest
+	fnParent
+	fnChild
+	fnRng
+	fnMin
+	fnMax
+)
+
+// exprFuncs maps function names to their codes; validation uses it too.
+var exprFuncs = map[string]funcCode{
+	"east": fnEast, "west": fnWest, "parent": fnParent, "child": fnChild,
+	"rng": fnRng, "min": fnMin, "max": fnMax,
+}
+
+// arity returns the function's argument count: one or two.
+func (f funcCode) arity() int {
+	switch f {
+	case fnChild, fnMin, fnMax:
+		return 2
+	default:
+		return 1
+	}
+}
+
 type callNode struct {
-	fn   string
-	args []node
+	fn   funcCode
+	args [2]node // the first fn.arity() are set
 }
 
-// exprFuncs maps function names to their arities; validation uses it too.
-var exprFuncs = map[string]int{
-	"east": 1, "west": 1, "parent": 1, "child": 2,
-	"rng": 1, "min": 2, "max": 2,
-}
-
-func (n callNode) eval(env *Env) (int64, error) {
-	vals := make([]int64, len(n.args))
-	for i, a := range n.args {
-		v, err := a.eval(env)
+func (n *callNode) eval(env *Env) (int64, error) {
+	var v [2]int64
+	for i := range n.fn.arity() {
+		x, err := n.args[i].eval(env)
 		if err != nil {
 			return 0, err
 		}
-		vals[i] = v
+		v[i] = x
 	}
 	switch n.fn {
-	case "east":
+	case fnEast:
 		if env.N <= 0 {
 			return 0, fmt.Errorf("east: no threads in scope")
 		}
-		return int64(topo.East(int(vals[0]), int(env.N))), nil
-	case "west":
+		return int64(topo.East(int(v[0]), int(env.N))), nil
+	case fnWest:
 		if env.N <= 0 {
 			return 0, fmt.Errorf("west: no threads in scope")
 		}
-		return int64(topo.West(int(vals[0]), int(env.N))), nil
-	case "parent":
-		return int64(topo.Parent(int(vals[0]))), nil
-	case "child":
+		return int64(topo.West(int(v[0]), int(env.N))), nil
+	case fnParent:
+		return int64(topo.Parent(int(v[0]))), nil
+	case fnChild:
 		if env.N <= 0 {
 			return 0, fmt.Errorf("child: no threads in scope")
 		}
-		return int64(topo.Child(int(vals[0]), int(vals[1]), int(env.N))), nil
-	case "rng":
+		return int64(topo.Child(int(v[0]), int(v[1]), int(env.N))), nil
+	case fnRng:
 		if env.Rng == nil {
 			return 0, fmt.Errorf("rng: no random source in scope")
 		}
-		if vals[0] <= 0 {
-			return 0, fmt.Errorf("rng(%d): bound must be positive", vals[0])
+		if v[0] <= 0 {
+			return 0, fmt.Errorf("rng(%d): bound must be positive", v[0])
 		}
-		return int64(env.Rng.Intn(int(vals[0]))), nil
-	case "min":
-		if vals[0] < vals[1] {
-			return vals[0], nil
-		}
-		return vals[1], nil
-	case "max":
-		if vals[0] > vals[1] {
-			return vals[0], nil
-		}
-		return vals[1], nil
+		return int64(env.Rng.Intn(int(v[0]))), nil
+	case fnMin:
+		return min(v[0], v[1]), nil
+	default:
+		return max(v[0], v[1]), nil
 	}
-	return 0, fmt.Errorf("unknown function %q", n.fn)
 }
 
 // ---------------------------------------------------------------------------
@@ -387,7 +441,7 @@ func (p *parser) parseOr() (node, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = binNode{op: "||", l: l, r: r}
+		l = &binNode{op: opOr, l: l, r: r}
 	}
 	return l, nil
 }
@@ -403,7 +457,7 @@ func (p *parser) parseAnd() (node, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = binNode{op: "&&", l: l, r: r}
+		l = &binNode{op: opAnd, l: l, r: r}
 	}
 	return l, nil
 }
@@ -416,13 +470,13 @@ func (p *parser) parseCmp() (node, error) {
 	if p.tok == tokOp {
 		switch p.lit {
 		case "==", "!=", "<", "<=", ">", ">=":
-			op := p.lit
+			op := binOps[p.lit]
 			p.next()
 			r, err := p.parseSum()
 			if err != nil {
 				return nil, err
 			}
-			return binNode{op: op, l: l, r: r}, nil
+			return &binNode{op: op, l: l, r: r}, nil
 		}
 	}
 	return l, nil
@@ -434,13 +488,13 @@ func (p *parser) parseSum() (node, error) {
 		return nil, err
 	}
 	for p.tok == tokOp && (p.lit == "+" || p.lit == "-") {
-		op := p.lit
+		op := binOps[p.lit]
 		p.next()
 		r, err := p.parseTerm()
 		if err != nil {
 			return nil, err
 		}
-		l = binNode{op: op, l: l, r: r}
+		l = &binNode{op: op, l: l, r: r}
 	}
 	return l, nil
 }
@@ -451,26 +505,26 @@ func (p *parser) parseTerm() (node, error) {
 		return nil, err
 	}
 	for p.tok == tokOp && (p.lit == "*" || p.lit == "/" || p.lit == "%") {
-		op := p.lit
+		op := binOps[p.lit]
 		p.next()
 		r, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
-		l = binNode{op: op, l: l, r: r}
+		l = &binNode{op: op, l: l, r: r}
 	}
 	return l, nil
 }
 
 func (p *parser) parseUnary() (node, error) {
 	if p.tok == tokOp && (p.lit == "-" || p.lit == "!") {
-		op := p.lit
+		neg := p.lit == "-"
 		p.next()
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
-		return unaryNode{op: op, x: x}, nil
+		return &unaryNode{neg: neg, x: x}, nil
 	}
 	return p.parsePrimary()
 }
@@ -488,10 +542,13 @@ func (p *parser) parsePrimary() (node, error) {
 		name := p.lit
 		p.next()
 		if p.tok != tokLParen {
+			if b, ok := builtinVars[name]; ok {
+				return b, nil
+			}
 			return varNode(name), nil
 		}
 		// Function call.
-		arity, ok := exprFuncs[name]
+		fn, ok := exprFuncs[name]
 		if !ok {
 			return nil, fmt.Errorf("unknown function %q", name)
 		}
@@ -514,10 +571,12 @@ func (p *parser) parsePrimary() (node, error) {
 			return nil, fmt.Errorf("missing ) after %s(", name)
 		}
 		p.next()
-		if len(args) != arity {
-			return nil, fmt.Errorf("%s takes %d argument(s), got %d", name, arity, len(args))
+		if len(args) != fn.arity() {
+			return nil, fmt.Errorf("%s takes %d argument(s), got %d", name, fn.arity(), len(args))
 		}
-		return callNode{fn: name, args: args}, nil
+		call := &callNode{fn: fn}
+		copy(call.args[:], args)
+		return call, nil
 	case tokLParen:
 		p.next()
 		n, err := p.parseOr()

@@ -143,3 +143,27 @@ func TestExprShortCircuit(t *testing.T) {
 		t.Errorf("short-circuit || = %d, want 1", got)
 	}
 }
+
+// TestExprEvalAllocsNothing pins the expression walk at zero allocations:
+// operators and builtins are resolved at compile time, and calls evaluate
+// their arguments into a fixed array.
+func TestExprEvalAllocsNothing(t *testing.T) {
+	e, err := CompileExpr("min(i, n - 1) + max(child(i, j % 2), rng(4)) * span - !(it < 3 || j == 0)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	span, err := CompileExpr("max(k, 2) / 2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := &Env{I: 3, N: 16, It: 2, J: 1, Rng: rand.New(rand.NewSource(1)),
+		defs: map[string]*Expr{"span": span}, loop: map[string]int64{"k": 5}}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := e.Eval(env); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Expr.Eval: %v allocs per run, want 0", allocs)
+	}
+}

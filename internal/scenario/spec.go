@@ -162,13 +162,6 @@ func (s *Spec) Digest() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// reservedNames are identifiers the walker binds; defs and loop variables
-// may not shadow them.
-var reservedNames = map[string]bool{
-	"i": true, "n": true, "it": true, "j": true,
-	"iters": true, "locks": true, "bars": true,
-}
-
 // Validate checks structural and expression-level well-formedness. A valid
 // spec can still fail at emit time on data-dependent errors (an evaluated
 // lock index out of range, rng with a non-positive bound); FromSpec
@@ -196,7 +189,7 @@ func (s *Spec) Validate() error {
 		return fail("no steps")
 	}
 	for _, name := range detutil.SortedKeys(s.Defs) {
-		if reservedNames[name] {
+		if _, ok := builtinVars[name]; ok {
 			return fail("def %q shadows a builtin variable", name)
 		}
 		if _, ok := exprFuncs[name]; ok {
@@ -274,7 +267,7 @@ func validateSteps(steps []Step, depth int) (int, error) {
 		case "loop":
 			if st.Var == "" {
 				err = fmt.Errorf("step %d (loop): missing var", k)
-			} else if reservedNames[st.Var] {
+			} else if _, ok := builtinVars[st.Var]; ok {
 				err = fmt.Errorf("step %d (loop): var %q shadows a builtin", k, st.Var)
 			} else {
 				err = firstErr(expr("lo", st.Lo, true), expr("hi", st.Hi, true))

@@ -1,6 +1,9 @@
 package workload
 
-import "math/rand"
+import (
+	"fmt"
+	"math/rand"
+)
 
 // Builder assembles per-thread op streams with correctly-shaped static
 // structure: sync-point static IDs and memory-op PCs are fixed per call
@@ -14,6 +17,10 @@ type Builder struct {
 
 	nextBarrier uint64
 	nextLock    int
+
+	// reserved holds each thread's op count when reserve sized the
+	// streams up front; nil for an append-grown builder.
+	reserved []int
 
 	// Per-thread epoch context for PC synthesis.
 	epochStatic []uint64
@@ -81,6 +88,42 @@ func (b *Builder) ForAll(body func(t *T)) {
 // Thread(tid) in ascending tid order is equivalent to one ForAll pass —
 // the spec interpreter uses it to drive per-thread emission.
 func (b *Builder) Thread(tid int) *T { return &T{b: b, tid: tid} }
+
+// reserve sizes every thread's stream before anything is emitted: thread
+// tid gets room for counts[tid] ops and its OpEnd, all threads in one
+// exact-sized array, each a subslice whose capacity ends where its
+// neighbour begins. Emission then appends in place, and finishReserved
+// closes the streams without a copy.
+func (b *Builder) reserve(counts []int) {
+	total := 0
+	for _, c := range counts {
+		total += c + 1 // one OpEnd per thread
+	}
+	all := make([]Op, total)
+	off := 0
+	for tid, c := range counts {
+		end := off + c + 1
+		b.threads[tid] = all[off:off:end]
+		off = end
+	}
+	b.reserved = counts
+}
+
+// finishReserved appends program termination in place to streams sized by
+// reserve. A thread that emitted other than its reserved count is an
+// error: a short one would leave a gap before its neighbour, and a long
+// one has already left the shared array.
+func (b *Builder) finishReserved(staticBarriers, staticCS int) (*Program, error) {
+	for tid, ops := range b.threads {
+		if len(ops) != b.reserved[tid] {
+			return nil, fmt.Errorf("workload: %s thread %d: emitted %d ops, reserved %d",
+				b.name, tid, len(ops), b.reserved[tid])
+		}
+		b.threads[tid] = append(ops, Op{Kind: OpEnd})
+	}
+	return &Program{Name: b.name, Threads: b.threads,
+		StaticBarriers: staticBarriers, StaticCritSections: staticCS}, nil
+}
 
 // Finish appends program termination and returns the program. Every
 // thread's stream is copied into one exact-sized array, so the program

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math/rand"
 
 	"spcoh/internal/scenario"
 )
@@ -11,12 +12,22 @@ import (
 // — per barrier site, threads ascending, steps in listing order — so a
 // spec transcribed from a builder function reproduces its op stream byte
 // for byte: PCs, sync IDs and build-time rng draws all land identically.
+//
+// The spec is walked twice. The first walk only counts each thread's ops,
+// drawing from its own source seeded like the builder's, so its rng draws
+// match the second walk's; the builder then reserves every stream in one
+// exact-sized array, and the second walk fills it in place.
 func FromSpec(sp *scenario.Spec, threads int, scale float64, seed int64) (*Program, error) {
 	c, err := sp.Compile()
 	if err != nil {
 		return nil, err
 	}
+	cm := &countMachine{counts: make([]int, threads)}
+	if err := c.Emit(threads, scale, rand.New(rand.NewSource(seed)), cm); err != nil {
+		return nil, fmt.Errorf("workload: %w", err)
+	}
 	b := NewBuilder(sp.Name, threads, seed)
+	b.reserve(cm.counts)
 	m := &specMachine{
 		b:       b,
 		bars:    b.Barriers(sp.Barriers),
@@ -26,7 +37,38 @@ func FromSpec(sp *scenario.Spec, threads int, scale float64, seed int64) (*Progr
 	if err := c.Emit(threads, scale, b.Rng(), m); err != nil {
 		return nil, fmt.Errorf("workload: %w", err)
 	}
-	return b.Finish(sp.Barriers, sp.Locks), nil
+	return b.finishReserved(sp.Barriers, sp.Locks)
+}
+
+// countMachine counts the ops each Builder helper emits for an action,
+// without emitting them.
+type countMachine struct {
+	counts []int
+}
+
+func (m *countMachine) Barrier(int) {
+	for tid := range m.counts {
+		m.counts[tid]++
+	}
+}
+
+func (m *countMachine) Produce(tid, _, _, _, count int) { m.counts[tid] += count }
+
+func (m *countMachine) Consume(tid, _, _, _, count int) { m.counts[tid] += count }
+
+// CS brackets its accesses with a lock and an unlock.
+func (m *countMachine) CS(tid, _, _, _, count int) { m.counts[tid] += count + 2 }
+
+func (m *countMachine) Private(tid, count, ws int) {
+	if ws > 0 && count > 0 {
+		m.counts[tid] += count
+	}
+}
+
+func (m *countMachine) Compute(tid, cycles int) {
+	if cycles > 0 {
+		m.counts[tid]++
+	}
 }
 
 // specMachine adapts the scenario walk onto the op-stream Builder. Private
