@@ -7,11 +7,10 @@
 //
 //	spsweep run    [-jobs N] [-bench all|none|a,b] [-kinds eval|all|a,b]
 //	               [-specs a.json,b.json] [-seeds 42,43] [-scales 0.25]
-//	               [-quick] [-threads 16] [-timeout 10m] [-retries 0]
-//	               [-dir results/sweep] [-format table|csv|json]
-//	               [-summary results/BENCH_sweep.json]
-//	spsweep resume [-jobs N] [-timeout ...] [-retries ...] [-dir ...]
-//	               [-format ...] [-summary ...]       # continue an interrupted sweep
+//	               [-quick] [-threads 16] [-dir results/sweep]
+//	               [-format table|csv|json] [-summary results/BENCH_sweep.json]
+//	spsweep resume [-jobs N] [-dir ...] [-format ...] [-summary ...]
+//	                                                  # continue an interrupted sweep
 //	spsweep status [-dir ...] [-v]                    # completion state; exits non-zero
 //	                                                  # when any cell terminally failed
 //	spsweep list   [matrix flags]                     # expanded jobs + digests
@@ -204,10 +203,6 @@ func cmdRun(args []string, resume bool) error {
 		mf = addMatrixFlags(fs)
 	}
 	jobs := fs.Int("jobs", runtime.NumCPU(), "worker pool size")
-	timeout := fs.Duration("timeout", 0, "per-attempt wall-clock timeout (0 = none)")
-	retries := fs.Int("retries", 0, "additional attempts after a failed one")
-	backoff := fs.Duration("backoff", 0, "base delay before retry attempts, jittered (0 = none)")
-	backoffSeed := fs.Int64("backoff-seed", 0, "seed for the retry jitter")
 	dir := fs.String("dir", "results/sweep", "artifact store directory")
 	format := fs.String("format", "table", "merged output format: table|csv|json")
 	summary := fs.String("summary", "results/BENCH_sweep.json", `summary JSON path ("" disables)`)
@@ -251,12 +246,8 @@ func cmdRun(args []string, resume bool) error {
 
 	done := 0
 	opt := sweep.Options{
-		Workers:     *jobs,
-		Timeout:     *timeout,
-		Retries:     *retries,
-		Backoff:     *backoff,
-		BackoffSeed: *backoffSeed,
-		Store:       store,
+		Workers: *jobs,
+		Store:   store,
 		Progress: func(jr sweep.JobResult) {
 			done++
 			state := "ok"
@@ -343,9 +334,9 @@ func cmdStatus(args []string) error {
 	if pending > 0 {
 		fmt.Printf("hint:     spsweep resume -dir %s\n", *dir)
 	}
-	// The failure ledger gates the exit code: cells that exhausted their
-	// attempts make status fail, so CI distinguishes "interrupted, resume
-	// will finish" (exit 0 with pending jobs) from "broken" (exit 1).
+	// The failure ledger gates the exit code: a failed cell makes status
+	// fail, so CI distinguishes "interrupted, resume will finish" (exit 0
+	// with pending jobs) from "broken" (exit 1).
 	if failed := store.FailedCells(); len(failed) > 0 {
 		for _, k := range detutil.SortedKeys(failed) {
 			fmt.Printf("failed:   %-48s %s\n", k, failed[k])

@@ -37,6 +37,10 @@ type SyncRuntime interface {
 	Unlock(core int, id uint64)
 }
 
+// IssueWidth is every core's issue width (paper Table 4: 2-issue cores). A
+// compute op of N instructions takes N/IssueWidth cycles, at least one.
+const IssueWidth = 2
+
 // Stats counts core activity.
 type Stats struct {
 	MemOps     uint64
@@ -48,8 +52,7 @@ type Stats struct {
 
 // Core executes one thread's op stream.
 type Core struct {
-	ID         int
-	IssueWidth int
+	ID int
 
 	sim  *event.Sim
 	port MemPort
@@ -80,11 +83,8 @@ type Core struct {
 }
 
 // New builds a core over its op stream. onFinish fires once at OpEnd.
-func New(id int, sim *event.Sim, port MemPort, rt SyncRuntime, ops []workload.Op, issueWidth int, onFinish func()) *Core {
-	if issueWidth < 1 {
-		issueWidth = 1
-	}
-	c := &Core{ID: id, IssueWidth: issueWidth, sim: sim, port: port, rt: rt, ops: ops, onFinish: onFinish}
+func New(id int, sim *event.Sim, port MemPort, rt SyncRuntime, ops []workload.Op, onFinish func()) *Core {
+	c := &Core{ID: id, sim: sim, port: port, rt: rt, ops: ops, onFinish: onFinish}
 	c.stepFn = c.step
 	c.barrierFn, c.lockFn, c.unlockFn = c.barrierReleased, c.lockAcquired, c.unlockDone
 	return c
@@ -92,9 +92,6 @@ func New(id int, sim *event.Sim, port MemPort, rt SyncRuntime, ops []workload.Op
 
 // Stats returns a snapshot of the core's counters.
 func (c *Core) Stats() Stats { return c.stats }
-
-// Finished reports whether the core reached OpEnd.
-func (c *Core) Finished() bool { return c.finished }
 
 // EnableFast switches the core to the fast-mode execution loop: runs of
 // compute ops and cache hits are batched into a single event on the core's
@@ -127,7 +124,7 @@ func (c *Core) step() {
 	switch op.Kind {
 	case workload.OpCompute:
 		c.stats.ComputeCyc += uint64(op.N)
-		d := event.Time(int(op.N) / c.IssueWidth)
+		d := event.Time(int(op.N) / IssueWidth)
 		if d < 1 {
 			d = 1
 		}
@@ -219,7 +216,7 @@ func (c *Core) fastStep() {
 		case workload.OpCompute:
 			c.ip++
 			c.stats.ComputeCyc += uint64(op.N)
-			d := event.Time(int(op.N) / c.IssueWidth)
+			d := event.Time(int(op.N) / IssueWidth)
 			if d < 1 {
 				d = 1
 			}

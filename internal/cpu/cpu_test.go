@@ -39,7 +39,7 @@ func runOps(t *testing.T, nCores int, opsFor func(tid int) []workload.Op) ([]*Co
 	finished := 0
 	for i := 0; i < nCores; i++ {
 		stubs[i] = &memStub{sim: sim, lat: 10}
-		cores[i] = New(i, sim, stubs[i], co, opsFor(i), 2, func() { finished++ })
+		cores[i] = New(i, sim, stubs[i], co, opsFor(i), func() { finished++ })
 		cores[i].Start()
 	}
 	sim.Run()
@@ -150,7 +150,7 @@ func TestLockSyncBeforeLockLineAccess(t *testing.T) {
 		{Kind: workload.OpLock, Static: 1, Addr: 0x40},
 		{Kind: workload.OpUnlock, Static: 2, Addr: 0x40},
 		{Kind: workload.OpEnd},
-	}, 2, nil)
+	}, nil)
 	c.Start()
 	sim.Run()
 	want := []string{"sync:lock", "access", "access", "sync:unlock"}

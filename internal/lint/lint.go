@@ -193,11 +193,6 @@ func (p *Pass) Report(pos token.Pos, check, msg string) {
 	p.run.report(p.Fset.Position(pos), check, "", msg)
 }
 
-// ReportSev records a finding with an explicit severity override.
-func (p *Pass) ReportSev(pos token.Pos, check string, sev Severity, msg string) {
-	p.run.report(p.Fset.Position(pos), check, sev, msg)
-}
-
 // Suppressed reports whether the statement at pos carries the
 // OrderedAnnotation, either trailing on the same line or on the line above.
 func (p *Pass) Suppressed(pos token.Pos) bool {

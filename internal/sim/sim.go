@@ -70,14 +70,9 @@ type Options struct {
 	// Predictors, one per node (directory protocol only). Nil = baseline.
 	Predictors []predictor.Predictor
 
-	IssueWidth int
-
 	// Tracer, when set, observes every L2 miss outcome and sync-point
 	// (directory protocol only). Used by the characterization pipeline.
 	Tracer Tracer
-
-	// Energy model parameters; zero value uses defaults.
-	Energy energy.Params
 
 	// MetricsEpoch, when non-zero, attaches the run-time metrics collector
 	// sampling the whole system every MetricsEpoch cycles; the resulting
@@ -93,10 +88,8 @@ type Options struct {
 // protocol.
 func DefaultOptions() Options {
 	return Options{
-		Machine:    protocol.DefaultConfig(),
-		Protocol:   Directory,
-		IssueWidth: 2,
-		Energy:     energy.DefaultParams(),
+		Machine:  protocol.DefaultConfig(),
+		Protocol: Directory,
 	}
 }
 
@@ -167,12 +160,6 @@ func (r *Result) CommRatio() float64 {
 // Run executes a program to completion and returns measurements. It errors
 // on deadlock (cores unfinished with an empty event queue).
 func Run(prog *workload.Program, opt Options) (*Result, error) {
-	if opt.IssueWidth == 0 {
-		opt.IssueWidth = 2
-	}
-	if opt.Energy == (energy.Params{}) {
-		opt.Energy = energy.DefaultParams()
-	}
 	n := prog.NumThreads()
 	if n != opt.Machine.Nodes {
 		return nil, fmt.Errorf("sim: %d threads but %d nodes", n, opt.Machine.Nodes)
@@ -247,7 +234,7 @@ func Run(prog *workload.Program, opt Options) (*Result, error) {
 	finished := 0
 	cores := make([]*cpu.Core, n)
 	for i := 0; i < n; i++ {
-		cores[i] = cpu.New(i, s, ports[i], co, prog.Threads[i], opt.IssueWidth, func() { finished++ })
+		cores[i] = cpu.New(i, s, ports[i], co, prog.Threads[i], func() { finished++ })
 		if fast {
 			cores[i].EnableFast()
 		}
@@ -273,14 +260,14 @@ func Run(prog *workload.Program, opt Options) (*Result, error) {
 		}
 		res.Nodes = dirSys.Stats()
 		res.Net = dirSys.NetStats()
-		res.Energy = energy.Compute(res.Net, res.Nodes.SnoopLookups, opt.Energy)
+		res.Energy = energy.Compute(res.Net, res.Nodes.SnoopLookups, energy.DefaultParams())
 		if hard, _ := dirSys.CheckCoherence(); len(hard) > 0 {
 			return nil, fmt.Errorf("sim: coherence violation in %s: %s", prog.Name, hard[0])
 		}
 	case Broadcast:
 		res.Snoop = snpSys.Stats()
 		res.Net = snpSys.NetStats()
-		res.Energy = energy.Compute(res.Net, res.Snoop.SnoopLookups, opt.Energy)
+		res.Energy = energy.Compute(res.Net, res.Snoop.SnoopLookups, energy.DefaultParams())
 	}
 	return res, nil
 }

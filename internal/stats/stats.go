@@ -113,13 +113,6 @@ func (d Distribution) Reset() {
 	}
 }
 
-// AddAll accumulates other into d element-wise.
-func (d Distribution) AddAll(other Distribution) {
-	for i, v := range other {
-		d[i] += v
-	}
-}
-
 // Coverage returns the cumulative fraction of total volume covered by the
 // top-k nodes, for k = 1..len(d). This is exactly the curve plotted in the
 // paper's Figure 4: Coverage()[k-1] is the fraction of communication covered

@@ -165,55 +165,13 @@ func TestPanicRecovery(t *testing.T) {
 	}
 }
 
-func TestTimeoutAndRetry(t *testing.T) {
-	jobs := []Job{{Bench: "hang", Kind: "sp", RunConfig: runcfg.RunConfig{Threads: 16, Scale: 1, Seed: 1}}}
-	hang := func(Job) (*sim.Result, error) {
-		time.Sleep(5 * time.Second)
-		return nil, nil
+// TestFailedCellRunsOnce: a cell is deterministic, so a failure is not
+// retried; it is reported and recorded in the store's failure ledger.
+func TestFailedCellRunsOnce(t *testing.T) {
+	store, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
-	start := time.Now()
-	rep := Run(context.Background(), jobs, hang, Options{Workers: 1, Timeout: 30 * time.Millisecond, Retries: 1})
-	if rep.Failed != 1 {
-		t.Fatalf("failed = %d, want 1", rep.Failed)
-	}
-	jr := rep.Jobs[0]
-	if jr.Attempts != 2 {
-		t.Fatalf("attempts = %d, want 2 (1 + 1 retry)", jr.Attempts)
-	}
-	if jr.Err == nil || !strings.Contains(jr.Err.Error(), "timed out") {
-		t.Fatalf("err = %v, want timeout", jr.Err)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("timeout did not bound the run: %s", elapsed)
-	}
-}
-
-func TestRetryEventuallySucceeds(t *testing.T) {
-	jobs := testMatrix().Jobs()[:3]
-	var mu sync.Mutex
-	tries := make(map[string]int)
-	flaky := func(j Job) (*sim.Result, error) {
-		mu.Lock()
-		tries[j.Key()]++
-		n := tries[j.Key()]
-		mu.Unlock()
-		if n == 1 {
-			return nil, errors.New("transient")
-		}
-		return fakeResult(j), nil
-	}
-	rep := Run(context.Background(), jobs, flaky, Options{Workers: 2, Retries: 2})
-	if rep.Failed != 0 || rep.Executed != len(jobs) {
-		t.Fatalf("failed=%d executed=%d, want 0/%d", rep.Failed, rep.Executed, len(jobs))
-	}
-	for _, jr := range rep.Jobs {
-		if jr.Attempts != 2 {
-			t.Fatalf("%s attempts = %d, want 2", jr.Job.Key(), jr.Attempts)
-		}
-	}
-}
-
-func TestRetriesAreBounded(t *testing.T) {
 	jobs := testMatrix().Jobs()[:1]
 	calls := 0
 	var mu sync.Mutex
@@ -223,12 +181,15 @@ func TestRetriesAreBounded(t *testing.T) {
 		mu.Unlock()
 		return nil, errors.New("permanent")
 	}
-	rep := Run(context.Background(), jobs, alwaysFail, Options{Workers: 1, Retries: 3})
-	if calls != 4 {
-		t.Fatalf("executor called %d times, want 4 (1 + 3 retries)", calls)
+	rep := Run(context.Background(), jobs, alwaysFail, Options{Workers: 1, Store: store})
+	if calls != 1 {
+		t.Fatalf("executor called %d times, want 1", calls)
 	}
 	if rep.Failed != 1 || !strings.Contains(rep.Jobs[0].Err.Error(), "permanent") {
 		t.Fatalf("want permanent failure, got %v", rep.Jobs[0].Err)
+	}
+	if failed := store.FailedCells(); len(failed) != 1 || failed[jobs[0].Key()] != "permanent" {
+		t.Fatalf("ledger after failed cell: %v", failed)
 	}
 }
 
@@ -256,11 +217,6 @@ func TestContextCancelMarksPendingJobs(t *testing.T) {
 		}
 		if !errors.Is(jr.Err, context.Canceled) {
 			t.Fatalf("%s failed with non-cancellation error: %v", jr.Job.Key(), jr.Err)
-		}
-		// A job may have been in flight when cancellation landed
-		// (Attempts == 1); jobs never started must report zero attempts.
-		if jr.Attempts > 1 {
-			t.Fatalf("%s retried across cancellation (%d attempts)", jr.Job.Key(), jr.Attempts)
 		}
 	}
 	if rep.Executed+rep.Failed != len(jobs) {

@@ -12,8 +12,8 @@ import (
 
 // The renderers in this file produce the *merged output* of a sweep. They
 // must stay invariant under worker count, resume state and host speed:
-// only job specs and simulation results may appear — never wall times,
-// attempt counts or cache provenance (those belong to Summary).
+// only job specs and simulation results may appear — never wall times or
+// cache provenance (those belong to Summary).
 
 // metricHeader names the per-job metric columns of the table and CSV
 // renderings, in order.
@@ -144,11 +144,10 @@ type Summary struct {
 
 // JobTiming is one job's scheduling record.
 type JobTiming struct {
-	Key      string  `json:"key"`
-	Seconds  float64 `json:"seconds"`
-	Cached   bool    `json:"cached"`
-	Attempts int     `json:"attempts"`
-	Error    string  `json:"error,omitempty"`
+	Key     string  `json:"key"`
+	Seconds float64 `json:"seconds"`
+	Cached  bool    `json:"cached"`
+	Error   string  `json:"error,omitempty"`
 }
 
 // Summarize builds the invocation summary for a report.
@@ -164,7 +163,7 @@ func (r *Report) Summarize(m Matrix, workers int) *Summary {
 		WallSeconds:  r.Wall.Seconds(),
 	}
 	for _, jr := range r.Jobs {
-		t := JobTiming{Key: jr.Job.Key(), Seconds: jr.Wall.Seconds(), Cached: jr.Cached, Attempts: jr.Attempts}
+		t := JobTiming{Key: jr.Job.Key(), Seconds: jr.Wall.Seconds(), Cached: jr.Cached}
 		if jr.Err != nil {
 			t.Error = jr.Err.Error()
 		}

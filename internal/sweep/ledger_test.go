@@ -17,13 +17,13 @@ func TestFailureLedgerRecordsAndClears(t *testing.T) {
 	jobs := testMatrix().Jobs()
 	bad := jobs[0].Key()
 
-	// One job fails every attempt: it lands in the ledger.
+	// One job fails: it lands in the ledger.
 	rep := Run(context.Background(), jobs, func(j Job) (*sim.Result, error) {
 		if j.Key() == bad {
 			return nil, errors.New("injected")
 		}
 		return fakeResult(j), nil
-	}, Options{Workers: 2, Retries: 1, Store: store})
+	}, Options{Workers: 2, Store: store})
 	if rep.Failed != 1 {
 		t.Fatalf("failed = %d, want 1", rep.Failed)
 	}

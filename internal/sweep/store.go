@@ -173,8 +173,8 @@ func (s *Store) Put(j Job, res *sim.Result) error {
 	return s.saveLocked()
 }
 
-// MarkFailed records a job's terminal failure (all attempts exhausted) in
-// the manifest's failure ledger. A later successful Put clears it.
+// MarkFailed records a job's terminal failure in the manifest's failure
+// ledger. A later successful Put clears it.
 func (s *Store) MarkFailed(j Job, msg string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

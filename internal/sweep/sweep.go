@@ -13,8 +13,8 @@
 //     order: workers write into per-job slots and the merged report is
 //     always in key order;
 //   - rendered output (FormatTable/FormatCSV/FormatJSON) carries no wall
-//     times, attempt counts or cache provenance — those live in the
-//     side-band Summary, which is allowed to differ between runs;
+//     times or cache provenance — those live in the side-band Summary,
+//     which is allowed to differ between runs;
 //   - artifacts are addressed by the digest of the job's canonical spec,
 //     so a resumed sweep recalls exactly the cells it already computed.
 //

@@ -3,6 +3,8 @@ package sweepd
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"math/rand"
 	"sort"
 	"sync"
 	"time"
@@ -91,8 +93,8 @@ type queueConfig struct {
 	TTL time.Duration
 	// MaxAttempts bounds executions per job (1 + retries). <= 0 means 1.
 	MaxAttempts int
-	// Backoff/BackoffSeed parameterize sweep.RetryDelay for the requeue
-	// gate after a failed attempt.
+	// Backoff/BackoffSeed parameterize retryDelay for the requeue gate
+	// after a failed attempt.
 	Backoff     time.Duration
 	BackoffSeed int64
 	// now is the clock; tests inject a fake. nil means time.Now.
@@ -338,9 +340,32 @@ func (q *queue) requeueLocked(e *jobEntry, key, msg string, now time.Time) bool 
 		return true
 	}
 	e.state = statePending
-	e.notBefore = now.Add(sweep.RetryDelay(key, len(e.attempts)+1, q.cfg.Backoff, q.cfg.BackoffSeed))
+	e.notBefore = now.Add(retryDelay(key, len(e.attempts)+1, q.cfg.Backoff, q.cfg.BackoffSeed))
 	q.bumpLocked()
 	return false
+}
+
+// retryDelay returns the requeue pause before attempt k of the job with
+// the given key: base << (k-2), scaled by a jitter factor in [0.5, 1.5)
+// drawn from a rand seeded by (seed, key, k). Attempt 1 and base <= 0 wait
+// nothing.
+//
+// The function is pure — the same sweep requeues on the same schedule
+// every run, which keeps tests deterministic — and it never touches the
+// global math/rand source.
+func retryDelay(key string, attempt int, base time.Duration, seed int64) time.Duration {
+	if base <= 0 || attempt <= 1 {
+		return 0
+	}
+	exp := attempt - 2
+	if exp > 16 {
+		exp = 16 // cap the exponential; 65536x base is already absurd
+	}
+	h := fnv.New64a()
+	h.Write([]byte(key))
+	rng := rand.New(rand.NewSource(seed ^ int64(h.Sum64()) ^ int64(attempt)<<32))
+	jitter := 0.5 + rng.Float64() // [0.5, 1.5)
+	return time.Duration(float64(base<<exp) * jitter)
 }
 
 // closeAttemptLocked stamps the end of the attempt issued as leaseID, if

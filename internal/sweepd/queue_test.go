@@ -176,8 +176,8 @@ func TestFailRequeuesWithBackoffGate(t *testing.T) {
 	if _, terminal, err := q.fail(g.leaseID, "boom"); err != nil || terminal {
 		t.Fatalf("first failure: terminal=%v err=%v", terminal, err)
 	}
-	// The requeue gate holds the job back for RetryDelay(key, 2, ...).
-	want := sweep.RetryDelay(j.Key(), 2, time.Second, 7)
+	// The requeue gate holds the job back for retryDelay(key, 2, ...).
+	want := retryDelay(j.Key(), 2, time.Second, 7)
 	if want <= 0 {
 		t.Fatal("test needs a positive backoff delay")
 	}
@@ -299,5 +299,50 @@ func TestWatchFiresOnTransition(t *testing.T) {
 	case <-ch:
 	default:
 		t.Fatal("watch did not fire on add")
+	}
+}
+
+func TestRetryDelayPureAndBounded(t *testing.T) {
+	const base = time.Second
+
+	// Pure: the same inputs always produce the same delay.
+	for _, key := range []string{"ocean/sp/t16/x0.25/s42", "fmm/dir/t16/x1/s7"} {
+		for attempt := 2; attempt <= 6; attempt++ {
+			a := retryDelay(key, attempt, base, 99)
+			b := retryDelay(key, attempt, base, 99)
+			if a != b {
+				t.Fatalf("retryDelay(%q, %d) not deterministic: %v vs %v", key, attempt, a, b)
+			}
+			// Bounded by the jitter envelope around base << (attempt-2).
+			lo := time.Duration(float64(base<<(attempt-2)) * 0.5)
+			hi := time.Duration(float64(base<<(attempt-2)) * 1.5)
+			if a < lo || a >= hi {
+				t.Fatalf("retryDelay(%q, %d) = %v outside [%v, %v)", key, attempt, a, lo, hi)
+			}
+		}
+	}
+
+	// The first attempt and a zero base never wait.
+	if d := retryDelay("k", 1, base, 0); d != 0 {
+		t.Fatalf("attempt 1 delayed %v", d)
+	}
+	if d := retryDelay("k", 3, 0, 0); d != 0 {
+		t.Fatalf("zero base delayed %v", d)
+	}
+
+	// Different seeds and different keys decorrelate the jitter (with the
+	// same exponent the raw delay would otherwise collide).
+	if retryDelay("k", 2, base, 1) == retryDelay("k", 2, base, 2) &&
+		retryDelay("k", 3, base, 1) == retryDelay("k", 3, base, 2) {
+		t.Fatal("seed does not influence the jitter")
+	}
+	if retryDelay("a", 2, base, 0) == retryDelay("b", 2, base, 0) &&
+		retryDelay("a", 3, base, 0) == retryDelay("b", 3, base, 0) {
+		t.Fatal("key does not influence the jitter")
+	}
+
+	// The exponent caps: absurd attempt numbers must not overflow.
+	if d := retryDelay("k", 1000, time.Millisecond, 0); d <= 0 || d > time.Duration(1)<<40 {
+		t.Fatalf("capped delay out of range: %v", d)
 	}
 }

@@ -32,7 +32,7 @@ type Options struct {
 	// failed one (so MaxAttempts = 1 + Retries). Default 2.
 	Retries int
 	// Backoff is the base requeue delay after a failed attempt, jittered
-	// per sweep.RetryDelay. Default 1s; BackoffSeed seeds the jitter.
+	// per retryDelay (queue.go). Default 1s; BackoffSeed seeds the jitter.
 	Backoff     time.Duration
 	BackoffSeed int64
 	// Timeout bounds one attempt's wall time in the local pool (remote
@@ -327,12 +327,10 @@ func (s *Server) report(ss *sweepState) (*sweep.Report, error) {
 			}
 			jr.Result = res
 			jr.Cached = js.Cached
-			jr.Attempts = js.Attempts
 		case "failed":
 			// Match the local engine's terminal error shape
 			// (sweep: <key>: <last attempt error>).
 			jr.Err = fmt.Errorf("sweep: %s: %s", j.Key(), js.Error)
-			jr.Attempts = js.Attempts
 		default:
 			return nil, fmt.Errorf("sweepd: %s is %s; the sweep is not terminal", j.Key(), js.State)
 		}

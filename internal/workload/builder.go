@@ -209,13 +209,6 @@ func (t *T) ReadLines(region, start, lines, n int) {
 	})
 }
 
-// WriteLines writes n times cycling over `lines` lines of a shared region.
-func (t *T) WriteLines(region, start, lines, n int) {
-	t.readLoop(n, func(i int) Op {
-		return Op{Kind: OpWrite, Addr: SharedAddr(region, start+i%lines)}
-	})
-}
-
 // Produce writes n times over the partition of this thread's slice that is
 // destined for `consumer`: lines [consumer*partLines, (consumer+1)*partLines)
 // of the producer's slice. Together with Consume this forms partitioned

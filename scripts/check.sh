@@ -20,7 +20,11 @@
 #   go test -race race detector on the packages exercising concurrency-safe
 #                 surfaces (the simulator itself runs on one serial event
 #                 engine: spvet's goroutine check enforces that statically,
-#                 and no //spvet:allow goroutine remains in a sim package)
+#                 and no //spvet:allow goroutine remains in a sim package);
+#                 -short for the orchestration packages, plus
+#                 TestRealSimParallelDeterminism unshortened, the one test
+#                 driving sweep.Run's worker pool with real simulations at
+#                 1-4 workers
 #   spsweep smoke quick-scale sweep end to end: run, resume (must recall
 #                 every cell from the store), byte-compare the merged
 #                 outputs, status must report all cells complete
@@ -90,6 +94,7 @@ echo "== go test -race"
 go test -race ./internal/event ./internal/lint ./internal/sim \
     ./internal/stats ./internal/trace ./internal/workload
 go test -race -short ./internal/experiments ./internal/sweep ./internal/sweepd
+go test -race -count=1 -run TestRealSimParallelDeterminism ./internal/sweep
 
 echo "== spsweep smoke (run / resume / status)"
 go build -o "$sweepdir/spsweep" ./cmd/spsweep
