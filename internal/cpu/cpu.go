@@ -121,10 +121,11 @@ func (c *Core) step() {
 	}
 	op := c.ops[c.ip]
 	c.ip++
-	switch op.Kind {
+	switch op.Kind() {
 	case workload.OpCompute:
-		c.stats.ComputeCyc += uint64(op.N)
-		d := event.Time(int(op.N) / IssueWidth)
+		n := op.N()
+		c.stats.ComputeCyc += n
+		d := event.Time(int(n) / IssueWidth)
 		if d < 1 {
 			d = 1
 		}
@@ -132,7 +133,7 @@ func (c *Core) step() {
 
 	case workload.OpRead, workload.OpWrite:
 		c.stats.MemOps++
-		c.port.Access(op.Static, op.Addr, op.Kind == workload.OpWrite, c.stepFn)
+		c.port.Access(op.Static(), op.Addr(), op.Kind() == workload.OpWrite, c.stepFn)
 
 	case workload.OpBarrier:
 		c.stats.Barriers++
@@ -143,31 +144,32 @@ func (c *Core) step() {
 		// epoch's communication than in the paper's full-size runs (see
 		// DESIGN.md §1).
 		c.syncOp = op
-		c.rt.Barrier(c.ID, op.Static, c.barrierFn)
+		c.rt.Barrier(c.ID, op.Static(), c.barrierFn)
 
 	case workload.OpLock:
 		c.stats.Locks++
 		c.syncOp = op
-		// The runtime keys locks by their line address; the sync-point
-		// static ID (op.Static) is a separate notion exposed to predictors.
-		c.rt.Lock(c.ID, uint64(op.Addr), c.lockFn)
+		// The runtime keys locks by their line address (op.Addr()); the
+		// sync-point static ID (op.Static(), the op's second word) is a
+		// separate notion exposed to predictors.
+		c.rt.Lock(c.ID, uint64(op.Addr()), c.lockFn)
 
 	case workload.OpUnlock:
 		c.syncOp = op
-		c.port.Access(0, op.Addr, true, c.unlockFn)
+		c.port.Access(0, op.Addr(), true, c.unlockFn)
 
 	case workload.OpEnd:
 		c.finish()
 
 	default:
-		panic(fmt.Sprintf("cpu: core %d: bad op kind %v", c.ID, op.Kind))
+		panic(fmt.Sprintf("cpu: core %d: bad op kind %v", c.ID, op.Kind()))
 	}
 }
 
 // barrierReleased resumes the core past a barrier: crossing it is the
 // sync-point exposed to the predictor.
 func (c *Core) barrierReleased() {
-	c.port.OnSync(predictor.SyncBarrier, c.syncOp.Static)
+	c.port.OnSync(predictor.SyncBarrier, c.syncOp.Static())
 	c.stepFn()
 }
 
@@ -176,15 +178,15 @@ func (c *Core) barrierReleased() {
 // the lock line — a migratory, communicating miss coming from the previous
 // holder.
 func (c *Core) lockAcquired() {
-	c.port.OnSync(predictor.SyncLock, c.syncOp.Static)
-	c.port.Access(0, c.syncOp.Addr, true, c.stepFn)
+	c.port.OnSync(predictor.SyncLock, c.syncOp.Static())
+	c.port.Access(0, c.syncOp.Addr(), true, c.stepFn)
 }
 
 // unlockDone releases the lock once the release write completes.
 func (c *Core) unlockDone() {
 	op := c.syncOp
-	c.port.OnSync(predictor.SyncUnlock, op.Static)
-	c.rt.Unlock(c.ID, uint64(op.Addr))
+	c.port.OnSync(predictor.SyncUnlock, op.Static())
+	c.rt.Unlock(c.ID, uint64(op.Addr()))
 	c.stepFn()
 }
 
@@ -212,18 +214,19 @@ func (c *Core) fastStep() {
 			return
 		}
 		op := c.ops[c.ip]
-		switch op.Kind {
+		switch op.Kind() {
 		case workload.OpCompute:
 			c.ip++
-			c.stats.ComputeCyc += uint64(op.N)
-			d := event.Time(int(op.N) / IssueWidth)
+			n := op.N()
+			c.stats.ComputeCyc += n
+			d := event.Time(int(n) / IssueWidth)
 			if d < 1 {
 				d = 1
 			}
 			vt += d
 
 		case workload.OpRead, workload.OpWrite:
-			lat, ok := c.fastPort.AccessFast(op.Static, op.Addr, op.Kind == workload.OpWrite)
+			lat, ok := c.fastPort.AccessFast(op.Static(), op.Addr(), op.Kind() == workload.OpWrite)
 			if ok {
 				c.ip++
 				c.stats.MemOps++
@@ -239,7 +242,7 @@ func (c *Core) fastStep() {
 			}
 			c.ip++
 			c.stats.MemOps++
-			c.port.Access(op.Static, op.Addr, op.Kind == workload.OpWrite, c.stepFn)
+			c.port.Access(op.Static(), op.Addr(), op.Kind() == workload.OpWrite, c.stepFn)
 			return
 
 		default:

@@ -51,7 +51,7 @@ func runOps(t *testing.T, nCores int, opsFor func(tid int) []workload.Op) ([]*Co
 
 func TestComputeTiming(t *testing.T) {
 	_, _, sim := runOps(t, 1, func(int) []workload.Op {
-		return []workload.Op{{Kind: workload.OpCompute, N: 100}, {Kind: workload.OpEnd}}
+		return []workload.Op{workload.ComputeOp(100), workload.EndOp()}
 	})
 	// 2-issue: 100 cycles of work retire in 50.
 	if sim.Now() != 50 {
@@ -59,13 +59,33 @@ func TestComputeTiming(t *testing.T) {
 	}
 }
 
+// TestComputeBeyond32Bits builds a compute op of more than 2^32 cycles
+// through the builder, which keeps the full count, and replays it: the core
+// counts every cycle.
+func TestComputeBeyond32Bits(t *testing.T) {
+	const n = 1<<32 + 10
+	b := workload.NewBuilder("long", 1, 1)
+	b.Thread(0).Compute(n)
+	ops := b.Finish(0, 0).Threads[0]
+	if ops[0].Kind() != workload.OpCompute || ops[0].N() != n {
+		t.Fatalf("built %v, want compute n=%d", ops[0], uint64(n))
+	}
+	cores, _, sim := runOps(t, 1, func(int) []workload.Op { return ops })
+	if got := cores[0].Stats().ComputeCyc; got != n {
+		t.Fatalf("ComputeCyc = %d, want %d", got, uint64(n))
+	}
+	if sim.Now() != n/IssueWidth {
+		t.Fatalf("compute finished at %d, want %d", sim.Now(), n/IssueWidth)
+	}
+}
+
 func TestMemoryOpsInOrder(t *testing.T) {
 	cores, stubs, sim := runOps(t, 1, func(int) []workload.Op {
 		return []workload.Op{
-			{Kind: workload.OpRead, Addr: 0x100},
-			{Kind: workload.OpWrite, Addr: 0x200},
-			{Kind: workload.OpRead, Addr: 0x300},
-			{Kind: workload.OpEnd},
+			workload.MemOp(workload.OpRead, 0x100, 0),
+			workload.MemOp(workload.OpWrite, 0x200, 0),
+			workload.MemOp(workload.OpRead, 0x300, 0),
+			workload.EndOp(),
 		}
 	})
 	if len(stubs[0].accesses) != 3 || stubs[0].writes != 1 {
@@ -85,11 +105,11 @@ func TestBarrierBlocksUntilAllArrive(t *testing.T) {
 	cores, stubs, _ := runOps(t, 2, func(tid int) []workload.Op {
 		var ops []workload.Op
 		if tid == 1 {
-			ops = append(ops, workload.Op{Kind: workload.OpCompute, N: 2000})
+			ops = append(ops, workload.ComputeOp(2000))
 		}
 		ops = append(ops,
-			workload.Op{Kind: workload.OpBarrier, Static: 7},
-			workload.Op{Kind: workload.OpEnd})
+			workload.SyncOp(workload.OpBarrier, 0, 7),
+			workload.EndOp())
 		return ops
 	})
 	if cores[0].Stats().FinishTime < 1000 {
@@ -106,10 +126,10 @@ func TestLockMutualExclusionFIFO(t *testing.T) {
 	// All cores contend for one lock; the lock body writes the lock line.
 	cores, stubs, _ := runOps(t, 4, func(tid int) []workload.Op {
 		return []workload.Op{
-			{Kind: workload.OpLock, Static: 0xAA, Addr: arch.Addr(0xAA << 6)},
-			{Kind: workload.OpCompute, N: 100},
-			{Kind: workload.OpUnlock, Static: 0xAB, Addr: arch.Addr(0xAA << 6)},
-			{Kind: workload.OpEnd},
+			workload.SyncOp(workload.OpLock, arch.Addr(0xAA<<6), 0xAA),
+			workload.ComputeOp(100),
+			workload.SyncOp(workload.OpUnlock, arch.Addr(0xAA<<6), 0xAB),
+			workload.EndOp(),
 		}
 	})
 	// Finish times must be strictly staggered (serialized critical sections).
@@ -147,9 +167,9 @@ func TestLockSyncBeforeLockLineAccess(t *testing.T) {
 	order := []string{}
 	wrap := &orderPort{inner: stub, order: &order}
 	c := New(0, sim, wrap, co, []workload.Op{
-		{Kind: workload.OpLock, Static: 1, Addr: 0x40},
-		{Kind: workload.OpUnlock, Static: 2, Addr: 0x40},
-		{Kind: workload.OpEnd},
+		workload.SyncOp(workload.OpLock, 0x40, 1),
+		workload.SyncOp(workload.OpUnlock, 0x40, 2),
+		workload.EndOp(),
 	}, nil)
 	c.Start()
 	sim.Run()

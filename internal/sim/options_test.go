@@ -18,7 +18,7 @@ func TestDeadlockDetected(t *testing.T) {
 	}
 	prog := workload.NewBuilder("stuck", 4, 1).Finish(1, 0)
 	// Only thread 0 reaches the barrier; the other three end without it.
-	prog.Threads[0] = append([]workload.Op{{Kind: workload.OpBarrier, Static: 7, Addr: workload.BarrierAddr(7)}},
+	prog.Threads[0] = append([]workload.Op{workload.SyncOp(workload.OpBarrier, workload.BarrierAddr(7), 7)},
 		prog.Threads[0]...)
 	opt := DefaultOptions()
 	opt.Machine = cfg

@@ -13,7 +13,9 @@ import (
 )
 
 // hashProgram feeds a program's op streams into h: the thread count, then
-// each thread's length and ops field by field.
+// each thread's length and, per op, three words: Kind<<32|N, Addr and
+// Static. Spec-built compute counts stay below MaxCount, so N fits the
+// low half of the first word.
 func hashProgram(h hash.Hash, p *Program) {
 	var buf [8]byte
 	put := func(v uint64) {
@@ -24,9 +26,9 @@ func hashProgram(h hash.Hash, p *Program) {
 	for _, ops := range p.Threads {
 		put(uint64(len(ops)))
 		for _, op := range ops {
-			put(uint64(op.Kind)<<32 | uint64(op.N))
-			put(uint64(op.Addr))
-			put(op.Static)
+			put(uint64(op.Kind())<<32 | op.N())
+			put(uint64(op.Addr()))
+			put(op.Static())
 		}
 	}
 }
@@ -156,7 +158,7 @@ func TestReservedMiscountFails(t *testing.T) {
 				t.Fatalf("exact count: %v", err)
 			}
 			for tid, ops := range p.Threads {
-				if len(ops) != 6 || cap(ops) != 6 || ops[5].Kind != OpEnd {
+				if len(ops) != 6 || cap(ops) != 6 || ops[5].Kind() != OpEnd {
 					t.Fatalf("exact count: thread %d len %d cap %d", tid, len(ops), cap(ops))
 				}
 			}
@@ -165,7 +167,7 @@ func TestReservedMiscountFails(t *testing.T) {
 		if err == nil {
 			t.Fatalf("thread 0 emitted %+d ops against its reservation: no error", delta)
 		}
-		if ops := b.threads[1]; len(ops) != 5 || ops[0].Kind != OpBarrier || ops[1].Kind != OpRead {
+		if ops := b.threads[1]; len(ops) != 5 || ops[0].Kind() != OpBarrier || ops[1].Kind() != OpRead {
 			t.Fatalf("delta %+d: thread 1's stream changed: %+v", delta, ops)
 		}
 	}

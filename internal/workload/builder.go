@@ -3,6 +3,8 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+
+	"spcoh/internal/arch"
 )
 
 // Builder assembles per-thread op streams with correctly-shaped static
@@ -71,7 +73,7 @@ func (b *Builder) Locks(k int) []int {
 // Bar appends the barrier to every thread and opens a new epoch context.
 func (b *Builder) Bar(id uint64) {
 	for tid := 0; tid < b.n; tid++ {
-		b.threads[tid] = append(b.threads[tid], Op{Kind: OpBarrier, Static: id, Addr: BarrierAddr(id)})
+		b.threads[tid] = append(b.threads[tid], SyncOp(OpBarrier, BarrierAddr(id), id))
 		b.epochStatic[tid] = id
 		b.helperIdx[tid] = 0
 	}
@@ -119,7 +121,7 @@ func (b *Builder) finishReserved(staticBarriers, staticCS int) (*Program, error)
 			return nil, fmt.Errorf("workload: %s thread %d: emitted %d ops, reserved %d",
 				b.name, tid, len(ops), b.reserved[tid])
 		}
-		b.threads[tid] = append(ops, Op{Kind: OpEnd})
+		b.threads[tid] = append(ops, EndOp())
 	}
 	return &Program{Name: b.name, Threads: b.threads,
 		StaticBarriers: staticBarriers, StaticCritSections: staticCS}, nil
@@ -139,7 +141,7 @@ func (b *Builder) Finish(staticBarriers, staticCS int) *Program {
 	off := 0
 	for tid, ops := range b.threads {
 		end := off + copy(all[off:], ops)
-		all[end] = Op{Kind: OpEnd}
+		all[end] = EndOp()
 		end++
 		threads[tid] = all[off:end:end]
 		off = end
@@ -172,40 +174,38 @@ func (t *T) emit(op Op) { t.b.threads[t.tid] = append(t.b.threads[t.tid], op) }
 // Compute burns n cycles of non-memory work.
 func (t *T) Compute(n int) {
 	if n > 0 {
-		t.emit(Op{Kind: OpCompute, N: uint32(n)})
+		t.emit(ComputeOp(uint64(n)))
 	}
 }
 
-// readLoop emits n reads cycling over a line-address generator — one
-// static load executed n times.
-func (t *T) readLoop(n int, addr func(i int) Op) {
+// accessLoop emits n accesses of kind k cycling over an address
+// generator — one static load or store executed n times.
+func (t *T) accessLoop(n int, k OpKind, addr func(i int) arch.Addr) {
 	pc := t.pc()
 	for i := 0; i < n; i++ {
-		op := addr(i)
-		op.Static = pc
-		t.emit(op)
+		t.emit(MemOp(k, addr(i), pc))
 	}
 }
 
 // ReadSlice reads n times over owner's slice of a shared region.
 func (t *T) ReadSlice(region, owner, sliceLines, n int) {
-	t.readLoop(n, func(i int) Op {
-		return Op{Kind: OpRead, Addr: SliceAddr(region, owner, sliceLines, i)}
+	t.accessLoop(n, OpRead, func(i int) arch.Addr {
+		return SliceAddr(region, owner, sliceLines, i)
 	})
 }
 
 // WriteSlice writes n times over owner's slice of a shared region.
 func (t *T) WriteSlice(region, owner, sliceLines, n int) {
-	t.readLoop(n, func(i int) Op {
-		return Op{Kind: OpWrite, Addr: SliceAddr(region, owner, sliceLines, i)}
+	t.accessLoop(n, OpWrite, func(i int) arch.Addr {
+		return SliceAddr(region, owner, sliceLines, i)
 	})
 }
 
 // ReadLines reads n times cycling over `lines` lines of a shared region
 // starting at line `start`.
 func (t *T) ReadLines(region, start, lines, n int) {
-	t.readLoop(n, func(i int) Op {
-		return Op{Kind: OpRead, Addr: SharedAddr(region, start+i%lines)}
+	t.accessLoop(n, OpRead, func(i int) arch.Addr {
+		return SharedAddr(region, start+i%lines)
 	})
 }
 
@@ -218,16 +218,16 @@ func (t *T) ReadLines(region, start, lines, n int) {
 // small hot communication sets of paper §3.3.
 func (t *T) Produce(region, consumer, partLines, n int) {
 	nt := t.b.n
-	t.readLoop(n, func(i int) Op {
-		return Op{Kind: OpWrite, Addr: SliceAddr(region, t.tid, nt*partLines, consumer*partLines+i%partLines)}
+	t.accessLoop(n, OpWrite, func(i int) arch.Addr {
+		return SliceAddr(region, t.tid, nt*partLines, consumer*partLines+i%partLines)
 	})
 }
 
 // Consume reads n times over this thread's partition of `producer`'s slice.
 func (t *T) Consume(region, producer, partLines, n int) {
 	nt := t.b.n
-	t.readLoop(n, func(i int) Op {
-		return Op{Kind: OpRead, Addr: SliceAddr(region, producer, nt*partLines, t.tid*partLines+i%partLines)}
+	t.accessLoop(n, OpRead, func(i int) arch.Addr {
+		return SliceAddr(region, producer, nt*partLines, t.tid*partLines+i%partLines)
 	})
 }
 
@@ -243,12 +243,11 @@ func (t *T) Private(n, wsLines int, cursor *int) {
 	pcW := t.pc()
 	for i := 0; i < n; i++ {
 		*cursor = (*cursor + 17) % wsLines // stride-17 walk: spreads over sets
-		op := Op{Kind: OpRead, Addr: PrivateAddr(t.tid, *cursor), Static: pcR}
+		k, pc := OpRead, pcR
 		if i%4 == 3 {
-			op.Kind = OpWrite
-			op.Static = pcW
+			k, pc = OpWrite, pcW
 		}
-		t.emit(op)
+		t.emit(MemOp(k, PrivateAddr(t.tid, *cursor), pc))
 	}
 }
 
@@ -257,7 +256,7 @@ func (t *T) Private(n, wsLines int, cursor *int) {
 // protected region is derived from the lock ID, so every thread contends
 // over the same data — producing the migratory sharing of §3.4.
 func (t *T) CS(lockID, region, lines, n int) {
-	t.emit(Op{Kind: OpLock, Static: uint64(LockAddr(lockID)), Addr: LockAddr(lockID)})
+	t.emit(SyncOp(OpLock, LockAddr(lockID), uint64(LockAddr(lockID))))
 	// The critical-section epoch body.
 	prevEpoch := t.b.epochStatic[t.tid]
 	prevIdx := t.b.helperIdx[t.tid]
@@ -265,14 +264,13 @@ func (t *T) CS(lockID, region, lines, n int) {
 	t.b.helperIdx[t.tid] = 0
 	pcR, pcW := t.pc(), t.pc()
 	for i := 0; i < n; i++ {
-		op := Op{Kind: OpRead, Addr: SharedAddr(region, lockID*64+i%lines), Static: pcR}
+		k, pc := OpRead, pcR
 		if i%2 == 1 {
-			op.Kind = OpWrite
-			op.Static = pcW
+			k, pc = OpWrite, pcW
 		}
-		t.emit(op)
+		t.emit(MemOp(k, SharedAddr(region, lockID*64+i%lines), pc))
 	}
-	t.emit(Op{Kind: OpUnlock, Static: uint64(LockAddr(lockID)) + 1, Addr: LockAddr(lockID)})
+	t.emit(SyncOp(OpUnlock, LockAddr(lockID), uint64(LockAddr(lockID))+1))
 	t.b.epochStatic[t.tid] = prevEpoch
 	t.b.helperIdx[t.tid] = prevIdx
 }

@@ -7,7 +7,11 @@
 // the real protocol over real cache state.
 package workload
 
-import "spcoh/internal/arch"
+import (
+	"fmt"
+
+	"spcoh/internal/arch"
+)
 
 // OpKind enumerates thread operations.
 type OpKind uint8
@@ -44,14 +48,88 @@ func (k OpKind) String() string {
 	}
 }
 
-// Op is one thread operation, 24 bytes: Kind and N share the first word.
-// Static holds whichever static identity the kind has (no op has both), so
-// a program's ops cost three words each.
+// Op is one thread operation in two words, 16 bytes. Word a holds the kind
+// in its top 8 bits and the byte address in its low 56 bits: the memory
+// target of a read or write, the lock line of a lock or unlock, the arrival
+// counter of a barrier, and 0 for compute and end ops. Word b holds the
+// instruction PC of a read or write, the sync-point ID of a barrier, lock or
+// unlock, and the cycle count of a compute op. Build ops with MemOp, SyncOp,
+// ComputeOp and EndOp; two ops are == exactly when their Kind, Addr, N and
+// Static are equal.
 type Op struct {
-	Kind   OpKind
-	N      uint32    // compute cycles (OpCompute)
-	Addr   arch.Addr // memory target; lock line for lock/unlock
-	Static uint64    // instruction PC (read/write); sync-point ID (barrier/lock/unlock)
+	a, b uint64
+}
+
+// addrBits is the width of an op's address field.
+const addrBits = 56
+
+// pack builds an op, panicking on an address of 56 bits or more. The
+// layout's largest address (barrierBase and up) is below 2^47.
+func pack(k OpKind, addr arch.Addr, b uint64) Op {
+	if addr >= 1<<addrBits {
+		panic(fmt.Sprintf("workload: %v address %#x does not fit in 56 bits", k, uint64(addr)))
+	}
+	return Op{a: uint64(k)<<addrBits | uint64(addr), b: b}
+}
+
+// MemOp returns a read or write of addr by the instruction at pc.
+func MemOp(k OpKind, addr arch.Addr, pc uint64) Op {
+	if k != OpRead && k != OpWrite {
+		panic(fmt.Sprintf("workload: MemOp of kind %v", k))
+	}
+	return pack(k, addr, pc)
+}
+
+// SyncOp returns a barrier, lock or unlock on line addr with sync-point ID id.
+func SyncOp(k OpKind, addr arch.Addr, id uint64) Op {
+	if k != OpBarrier && k != OpLock && k != OpUnlock {
+		panic(fmt.Sprintf("workload: SyncOp of kind %v", k))
+	}
+	return pack(k, addr, id)
+}
+
+// ComputeOp returns n cycles of non-memory work.
+func ComputeOp(n uint64) Op { return Op{a: uint64(OpCompute) << addrBits, b: n} }
+
+// EndOp returns the op that ends a thread's stream.
+func EndOp() Op { return Op{a: uint64(OpEnd) << addrBits} }
+
+// Kind returns the op's kind.
+func (o Op) Kind() OpKind { return OpKind(o.a >> addrBits) }
+
+// Addr returns the op's byte address; 0 for compute and end ops.
+func (o Op) Addr() arch.Addr { return arch.Addr(o.a & (1<<addrBits - 1)) }
+
+// N returns a compute op's cycle count; 0 for every other kind.
+func (o Op) N() uint64 {
+	if o.Kind() != OpCompute {
+		return 0
+	}
+	return o.b
+}
+
+// Static returns the instruction PC of a read or write and the sync-point
+// ID of a barrier, lock or unlock; 0 for compute and end ops.
+func (o Op) Static() uint64 {
+	if o.Kind() == OpCompute {
+		return 0
+	}
+	return o.b
+}
+
+// String prints the kind, then the address and PC or sync-point ID of a
+// memory or sync op, or the cycles of a compute op.
+func (o Op) String() string {
+	switch k := o.Kind(); k {
+	case OpRead, OpWrite:
+		return fmt.Sprintf("%v %#x pc=%#x", k, uint64(o.Addr()), o.Static())
+	case OpBarrier, OpLock, OpUnlock:
+		return fmt.Sprintf("%v %#x id=%#x", k, uint64(o.Addr()), o.Static())
+	case OpCompute:
+		return fmt.Sprintf("compute n=%d", o.N())
+	default:
+		return k.String()
+	}
 }
 
 // Address-space layout. Regions are widely separated so they never collide;

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"testing"
 	"unsafe"
 
@@ -58,14 +59,14 @@ func TestBuilderStaticIdentity(t *testing.T) {
 	var instances [][]uint64
 	var cur []uint64
 	for _, op := range ops {
-		switch op.Kind {
+		switch op.Kind() {
 		case OpBarrier:
 			if cur != nil {
 				instances = append(instances, cur)
 			}
 			cur = []uint64{}
 		case OpRead, OpWrite:
-			cur = append(cur, op.Static)
+			cur = append(cur, op.Static())
 		}
 	}
 	instances = append(instances, cur)
@@ -96,18 +97,18 @@ func TestCSStructure(t *testing.T) {
 	p := b.Finish(1, 1)
 	ops := p.Threads[0]
 	// barrier, lock, 6 accesses, unlock, end
-	if ops[1].Kind != OpLock || ops[1].Addr != LockAddr(3) {
+	if ops[1].Kind() != OpLock || ops[1].Addr() != LockAddr(3) {
 		t.Fatalf("ops[1] = %+v", ops[1])
 	}
-	if ops[8].Kind != OpUnlock {
+	if ops[8].Kind() != OpUnlock {
 		t.Fatalf("ops[8] = %+v", ops[8])
 	}
-	if ops[1].Static != uint64(LockAddr(3)) {
+	if ops[1].Static() != uint64(LockAddr(3)) {
 		t.Fatal("lock static ID should be the lock address")
 	}
 	reads, writes := 0, 0
 	for _, op := range ops[2:8] {
-		switch op.Kind {
+		switch op.Kind() {
 		case OpRead:
 			reads++
 		case OpWrite:
@@ -147,7 +148,7 @@ func TestAllProfilesBuild(t *testing.T) {
 			t.Fatalf("%s: implausibly small (%d ops)", name, prog.TotalOps())
 		}
 		for tid, ops := range prog.Threads {
-			if ops[len(ops)-1].Kind != OpEnd {
+			if ops[len(ops)-1].Kind() != OpEnd {
 				t.Fatalf("%s thread %d: missing OpEnd", name, tid)
 			}
 			// Finish leaves no growth slack.
@@ -156,7 +157,7 @@ func TestAllProfilesBuild(t *testing.T) {
 			}
 			depth := 0
 			for _, op := range ops {
-				switch op.Kind {
+				switch op.Kind() {
 				case OpLock:
 					depth++
 					if depth > 1 {
@@ -180,11 +181,91 @@ func TestAllProfilesBuild(t *testing.T) {
 	}
 }
 
-// TestOpSize pins the op layout: Kind and N share a word, and one Static
-// field carries the PC or the sync-point ID.
+// TestOpSize pins the op layout at two words: kind and address share the
+// first, and the second is the PC, the sync-point ID or the cycle count.
 func TestOpSize(t *testing.T) {
-	if got := unsafe.Sizeof(Op{}); got != 24 {
-		t.Fatalf("unsafe.Sizeof(Op{}) = %d, want 24", got)
+	if got := unsafe.Sizeof(Op{}); got != 16 {
+		t.Fatalf("unsafe.Sizeof(Op{}) = %d, want 16", got)
+	}
+}
+
+// opFields is what an op's accessors read back.
+type opFields struct {
+	kind   OpKind
+	addr   arch.Addr
+	n      uint64
+	static uint64
+}
+
+func fields(o Op) opFields { return opFields{o.Kind(), o.Addr(), o.N(), o.Static()} }
+
+// roundTripOps builds every kind at the extremes of its fields: addresses
+// 0 and 2^56-1, and PCs, sync IDs and cycle counts 0 and 2^64-1.
+func roundTripOps() (ops []Op, want []opFields) {
+	for _, addr := range []arch.Addr{0, 1<<56 - 1} {
+		for _, v := range []uint64{0, ^uint64(0)} {
+			for _, k := range []OpKind{OpRead, OpWrite} {
+				ops = append(ops, MemOp(k, addr, v))
+				want = append(want, opFields{k, addr, 0, v})
+			}
+			for _, k := range []OpKind{OpBarrier, OpLock, OpUnlock} {
+				ops = append(ops, SyncOp(k, addr, v))
+				want = append(want, opFields{k, addr, 0, v})
+			}
+		}
+	}
+	for _, n := range []uint64{0, 1<<32 + 10, ^uint64(0)} {
+		ops = append(ops, ComputeOp(n))
+		want = append(want, opFields{OpCompute, 0, n, 0})
+	}
+	ops = append(ops, EndOp())
+	want = append(want, opFields{OpEnd, 0, 0, 0})
+	return ops, want
+}
+
+func TestOpRoundTrip(t *testing.T) {
+	ops, want := roundTripOps()
+	for i, op := range ops {
+		if got := fields(op); got != want[i] {
+			t.Errorf("op %d: read back %+v, built %+v", i, got, want[i])
+		}
+	}
+}
+
+// TestOpEqualityIsFieldEquality checks that == on ops (golden_test's
+// comparison) agrees with equality of all four accessor values.
+func TestOpEqualityIsFieldEquality(t *testing.T) {
+	ops, _ := roundTripOps()
+	ops = append(ops, MemOp(OpRead, 0x40, 1), MemOp(OpRead, 0x40, 1), SyncOp(OpLock, 0x40, 1), ComputeOp(1))
+	for i, a := range ops {
+		for j, b := range ops {
+			if (a == b) != (fields(a) == fields(b)) {
+				t.Errorf("ops %d and %d: == is %v, accessors %+v and %+v", i, j, a == b, fields(a), fields(b))
+			}
+		}
+	}
+}
+
+func TestOpAddressGuard(t *testing.T) {
+	for _, build := range []func(){
+		func() { MemOp(OpRead, 1<<56, 0) },
+		func() { SyncOp(OpLock, 1<<56, 0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("no panic on an address of 2^56")
+				}
+			}()
+			build()
+		}()
+	}
+}
+
+func TestOpString(t *testing.T) {
+	got := fmt.Sprint([]Op{MemOp(OpWrite, 0x40, 0x400001), SyncOp(OpBarrier, 0x80, 3), ComputeOp(100), EndOp()})
+	if want := "[write 0x40 pc=0x400001 barrier 0x80 id=0x3 compute n=100 end]"; got != want {
+		t.Fatalf("got %q, want %q", got, want)
 	}
 }
 
@@ -197,7 +278,7 @@ func TestThreadAppendLeavesNeighbour(t *testing.T) {
 		t.Fatal(err)
 	}
 	next := append([]Op(nil), prog.Threads[1]...)
-	prog.Threads[0] = append(prog.Threads[0], Op{Kind: OpCompute, N: 1})
+	prog.Threads[0] = append(prog.Threads[0], ComputeOp(1))
 	for i := range next {
 		if prog.Threads[1][i] != next[i] {
 			t.Fatalf("appending to thread 0 changed thread 1's op %d: %+v, was %+v",
@@ -215,8 +296,8 @@ func TestProfilesSPMDBarriers(t *testing.T) {
 		for tid, ops := range prog.Threads {
 			var seq []uint64
 			for _, op := range ops {
-				if op.Kind == OpBarrier {
-					seq = append(seq, op.Static)
+				if op.Kind() == OpBarrier {
+					seq = append(seq, op.Static())
 				}
 			}
 			if tid == 0 {
