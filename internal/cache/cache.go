@@ -86,6 +86,9 @@ type Cache struct {
 	ways  int
 	stats Stats
 	mask  uint64
+	// resident is the number of valid lines: Insert into an empty way adds
+	// one, Invalidate and SetState(…, Invalid) subtract one.
+	resident int
 }
 
 // stateBits is the width of the state field at the bottom of a tag word;
@@ -217,6 +220,8 @@ func (c *Cache) Insert(addr arch.LineAddr, st State) (v Victim, evicted bool) {
 		if v.State.Dirty() {
 			c.stats.Writebacks++
 		}
+	} else if !hit {
+		c.resident++
 	}
 	toFront(set, i, uint64(addr)<<stateBits|uint64(st))
 	return v, evicted
@@ -233,6 +238,7 @@ func (c *Cache) SetState(addr arch.LineAddr, st State) bool {
 	}
 	if st == Invalid {
 		remove(set, i)
+		c.resident--
 	} else {
 		set[i] = uint64(addr)<<stateBits | uint64(st)
 	}
@@ -250,6 +256,7 @@ func (c *Cache) Invalidate(addr arch.LineAddr) (State, bool) {
 	}
 	st := State(set[i] & stateMask)
 	remove(set, i)
+	c.resident--
 	return st, true
 }
 
@@ -264,13 +271,7 @@ func (c *Cache) ForEachValid(fn func(arch.LineAddr, State)) {
 	}
 }
 
-// Occupancy returns the number of valid lines (test/debug aid).
-func (c *Cache) Occupancy() int {
-	n := 0
-	for _, t := range c.tags {
-		if t != 0 {
-			n++
-		}
-	}
-	return n
-}
+// Occupancy returns the number of valid lines. It reads a counter the
+// mutators keep exact, so it costs O(1); the directory's quiescence audit
+// (protocol.System.CheckCoherence) sums it over every L2.
+func (c *Cache) Occupancy() int { return c.resident }

@@ -203,6 +203,11 @@ func TestDifferentialLRUModel(t *testing.T) {
 				if c.Stats() != ref.stats {
 					t.Fatalf("ways %d seed %d op %d: stats %+v, model %+v", ways, seed, op, c.Stats(), ref.stats)
 				}
+				// Occupancy is a counter the mutators keep, so it is
+				// checked after every op, not only with the resident set.
+				if got, want := c.Occupancy(), len(ref.resident()); got != want {
+					t.Fatalf("ways %d seed %d op %d: occupancy %d, model %d", ways, seed, op, got, want)
+				}
 				if op%500 == 499 {
 					got, want := sortLines(resident(c)), sortLines(ref.resident())
 					if len(got) != len(want) {
@@ -212,9 +217,6 @@ func TestDifferentialLRUModel(t *testing.T) {
 						if got[i] != want[i] {
 							t.Fatalf("ways %d seed %d op %d: resident %+v, model %+v", ways, seed, op, got[i], want[i])
 						}
-					}
-					if c.Occupancy() != len(want) {
-						t.Fatalf("ways %d seed %d op %d: occupancy %d, model %d", ways, seed, op, c.Occupancy(), len(want))
 					}
 				}
 			}

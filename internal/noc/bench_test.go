@@ -75,31 +75,49 @@ func TestAllocsBroadcastCeiling(t *testing.T) {
 	}
 }
 
-func BenchmarkSend(b *testing.B) {
+func BenchmarkSend(b *testing.B) { benchSend(b, DefaultConfig()) }
+
+func BenchmarkBroadcast(b *testing.B) { benchBroadcast(b, DefaultConfig()) }
+
+// The 16x16 forms walk routes of up to 30 hops and broadcast trees of 255
+// links, where the per-hop claim loop dominates.
+func BenchmarkSend16x16(b *testing.B) { benchSend(b, mesh16()) }
+
+func BenchmarkBroadcast16x16(b *testing.B) { benchBroadcast(b, mesh16()) }
+
+func mesh16() Config {
+	cfg := DefaultConfig()
+	cfg.Width, cfg.Height = 16, 16
+	return cfg
+}
+
+func benchSend(b *testing.B, cfg Config) {
 	b.ReportAllocs()
 	sim := event.New()
-	n := New(sim, DefaultConfig())
+	n := New(sim, cfg)
 	warm(sim, n)
+	nodes := cfg.Nodes()
 	arg := new(int)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.SendFn(arch.NodeID(i%16), arch.NodeID((i*7)%16), 64, nopDeliverArg, arg)
+		n.SendFn(arch.NodeID(i%nodes), arch.NodeID((i*7)%nodes), 64, nopDeliverArg, arg)
 		sim.Run()
 	}
 }
 
-func BenchmarkBroadcast(b *testing.B) {
+func benchBroadcast(b *testing.B, cfg Config) {
 	b.ReportAllocs()
 	sim := event.New()
-	n := New(sim, DefaultConfig())
+	n := New(sim, cfg)
 	warm(sim, n)
+	nodes := cfg.Nodes()
 	all := arch.EmptySet
-	for i := 0; i < n.cfg.Nodes(); i++ {
+	for i := 0; i < nodes; i++ {
 		all = all.Add(arch.NodeID(i))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.Broadcast(arch.NodeID(i%16), all, 8, nopNode, nil)
+		n.Broadcast(arch.NodeID(i%nodes), all, 8, nopNode, nil)
 		sim.Run()
 	}
 }

@@ -245,27 +245,6 @@ func (n *Network) Flits(payloadBytes int) int {
 	return f
 }
 
-// occupyLink claims directed link l for a packet whose head flit reaches it
-// at head, serializing for ser cycles, accounting stall and occupancy, and
-// returns the head-flit time after the link's wire and the next router.
-//
-//spcoh:noalloc
-func (n *Network) occupyLink(l int, head, ser event.Time) event.Time {
-	if n.busyUntil[l] > head {
-		stall := n.busyUntil[l] - head
-		n.stats.StallCycles += uint64(stall)
-		if n.obs != nil {
-			n.obs.LinkStall(l, stall)
-		}
-		head = n.busyUntil[l]
-	}
-	n.busyUntil[l] = head + ser
-	if n.obs != nil {
-		n.obs.LinkBusy(l, head, head+ser)
-	}
-	return head + n.cfg.LinkDelay + n.cfg.RouterDelay // head flit: wire + next router
-}
-
 // deliverAt accounts one endpoint delivery of latency lat and schedules the
 // delivery — exactly one of fn (closure form) or pfn(arg) (pre-bound form)
 // — at the arrival cycle. The pre-bound form goes through the event queue
@@ -343,16 +322,35 @@ func (n *Network) send(src, dst arch.NodeID, payloadBytes int, deliver func(), p
 
 // claim occupies g's links in path order for a packet whose head flit is
 // at g.node at headAt[g.node], and records in headAt the head-flit time at
-// each node the leg reaches.
+// each node the leg reaches. A packet whose head reaches a busy link waits
+// for it to drain (a stall), then holds it for ser cycles; the head flit
+// moves on after the link's wire and the next router. The tables, the
+// observer and the per-hop delay are held in locals, and the leg's stall
+// cycles are added to the statistics once.
 //
 //spcoh:noalloc
 func (n *Network) claim(g leg, ser event.Time) {
-	head, node, stride := n.headAt[g.node], g.node, 4*g.step
+	busyUntil, headAt, obs := n.busyUntil, n.headAt, n.obs
+	hop := n.cfg.LinkDelay + n.cfg.RouterDelay
+	head, node, stride := headAt[g.node], g.node, 4*g.step
+	var stalls event.Time
 	for i, l := 0, g.node*4+g.dir; i < g.hops; i, l = i+1, l+stride {
-		head = n.occupyLink(l, head, ser)
+		if free := busyUntil[l]; free > head {
+			stalls += free - head
+			if obs != nil {
+				obs.LinkStall(l, free-head)
+			}
+			head = free
+		}
+		busyUntil[l] = head + ser
+		if obs != nil {
+			obs.LinkBusy(l, head, head+ser)
+		}
+		head += hop
 		node += g.step
-		n.headAt[node] = head
+		headAt[node] = head
 	}
+	n.stats.StallCycles += uint64(stalls)
 }
 
 func (n *Network) getNodeCb(fn func(arch.NodeID, any), arg any, d arch.NodeID) *nodeCb {

@@ -2,8 +2,10 @@ package protocol
 
 import (
 	"fmt"
+	"math/bits"
 
 	"spcoh/internal/arch"
+	"spcoh/internal/cache"
 	"spcoh/internal/predictor"
 )
 
@@ -45,53 +47,104 @@ type dirLine struct {
 // DirSlice is one tile's directory slice. Lines are materialized lazily:
 // an absent entry means dirU.
 type DirSlice struct {
-	sys   *System
-	self  arch.NodeID
-	lines map[arch.LineAddr]*dirLine
+	sys  *System
+	self arch.NodeID
+
+	// table holds the materialized lines: an open-addressed hash table
+	// with linear probing, a power-of-two number of slots kept at most
+	// half full, indexed by a multiplicative hash of the line address (a
+	// slice's lines share their low Home bits, so the hash must take the
+	// high bits of the product). An empty slot has e == nil. Entries are
+	// never removed, so a probe ends at the line or at the first empty
+	// slot.
+	table []dirSlot
+	used  int  // occupied slots
+	shift uint // 64 - log2(len(table))
 
 	// slab is the chunk new lines are carved from: entries are taken from
 	// its spare capacity and a full chunk is replaced, never grown, so the
-	// pointers in lines stay valid. Chunks double up to dirSlabMax, so a
-	// slice that touches a handful of lines pays for a handful.
+	// pointers in table stay valid when it grows. Chunks double up to
+	// dirSlabMax, so a slice that touches a handful of lines pays for a
+	// handful.
 	slab []dirLine
-
-	// memo is a small direct-mapped front for the lines map: one transaction
-	// hits the same entry several times (request, forwards, unblock,
-	// accounting messages), and on big meshes many transactions on distinct
-	// lines interleave, which a single-entry memo thrashes on. Entries are
-	// never removed from lines, so the pointers cannot go stale.
-	memo [dirMemoSize]dirMemoEnt
 }
 
-const dirMemoSize = 64 // power of two; ~1KB per slice
+// dirSlot is one slot of DirSlice.table.
+type dirSlot struct {
+	line arch.LineAddr
+	e    *dirLine
+}
 
 const (
-	dirSlabMin = 4
-	dirSlabMax = 256
+	dirTableMin = 16 // initial slots: 8 lines before the first growth
+	dirSlabMin  = 4
+	dirSlabMax  = 256
 )
 
-type dirMemoEnt struct {
-	addr arch.LineAddr
-	line *dirLine
-}
-
 func newDirSlice(sys *System, self arch.NodeID) *DirSlice {
-	return &DirSlice{sys: sys, self: self, lines: make(map[arch.LineAddr]*dirLine)}
+	d := &DirSlice{sys: sys, self: self}
+	d.resize(dirTableMin)
+	return d
 }
 
+// slot returns the home slot of l: the top log2(len(table)) bits of l
+// times 2^64/φ.
+//
+//spcoh:noalloc
+func (d *DirSlice) slot(l arch.LineAddr) int {
+	return int(uint64(l) * 0x9E3779B97F4A7C15 >> d.shift)
+}
+
+// find returns the slot where l's probe ends: l's own slot, or the empty
+// slot where l would go.
+//
+//spcoh:noalloc
+func (d *DirSlice) find(l arch.LineAddr) int {
+	mask := len(d.table) - 1
+	i := d.slot(l)
+	for d.table[i].e != nil && d.table[i].line != l {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// line returns l's entry, materializing an idle (dirU) one on first use.
+//
 //spcoh:noalloc
 func (d *DirSlice) line(l arch.LineAddr) *dirLine {
-	m := &d.memo[uint64(l)&(dirMemoSize-1)]
-	if m.line != nil && m.addr == l {
-		return m.line
+	i := d.find(l)
+	if e := d.table[i].e; e != nil {
+		return e
 	}
-	e, ok := d.lines[l]
-	if !ok {
-		e = d.newLine() //spvet:allow noalloc -- inlined newLine: slab refill, once per dirSlabMax lines at most
-		d.lines[l] = e
+	return d.insert(l, i)
+}
+
+// lookup returns l's entry, or nil when l was never materialized.
+func (d *DirSlice) lookup(l arch.LineAddr) *dirLine { return d.table[d.find(l)].e }
+
+// insert materializes l in empty slot i (the end of l's probe), first
+// doubling the table if one more line would fill it past half.
+func (d *DirSlice) insert(l arch.LineAddr, i int) *dirLine {
+	if 2*(d.used+1) > len(d.table) {
+		d.resize(2 * len(d.table))
+		i = d.find(l)
 	}
-	m.addr, m.line = l, e
+	e := d.newLine()
+	d.table[i] = dirSlot{l, e}
+	d.used++
 	return e
+}
+
+// resize rehashes every line into a table of n slots (a power of two).
+func (d *DirSlice) resize(n int) {
+	old := d.table
+	d.table = make([]dirSlot, n)
+	d.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	for _, s := range old {
+		if s.e != nil {
+			d.table[d.find(s.line)] = s
+		}
+	}
 }
 
 // newLine carves an idle (dirU) entry from the slab.
@@ -434,43 +487,70 @@ func (d *DirSlice) handlePut(e *dirLine, m *Msg) {
 	d.reply(&Msg{Kind: MsgPutAck, Dst: q, Line: m.Line, Requester: q})
 }
 
-// checkDirSide audits this slice's entries at quiescence. Violations come
-// in two severities:
+// checkDirSide audits this slice's entries at quiescence, busy ones
+// included, and counts in a.registered the valid copies held by the
+// registered holders of the lines whose home it is. Each registered holder
+// is probed once. Violations come in two severities:
 //
-//   - hard: an entry still busy or with queued requests — a transaction
-//     that never finished.
-//   - soft: the directory registers a holder whose copy is gone. This is
-//     the benign residue of the predicted-invalidation race (see the
-//     poison logic in node.go); such lines remain functionally correct
-//     because registered nodes always service directory-issued forwards.
+//   - hard: an entry still busy or with queued requests (a transaction
+//     that never finished), and a registered holder whose copy is in a
+//     state the entry forbids (dir E owner in S, dir S sharer in M or E;
+//     home entries only).
+//   - soft: on an idle entry, the directory registers a holder whose copy
+//     is gone. This is the benign residue of the predicted-invalidation
+//     race (see the poison logic in node.go); such lines remain
+//     functionally correct because registered nodes always service
+//     directory-issued forwards.
 //
-// The converse direction — a node holding a copy the directory does not
-// account for, or in a state incompatible with the entry — is covered by
-// the holder-side sweep in System.CheckCoherence, so only the registered
-// holders are probed here (the predominantly-U line population costs
-// nothing).
-func (d *DirSlice) checkDirSide(hard, soft *[]dirViol) {
-	for l, e := range d.lines { //spvet:ordered -- per-line checks are independent; CheckCoherence sorts the collected violations
-		if e.busy || len(e.queue) > 0 {
-			*hard = append(*hard, dirViol{l, arch.None,
-				fmt.Sprintf("line %#x: busy or queued at quiescence", uint64(l))})
+// Copies the directory does not register are found by
+// System.CheckCoherence from the count.
+func (d *DirSlice) checkDirSide(a *audit) {
+	for _, s := range d.table {
+		l, e := s.line, s.e
+		if e == nil {
 			continue
 		}
+		idle := !e.busy && len(e.queue) == 0
+		if !idle {
+			a.hard = append(a.hard, dirViol{l, arch.None,
+				fmt.Sprintf("line %#x: busy or queued at quiescence", uint64(l))})
+		}
+		home := d.sys.Home(l) == d.self
 		switch e.state {
 		case dirE:
-			if !d.sys.Nodes[e.owner].l2.Peek(l).Valid() {
-				*soft = append(*soft, dirViol{l, e.owner,
-					fmt.Sprintf("line %#x: dir E owner %d has no copy", uint64(l), e.owner)})
+			st := d.sys.Nodes[e.owner].l2.Peek(l)
+			switch {
+			case !st.Valid():
+				if idle {
+					a.soft = append(a.soft, dirViol{l, e.owner,
+						fmt.Sprintf("line %#x: dir E owner %d has no copy", uint64(l), e.owner)})
+				}
+			case home:
+				a.registered++
+				if st == cache.Shared {
+					a.hard = append(a.hard, dirViol{l, e.owner,
+						fmt.Sprintf("line %#x: dir E owner %d has %v", uint64(l), e.owner, st)})
+				}
 			}
 		case dirS:
 			e.sharers.ForEach(func(nid arch.NodeID) {
-				if !d.sys.Nodes[nid].l2.Peek(l).Valid() {
-					*soft = append(*soft, dirViol{l, nid,
-						fmt.Sprintf("line %#x: dir S sharer %d has no copy", uint64(l), nid)})
+				st := d.sys.Nodes[nid].l2.Peek(l)
+				switch {
+				case !st.Valid():
+					if idle {
+						a.soft = append(a.soft, dirViol{l, nid,
+							fmt.Sprintf("line %#x: dir S sharer %d has no copy", uint64(l), nid)})
+					}
+				case home:
+					a.registered++
+					if st == cache.Modified || st == cache.Exclusive {
+						a.hard = append(a.hard, dirViol{l, nid,
+							fmt.Sprintf("line %#x: dir S sharer %d has %v", uint64(l), nid, st)})
+					}
 				}
 			})
 		case dirU:
-			// No registered holders; the holder-side sweep catches strays.
+			// No registered holders; a stray copy shows in the count.
 		}
 	}
 }

@@ -299,47 +299,62 @@ func (s *System) NetStats() noc.Stats { return s.Net.Stats() }
 // breaks) and soft ones (stale registrations left by benign predicted-
 // invalidation races; see dir.go). Baseline (non-predicting) runs must
 // produce neither.
+//
+// The directory side walks every entry and probes only its registered
+// holders (checkDirSide), counting the registered holders that have a
+// valid copy, home entries only. Those copies are distinct (one home entry
+// per line, one owner or a set of distinct sharers per entry), so their
+// number is at most the number of resident L2 lines, Σ Occupancy, an O(1)
+// counter per cache. When the two are equal every resident copy is
+// registered by its home slice, so there is no stray copy and no L2 array
+// is swept. Only on a mismatch does strays sweep every L2 for the copies
+// the directory does not register.
 func (s *System) CheckCoherence() (hard, soft []string) {
-	// Two passes, each linear in what it scans. Pass 1 (holder side) sweeps
-	// every L2 array once: a valid copy must be registered by its home slice
-	// in a compatible state — one directory lookup per resident line. Pass 2
-	// (dir side) walks the directory entries probing only the registered
-	// holders. The old formulation probed every node for every directory
-	// line (lines x nodes x associativity), which dominated short runs.
-	var hardV, softV []dirViol
+	var a audit
+	for _, d := range s.Dirs {
+		d.checkDirSide(&a)
+	}
+	resident := 0
+	for _, n := range s.Nodes {
+		resident += n.l2.Occupancy()
+	}
+	if a.registered != resident {
+		s.strays(&a)
+	}
+	// A canonical (line, node) sort makes the report independent of the
+	// order the table slots and L2 ways were walked in.
+	return renderViols(a.hard), renderViols(a.soft)
+}
+
+// audit collects CheckCoherence's violations and its count of registered
+// valid copies.
+type audit struct {
+	hard, soft []dirViol
+	registered int
+}
+
+// strays sweeps every L2 array for valid copies their home slice does not
+// register: the line is U or absent there, E at another owner, or S
+// without this node among the sharers. Registered copies in a forbidden
+// state are checkDirSide's to report.
+func (s *System) strays(a *audit) {
 	for _, n := range s.Nodes {
 		id := n.self
 		n.l2.ForEachValid(func(l arch.LineAddr, st cache.State) {
-			e, ok := s.Dirs[s.Home(l)].lines[l]
+			e := s.Dirs[s.Home(l)].lookup(l)
 			switch {
-			case !ok || e.state == dirU:
-				hardV = append(hardV, dirViol{l, id,
+			case e == nil || e.state == dirU:
+				a.hard = append(a.hard, dirViol{l, id,
 					fmt.Sprintf("line %#x: dir U but node %d has %v", uint64(l), id, st)})
-			case e.state == dirE:
-				if id != e.owner {
-					hardV = append(hardV, dirViol{l, id,
-						fmt.Sprintf("line %#x: dir E (owner %d) but node %d has %v", uint64(l), e.owner, id, st)})
-				} else if st == cache.Shared {
-					hardV = append(hardV, dirViol{l, id,
-						fmt.Sprintf("line %#x: dir E owner %d has %v", uint64(l), id, st)})
-				}
-			case e.state == dirS:
-				if !e.sharers.Contains(id) {
-					hardV = append(hardV, dirViol{l, id,
-						fmt.Sprintf("line %#x: dir S %v but node %d has %v", uint64(l), e.sharers, id, st)})
-				} else if st == cache.Modified || st == cache.Exclusive {
-					hardV = append(hardV, dirViol{l, id,
-						fmt.Sprintf("line %#x: dir S sharer %d has %v", uint64(l), id, st)})
-				}
+			case e.state == dirE && id != e.owner:
+				a.hard = append(a.hard, dirViol{l, id,
+					fmt.Sprintf("line %#x: dir E (owner %d) but node %d has %v", uint64(l), e.owner, id, st)})
+			case e.state == dirS && !e.sharers.Contains(id):
+				a.hard = append(a.hard, dirViol{l, id,
+					fmt.Sprintf("line %#x: dir S %v but node %d has %v", uint64(l), e.sharers, id, st)})
 			}
 		})
 	}
-	for _, d := range s.Dirs {
-		d.checkDirSide(&hardV, &softV)
-	}
-	// Violations are collected from unordered sweeps; a canonical
-	// (line, node) sort keeps the report deterministic.
-	return renderViols(hardV), renderViols(softV)
 }
 
 // dirViol is one coherence violation, keyed for deterministic ordering.

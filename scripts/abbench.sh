@@ -31,7 +31,10 @@ threshold=0.88
 rss_threshold=1.15
 # suite-dir-sp runs the directory and SP cells, suite-bcast broadcast
 # snooping: together every protocol path the paper's figures time.
-workloads="suite-dir-sp suite-bcast"
+# mesh16-sharded runs the directory on the 16x16 mesh, where per-tile
+# state, directory tables and long routes weigh most and a slowdown can
+# hide from the 4x4 suites.
+workloads="suite-dir-sp suite-bcast mesh16-sharded"
 
 [ $# -eq 1 ] || { echo "usage: $0 OUT" >&2; exit 2; }
 case $1 in

@@ -46,8 +46,9 @@
 #                 on purpose)
 #   bench smoke   every testing.B benchmark compiled and run once
 #                 (-benchtime=1x) so benchmark code cannot rot
-#   speed gate    scripts/abbench.sh: perfbench suite-dir-sp and suite-bcast
-#                 for the change and its base, alternately on this host; fails
+#   speed gate    scripts/abbench.sh: perfbench suite-dir-sp, suite-bcast and
+#                 mesh16-sharded (the 16x16 mesh) for the change and its
+#                 base, alternately on this host; fails
 #                 when a median candidate/base sim_cycles_per_s ratio is
 #                 below the script's threshold, or a median peak_rss_mb
 #                 ratio is above its memory threshold (DESIGN.md §11). Allocation
