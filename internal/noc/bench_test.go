@@ -80,7 +80,7 @@ func BenchmarkSend(b *testing.B) { benchSend(b, DefaultConfig()) }
 func BenchmarkBroadcast(b *testing.B) { benchBroadcast(b, DefaultConfig()) }
 
 // The 16x16 forms walk routes of up to 30 hops and broadcast trees of 255
-// links, where the per-hop claim loop dominates.
+// links, where the per-hop walk loop dominates.
 func BenchmarkSend16x16(b *testing.B) { benchSend(b, mesh16()) }
 
 func BenchmarkBroadcast16x16(b *testing.B) { benchBroadcast(b, mesh16()) }

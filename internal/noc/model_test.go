@@ -235,20 +235,30 @@ func (n *refNet) fastSend(src, dst arch.NodeID, payloadBytes int) event.Time {
 	return lat
 }
 
-// sumObs totals the observer hooks per link; the metrics collector only
-// sums them, so the order across links within one packet is free.
-type sumObs struct {
-	busy, stall map[int]event.Time
-	lats        []event.Time
+// linkObs records, for each link, the ordered sequence of observer calls
+// on it with their arguments. The order across links within one broadcast
+// differs from the reference's (it walks the tree, the reference each
+// destination's route), but on any one link every call must match.
+type linkObs struct {
+	calls map[int][]linkCall
+	lats  []event.Time
 }
 
-func newSumObs() *sumObs {
-	return &sumObs{busy: map[int]event.Time{}, stall: map[int]event.Time{}}
+// linkCall is one LinkStall (stall true, cycles in a) or LinkBusy ([a, b)).
+type linkCall struct {
+	stall bool
+	a, b  event.Time
 }
 
-func (o *sumObs) LinkBusy(l int, from, to event.Time) { o.busy[l] += to - from }
-func (o *sumObs) LinkStall(l int, cycles event.Time)  { o.stall[l] += cycles }
-func (o *sumObs) Deliver(lat event.Time)              { o.lats = append(o.lats, lat) }
+func newLinkObs() *linkObs { return &linkObs{calls: map[int][]linkCall{}} }
+
+func (o *linkObs) LinkBusy(l int, from, to event.Time) {
+	o.calls[l] = append(o.calls[l], linkCall{false, from, to})
+}
+func (o *linkObs) LinkStall(l int, cycles event.Time) {
+	o.calls[l] = append(o.calls[l], linkCall{true, cycles, 0})
+}
+func (o *linkObs) Deliver(lat event.Time) { o.lats = append(o.lats, lat) }
 
 // delivery is one endpoint arrival: the node and the cycle (or, for
 // FastBroadcast, the latency) it arrived at, tagged with its operation.
@@ -291,7 +301,8 @@ func randDsts(rng *rand.Rand, nodes int, src arch.NodeID) arch.SharerSet {
 // 16×16 meshes, from randomly pre-loaded link occupancy, and requires
 // identical link occupancy and Stats after every operation, identical
 // (operation, node, cycle) delivery sequences, identical per-link
-// observer totals, and identical routes, coordinates and hop counts.
+// sequences of observer calls and arguments, and identical routes,
+// coordinates and hop counts.
 func TestDifferentialNetworkModel(t *testing.T) {
 	geoms := [][2]int{{1, 7}, {9, 1}, {3, 5}, {5, 2}, {4, 4}, {16, 16}}
 	for seed := int64(1); seed <= 24; seed++ {
@@ -307,7 +318,7 @@ func TestDifferentialNetworkModel(t *testing.T) {
 
 			simN, simR := event.New(), event.New()
 			net, ref := New(simN, cfg), newRefNet(simR, cfg)
-			obsN, obsR := newSumObs(), newSumObs()
+			obsN, obsR := newLinkObs(), newLinkObs()
 			if seed%2 == 0 {
 				net.SetObserver(obsN)
 				ref.obs = obsR
@@ -325,8 +336,8 @@ func TestDifferentialNetworkModel(t *testing.T) {
 					if got, want := net.Hops(a, b), ref.hops(a, b); got != want {
 						t.Fatalf("Hops(%d,%d) = %d, want %d", a, b, got, want)
 					}
-					if got, want := net.Route(a, b), ref.route(a, b); !slices.Equal(got, want) {
-						t.Fatalf("Route(%d,%d) = %v, want %v", a, b, got, want)
+					if got, want := net.route(a, b), ref.route(a, b); !slices.Equal(got, want) {
+						t.Fatalf("route(%d,%d) = %v, want %v", a, b, got, want)
 					}
 				}
 			}
@@ -387,8 +398,11 @@ func TestDifferentialNetworkModel(t *testing.T) {
 			if len(wantD) == 0 || len(wantF) == 0 {
 				t.Fatalf("degenerate run: %d deliveries, %d fast deliveries", len(wantD), len(wantF))
 			}
-			if !maps.Equal(obsN.busy, obsR.busy) || !maps.Equal(obsN.stall, obsR.stall) || !slices.Equal(obsN.lats, obsR.lats) {
-				t.Fatal("observer totals diverged")
+			if !maps.EqualFunc(obsN.calls, obsR.calls, slices.Equal) || !slices.Equal(obsN.lats, obsR.lats) {
+				t.Fatal("observer calls diverged")
+			}
+			if seed%2 == 0 && len(obsR.calls) == 0 {
+				t.Fatal("degenerate run: no observer calls")
 			}
 		})
 	}

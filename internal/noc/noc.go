@@ -13,8 +13,12 @@
 // Routes are walked from per-node coordinate tables: an X-Y route is an X
 // leg and a Y leg, each a run of directed links at a fixed index stride (±4
 // per hop east or west, ±4·Width per hop south or north), so no hop divides
-// or looks a node up. Broadcast builds its tree in one pass from the
-// destinations' extents (treeExtent) and claims each tree link once.
+// or looks a node up. Send and Broadcast reserve every leg with one hop
+// loop (walk) that makes no calls; when a metrics observer is attached, a
+// separate replay (observe) reports the leg's links afterwards from the
+// reservations walk left behind. Broadcast builds its tree in one pass from
+// the destinations' extents (treeExtent) and walks each tree link once.
+// Flit counts come from a per-network table (Flits), so no packet divides.
 //
 // The injection path is allocation-free in steady state (DESIGN.md §11):
 // per-destination broadcast bindings come from a freelist, Broadcast's tree
@@ -126,8 +130,11 @@ type Network struct {
 	// col[id] and row[id] are node id's mesh coordinates.
 	col, row []int
 
+	// flits[p] is Flits(p) for every payload size p below len(flits).
+	flits []int
+
 	// Scratch, rewritten by every packet: headAt[id] is the current
-	// packet's head-flit time at node id (claim), and colLo[x]/colHi[x]
+	// packet's head-flit time at node id (walk), and colLo[x]/colHi[x]
 	// are the row span a broadcast tree covers in column x (treeExtent).
 	headAt       []event.Time
 	colLo, colHi []int
@@ -154,12 +161,20 @@ func New(sim *event.Sim, cfg Config) *Network {
 		headAt:    make([]event.Time, nodes),
 		colLo:     make([]int, cfg.Width),
 		colHi:     make([]int, cfg.Width),
+		flits:     make([]int, flitTable),
 	}
 	for id := range nodes {
 		n.col[id], n.row[id] = id%cfg.Width, id/cfg.Width
 	}
+	for p := range n.flits {
+		n.flits[p] = cfg.flits(p)
+	}
 	return n
 }
+
+// flitTable is the number of payload sizes Flits looks up rather than
+// computes: every message the protocols send (8 and 72 bytes) is below it.
+const flitTable = 128
 
 // Config returns the network configuration.
 func (n *Network) Config() Config { return n.cfg }
@@ -176,11 +191,6 @@ func (n *Network) NumLinks() int { return len(n.busyUntil) }
 
 // XY returns the mesh coordinates of a node.
 func (n *Network) XY(id arch.NodeID) (x, y int) { return n.col[id], n.row[id] }
-
-// NodeAt returns the node at mesh coordinates (x, y).
-func (n *Network) NodeAt(x, y int) arch.NodeID {
-	return arch.NodeID(y*n.cfg.Width + x)
-}
 
 // Hops returns the Manhattan distance between two nodes.
 func (n *Network) Hops(a, b arch.NodeID) int {
@@ -200,49 +210,31 @@ const (
 type leg struct{ node, dir, step, hops int }
 
 // xyLegs returns the X leg, then the Y leg, of the X-Y route from src to
-// dst. A leg with no hops is empty.
-func (n *Network) xyLegs(src, dst arch.NodeID) (x, y leg) {
-	sx, sy := n.col[src], n.row[src]
-	dx, dy := n.col[dst], n.row[dst]
-	if dx > sx {
-		x = leg{int(src), dirEast, 1, dx - sx}
-	} else {
-		x = leg{int(src), dirWest, -1, sx - dx}
-	}
-	corner := int(src) + dx - sx
-	if dy > sy {
-		y = leg{corner, dirSouth, n.cfg.Width, dy - sy}
-	} else {
-		y = leg{corner, dirNorth, -n.cfg.Width, sy - dy}
-	}
-	return x, y
-}
-
-// Route returns the sequence of directed links a packet traverses from src
-// to dst under X-Y (dimension-ordered) routing. Empty for src == dst.
-func (n *Network) Route(src, dst arch.NodeID) []int {
-	if src == dst {
-		return nil
-	}
-	links := make([]int, 0, n.Hops(src, dst))
-	x, y := n.xyLegs(src, dst)
-	for _, g := range [2]leg{x, y} {
-		for i, l := 0, g.node*4+g.dir; i < g.hops; i, l = i+1, l+4*g.step {
-			links = append(links, l)
-		}
-	}
-	return links
+// dst. A leg with no hops is empty. It does not branch: the sign mask of
+// each displacement (0 east or south, −1 west or north) picks the
+// direction (dirWest is dirEast+1, dirNorth is dirSouth−1), the step's
+// sign and the hop count's absolute value.
+func (n *Network) xyLegs(src, dst arch.NodeID) (leg, leg) {
+	dx, dy := n.col[dst]-n.col[src], n.row[dst]-n.row[src]
+	mx, my := dx>>63, dy>>63
+	return leg{int(src), dirEast - mx, mx | 1, (dx ^ mx) - mx},
+		leg{int(src) + dx, dirSouth + my, (n.cfg.Width ^ my) - my, (dy ^ my) - my}
 }
 
 // Flits returns the number of flits (header + payload) for a payload of the
-// given byte size.
+// given byte size. Sizes below flitTable are looked up in the table New
+// builds, so the packet path does not divide.
 func (n *Network) Flits(payloadBytes int) int {
-	f := n.cfg.HeaderFlits
-	f += (payloadBytes + n.cfg.FlitBytes - 1) / n.cfg.FlitBytes
-	if f < 1 {
-		f = 1
+	if uint(payloadBytes) < uint(len(n.flits)) {
+		return n.flits[payloadBytes]
 	}
-	return f
+	return n.cfg.flits(payloadBytes)
+}
+
+// flits computes the flit count of a payload: the header flits plus the
+// payload rounded up to whole flits, and at least one.
+func (c Config) flits(payloadBytes int) int {
+	return max(1, c.HeaderFlits+(payloadBytes+c.FlitBytes-1)/c.FlitBytes)
 }
 
 // deliverAt accounts one endpoint delivery of latency lat and schedules the
@@ -301,14 +293,13 @@ func (n *Network) send(src, dst arch.NodeID, payloadBytes int, deliver func(), p
 		return
 	}
 
-	// Head-flit time advances hop by hop; each link is held for the packet's
-	// serialization time starting when the head flit enters it.
-	n.headAt[src] = now + n.cfg.RouterDelay // source router/injection
+	// Head-flit time advances hop by hop from the source router; each link
+	// is held for the packet's serialization time starting when the head
+	// flit enters it.
 	ser := event.Time(flits) * n.cfg.LinkDelay
 	x, y := n.xyLegs(src, dst)
-	n.claim(x, ser)
-	n.claim(y, ser)
-	head := n.headAt[dst]
+	head := n.walk(x, now+n.cfg.RouterDelay, ser)
+	head = n.walk(y, head, ser)
 	hops := uint64(x.hops + y.hops)
 	n.stats.FlitHops += uint64(flits) * hops
 	n.stats.RouterHops += hops
@@ -320,37 +311,68 @@ func (n *Network) send(src, dst arch.NodeID, payloadBytes int, deliver func(), p
 	n.deliverAt(arrival, arrival-now, deliver, pfn, arg)
 }
 
-// claim occupies g's links in path order for a packet whose head flit is
-// at g.node at headAt[g.node], and records in headAt the head-flit time at
-// each node the leg reaches. A packet whose head reaches a busy link waits
-// for it to drain (a stall), then holds it for ser cycles; the head flit
-// moves on after the link's wire and the next router. The tables, the
-// observer and the per-hop delay are held in locals, and the leg's stall
-// cycles are added to the statistics once.
+// walk occupies g's links in path order for a packet whose head flit is
+// at g.node at cycle head, records in headAt the head-flit time at each
+// node the leg reaches, and returns the head-flit time at its last node. A
+// packet whose head reaches a busy link waits for it to drain (a stall),
+// then holds it for ser cycles; the head flit moves on after the link's
+// wire and the next router. A leg's stall cycles are what its head time
+// gained beyond the hops' fixed delay; they are added to the statistics
+// once, and an attached observer hears of the leg afterwards (observe).
 //
 //spcoh:noalloc
-func (n *Network) claim(g leg, ser event.Time) {
-	busyUntil, headAt, obs := n.busyUntil, n.headAt, n.obs
-	hop := n.cfg.LinkDelay + n.cfg.RouterDelay
-	head, node, stride := headAt[g.node], g.node, 4*g.step
-	var stalls event.Time
-	for i, l := 0, g.node*4+g.dir; i < g.hops; i, l = i+1, l+stride {
-		if free := busyUntil[l]; free > head {
-			stalls += free - head
-			if obs != nil {
-				obs.LinkStall(l, free-head)
-			}
-			head = free
-		}
-		busyUntil[l] = head + ser
-		if obs != nil {
-			obs.LinkBusy(l, head, head+ser)
-		}
-		head += hop
-		node += g.step
-		headAt[node] = head
+func (n *Network) walk(g leg, head, ser event.Time) event.Time {
+	if g.hops <= 0 {
+		return head
 	}
-	n.stats.StallCycles += uint64(stalls)
+	hop := n.cfg.LinkDelay + n.cfg.RouterDelay
+	end := hopLoop(n.busyUntil, n.headAt, g, head, ser, hop)
+	n.stats.StallCycles += uint64(end - head - event.Time(g.hops)*hop)
+	if n.obs != nil {
+		n.observe(g, head, ser)
+	}
+	return end
+}
+
+// hopLoop is walk's loop: per hop a bounds-checked load, a max (a CMOV,
+// not a branch on the link's state) and two stores. It makes no calls and
+// keeps no counter besides the link index (link l leaves node l/4). It is
+// a function of its own because, inlined into walk, it shares registers
+// with the state walk needs after it, and Go then reloads that state from
+// the stack on every hop.
+//
+//go:noinline
+func hopLoop(busyUntil, headAt []event.Time, g leg, head, ser, hop event.Time) event.Time {
+	stride := 4 * g.step
+	for l, end := g.node*4+g.dir, (g.node+g.hops*g.step)*4+g.dir; l != end; {
+		h := max(head, busyUntil[l])
+		busyUntil[l] = h + ser
+		head = h + hop
+		l += stride
+		headAt[l>>2] = head
+	}
+	return head
+}
+
+// observe reports a leg that walk has just reserved to the observer, from
+// the state walk left: link l was entered at h = busyUntil[l]−ser, after a
+// stall of h minus the head-flit time at the node it leaves. Per link, in
+// path order, it calls LinkStall when the stall is positive, then
+// LinkBusy for [h, h+ser): the calls a link-by-link reservation makes.
+// It runs only on instrumented runs and stays out of line, so walk's hot
+// path carries one nil test for it.
+//
+//go:noinline
+func (n *Network) observe(g leg, head, ser event.Time) {
+	hop := n.cfg.LinkDelay + n.cfg.RouterDelay
+	for i, l := 0, g.node*4+g.dir; i < g.hops; i, l = i+1, l+4*g.step {
+		h := n.busyUntil[l] - ser
+		if h > head {
+			n.obs.LinkStall(l, h-head)
+		}
+		n.obs.LinkBusy(l, h, h+ser)
+		head = h + hop
+	}
 }
 
 func (n *Network) getNodeCb(fn func(arch.NodeID, any), arg any, d arch.NodeID) *nodeCb {
@@ -397,9 +419,9 @@ func (n *Network) treeExtent(src arch.NodeID, dsts arch.SharerSet) (lo, hi int) 
 // arrival, in ascending order of d within a cycle; with a pointer-shaped
 // arg a warm broadcast allocates nothing.
 //
-// The tree is claimed in one pass, row links outward from src and then
+// The tree is walked in one pass, row links outward from src and then
 // each column's links outward from the row. Each link's head-flit time
-// depends only on links upstream of it, and each link is claimed once, so
+// depends only on links upstream of it, and each link is walked once, so
 // occupancy, stalls and arrivals are those of walking every destination's
 // route in turn.
 //
@@ -413,14 +435,16 @@ func (n *Network) Broadcast(src arch.NodeID, dsts arch.SharerSet, payloadBytes i
 
 	lo, hi := n.treeExtent(src, dsts)
 	sx, sy, w := n.col[src], n.row[src], n.cfg.Width
-	n.headAt[src] = now + n.cfg.RouterDelay
-	n.claim(leg{int(src), dirEast, 1, hi - sx}, ser)
-	n.claim(leg{int(src), dirWest, -1, sx - lo}, ser)
+	inject := now + n.cfg.RouterDelay
+	n.headAt[src] = inject
+	n.walk(leg{int(src), dirEast, 1, hi - sx}, inject, ser)
+	n.walk(leg{int(src), dirWest, -1, sx - lo}, inject, ser)
 	links := hi - lo
 	for x := lo; x <= hi; x++ {
 		r := int(src) + x - sx // (x, sy)
-		n.claim(leg{r, dirSouth, w, n.colHi[x] - sy}, ser)
-		n.claim(leg{r, dirNorth, -w, sy - n.colLo[x]}, ser)
+		head := n.headAt[r]
+		n.walk(leg{r, dirSouth, w, n.colHi[x] - sy}, head, ser)
+		n.walk(leg{r, dirNorth, -w, sy - n.colLo[x]}, head, ser)
 		links += n.colHi[x] - n.colLo[x]
 	}
 	n.stats.FlitHops += uint64(flits * links)

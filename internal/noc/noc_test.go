@@ -13,6 +13,24 @@ func newNet() (*event.Sim, *Network) {
 	return sim, New(sim, DefaultConfig())
 }
 
+// nodeAt returns the node at mesh coordinates (x, y).
+func (n *Network) nodeAt(x, y int) arch.NodeID {
+	return arch.NodeID(y*n.cfg.Width + x)
+}
+
+// route returns the sequence of directed links a packet traverses from src
+// to dst under X-Y (dimension-ordered) routing. Empty for src == dst.
+func (n *Network) route(src, dst arch.NodeID) []int {
+	var links []int
+	x, y := n.xyLegs(src, dst)
+	for _, g := range [2]leg{x, y} {
+		for i, l := 0, g.node*4+g.dir; i < g.hops; i, l = i+1, l+4*g.step {
+			links = append(links, l)
+		}
+	}
+	return links
+}
+
 func TestCoordinates(t *testing.T) {
 	_, n := newNet()
 	x, y := n.XY(0)
@@ -23,12 +41,12 @@ func TestCoordinates(t *testing.T) {
 	if x != 1 || y != 1 {
 		t.Fatalf("XY(5) = %d,%d", x, y)
 	}
-	if n.NodeAt(3, 3) != 15 {
-		t.Fatalf("NodeAt(3,3) = %d", n.NodeAt(3, 3))
+	if n.nodeAt(3, 3) != 15 {
+		t.Fatalf("nodeAt(3,3) = %d", n.nodeAt(3, 3))
 	}
 	for id := arch.NodeID(0); id < 16; id++ {
 		x, y := n.XY(id)
-		if n.NodeAt(x, y) != id {
+		if n.nodeAt(x, y) != id {
 			t.Fatalf("coordinate round trip failed for %d", id)
 		}
 	}
@@ -53,14 +71,14 @@ func TestRouteLengthAndXYOrder(t *testing.T) {
 	_, n := newNet()
 	for src := arch.NodeID(0); src < 16; src++ {
 		for dst := arch.NodeID(0); dst < 16; dst++ {
-			r := n.Route(src, dst)
+			r := n.route(src, dst)
 			if len(r) != n.Hops(src, dst) {
 				t.Fatalf("route %d->%d has %d links, want %d", src, dst, len(r), n.Hops(src, dst))
 			}
 		}
 	}
 	// X-Y routing: 0 -> 10 goes east twice then south twice.
-	r := n.Route(0, 10)
+	r := n.route(0, 10)
 	want := []int{
 		0*4 + dirEast, // node 0 east
 		1*4 + dirEast, // node 1 east
@@ -75,15 +93,84 @@ func TestRouteLengthAndXYOrder(t *testing.T) {
 }
 
 func TestFlits(t *testing.T) {
-	_, n := newNet()
-	if got := n.Flits(0); got != 1 {
-		t.Fatalf("Flits(0) = %d, want 1 (header)", got)
+	for _, fb := range []int{8, 16} {
+		for _, hf := range []int{0, 1, 2} {
+			cfg := DefaultConfig()
+			cfg.FlitBytes, cfg.HeaderFlits = fb, hf
+			n := New(event.New(), cfg)
+			// Past the lookup table the count is computed; both must agree
+			// with counting the payload out flit by flit.
+			for p := 0; p <= 200; p++ {
+				want := hf
+				for left := p; left > 0; left -= fb {
+					want++
+				}
+				want = max(want, 1)
+				if got := n.Flits(p); got != want {
+					t.Fatalf("FlitBytes %d, HeaderFlits %d: Flits(%d) = %d, want %d", fb, hf, p, got, want)
+				}
+			}
+		}
 	}
-	if got := n.Flits(8); got != 2 {
-		t.Fatalf("Flits(8) = %d, want 2", got)
-	}
-	if got := n.Flits(64); got != 5 {
-		t.Fatalf("Flits(64) = %d, want 5", got)
+}
+
+// TestZeroLoadLatency is the closed-form oracle of DESIGN.md §3: on an idle
+// mesh a packet of F flits from src to dst, h hops apart, arrives after
+//
+//	RouterDelay + h·(LinkDelay+RouterDelay) + F·LinkDelay − LinkDelay
+//
+// cycles (the source router, a link and a router per hop, and the tail
+// trailing the head by the last link's serialization), and a local one
+// after RouterDelay. It checks every source/destination pair on 4×4, 8×8
+// and 3×5 meshes, for Send and for Broadcast to every node, at two
+// timings and three payloads. Each packet is injected after the previous
+// one has drained, so every link is free and nothing stalls.
+func TestZeroLoadLatency(t *testing.T) {
+	for _, geom := range [][2]int{{4, 4}, {8, 8}, {3, 5}} {
+		for _, timing := range [][2]event.Time{{2, 1}, {1, 3}} {
+			cfg := DefaultConfig()
+			cfg.Width, cfg.Height = geom[0], geom[1]
+			cfg.RouterDelay, cfg.LinkDelay = timing[0], timing[1]
+			nodes := cfg.Nodes()
+			want := func(src, dst arch.NodeID, flits int) event.Time {
+				if src == dst {
+					return cfg.RouterDelay
+				}
+				w := cfg.Width
+				hops := event.Time(abs(int(src)%w-int(dst)%w) + abs(int(src)/w-int(dst)/w))
+				return cfg.RouterDelay + hops*(cfg.LinkDelay+cfg.RouterDelay) + event.Time(flits)*cfg.LinkDelay - cfg.LinkDelay
+			}
+			for _, pf := range [][2]int{{0, 1}, {8, 2}, {72, 6}} {
+				payload, flits := pf[0], pf[1]
+				sim := event.New()
+				n := New(sim, cfg)
+				for src := arch.NodeID(0); int(src) < nodes; src++ {
+					for dst := arch.NodeID(0); int(dst) < nodes; dst++ {
+						sent, got := sim.Now(), event.Time(0)
+						n.Send(src, dst, payload, func() { got = sim.Now() - sent })
+						sim.Run()
+						if w := want(src, dst, flits); got != w {
+							t.Fatalf("%dx%d %v: Send(%d→%d, %dB) took %d cycles, want %d", geom[0], geom[1], timing, src, dst, payload, got, w)
+						}
+					}
+					sent := sim.Now()
+					lat := make(map[arch.NodeID]event.Time, nodes)
+					n.Broadcast(src, arch.FullSet(nodes), payload, func(d arch.NodeID, _ any) { lat[d] = sim.Now() - sent }, nil)
+					sim.Run()
+					if len(lat) != nodes {
+						t.Fatalf("Broadcast from %d reached %d of %d nodes", src, len(lat), nodes)
+					}
+					for dst := arch.NodeID(0); int(dst) < nodes; dst++ {
+						if w := want(src, dst, flits); lat[dst] != w {
+							t.Fatalf("%dx%d %v: Broadcast(%d→%d, %dB) took %d cycles, want %d", geom[0], geom[1], timing, src, dst, payload, lat[dst], w)
+						}
+					}
+				}
+				if s := n.Stats().StallCycles; s != 0 {
+					t.Fatalf("%dx%d: %d stall cycles on an idle mesh", geom[0], geom[1], s)
+				}
+			}
+		}
 	}
 }
 
@@ -313,7 +400,7 @@ func TestPropertyRoutesLoopFree(t *testing.T) {
 		_, n := newNet()
 		src := arch.NodeID(sRaw % 16)
 		dst := arch.NodeID(dRaw % 16)
-		r := n.Route(src, dst)
+		r := n.route(src, dst)
 		seen := make(map[int]bool)
 		for _, l := range r {
 			if seen[l] {

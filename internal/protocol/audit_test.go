@@ -21,7 +21,7 @@ func refCheckCoherence(s *System) (hard, soft []string) {
 	for _, n := range s.Nodes {
 		id := n.self
 		n.l2.ForEachValid(func(l arch.LineAddr, st cache.State) {
-			e := s.Dirs[s.Home(l)].lookup(l)
+			e := s.Dirs[s.Cfg.Home(l)].lookup(l)
 			switch {
 			case e == nil || e.state == dirU:
 				hardV = append(hardV, dirViol{l, id,

@@ -515,7 +515,7 @@ func (d *DirSlice) checkDirSide(a *audit) {
 			a.hard = append(a.hard, dirViol{l, arch.None,
 				fmt.Sprintf("line %#x: busy or queued at quiescence", uint64(l))})
 		}
-		home := d.sys.Home(l) == d.self
+		home := d.sys.Cfg.Home(l) == d.self
 		switch e.state {
 		case dirE:
 			st := d.sys.Nodes[e.owner].l2.Peek(l)

@@ -526,7 +526,7 @@ func (n *Node) issueMiss(pc uint64, line arch.LineAddr, kind predictor.MissKind,
 		n.stats.PredTargets += uint64(set.Count())
 	}
 	// ...and the request to the home directory, carrying the predicted set.
-	n.send(&Msg{Kind: dirKind, Dst: n.sys.Home(line), Line: line, Requester: n.self,
+	n.send(&Msg{Kind: dirKind, Dst: n.sys.Cfg.Home(line), Line: line, Requester: n.self,
 		Pred: set, HadLine: kind == predictor.UpgradeMiss, MissKind: kind, PC: pc})
 }
 
@@ -601,12 +601,12 @@ func (n *Node) handlePredGetS(m *Msg) {
 	n.sendAfter(n.sys.Cfg.L2HitLatency(), &Msg{Kind: MsgData, Dst: m.Requester, Line: m.Line,
 		Requester: m.Requester, MissKind: m.MissKind})
 	if st == cache.Modified {
-		n.sendAfter(n.sys.Cfg.L2HitLatency(), &Msg{Kind: MsgWriteback, Dst: n.sys.Home(m.Line), Line: m.Line, Requester: n.self})
+		n.sendAfter(n.sys.Cfg.L2HitLatency(), &Msg{Kind: MsgWriteback, Dst: n.sys.Cfg.Home(m.Line), Line: m.Line, Requester: n.self})
 	}
 	n.l2.SetState(m.Line, cache.Shared)
 	// Sharing-state update to the directory (accounting; the authoritative
 	// transition happens when the directory processes the request).
-	n.sendAfter(n.sys.Cfg.L2HitLatency(), &Msg{Kind: MsgDirUpd, Dst: n.sys.Home(m.Line), Line: m.Line, Requester: m.Requester})
+	n.sendAfter(n.sys.Cfg.L2HitLatency(), &Msg{Kind: MsgDirUpd, Dst: n.sys.Cfg.Home(m.Line), Line: m.Line, Requester: m.Requester})
 }
 
 // handlePredGetM services a predicted write request: forward and invalidate
@@ -631,7 +631,7 @@ func (n *Node) handlePredGetM(m *Msg) {
 		n.sendAfter(n.sys.Cfg.L2HitLatency(), &Msg{Kind: MsgData, Dst: m.Requester, Line: m.Line,
 			Requester: m.Requester, MissKind: m.MissKind})
 		n.invalidateLocal(m.Line)
-		n.sendAfter(n.sys.Cfg.L2HitLatency(), &Msg{Kind: MsgDirUpd, Dst: n.sys.Home(m.Line), Line: m.Line, Requester: m.Requester})
+		n.sendAfter(n.sys.Cfg.L2HitLatency(), &Msg{Kind: MsgDirUpd, Dst: n.sys.Cfg.Home(m.Line), Line: m.Line, Requester: m.Requester})
 	default:
 		if !st.Valid() {
 			// Nothing here yet: a miss of ours may be about to issue and
@@ -655,7 +655,7 @@ func (n *Node) handleFwdGetS(m *Msg) {
 	n.sendAfter(n.sys.Cfg.L2HitLatency(), &Msg{Kind: MsgData, Dst: m.Requester, Line: m.Line,
 		Requester: m.Requester, MissKind: m.MissKind})
 	if st == cache.Modified {
-		n.sendAfter(n.sys.Cfg.L2HitLatency(), &Msg{Kind: MsgWriteback, Dst: n.sys.Home(m.Line), Line: m.Line, Requester: n.self})
+		n.sendAfter(n.sys.Cfg.L2HitLatency(), &Msg{Kind: MsgWriteback, Dst: n.sys.Cfg.Home(m.Line), Line: m.Line, Requester: n.self})
 	}
 	if st.CanForward() {
 		n.l2.SetState(m.Line, cache.Shared)
@@ -795,7 +795,7 @@ func (n *Node) checkComplete(ms *mshr) {
 		(ms.nackFrom.Contains(ms.supplier) ||
 			(ms.needData && !ms.dataArrived && ms.respFrom.Contains(ms.supplier) && ms.provider != ms.supplier)) {
 		ms.retried = true
-		n.send(&Msg{Kind: MsgGetRetry, Dst: n.sys.Home(ms.line), Line: ms.line,
+		n.send(&Msg{Kind: MsgGetRetry, Dst: n.sys.Cfg.Home(ms.line), Line: ms.line,
 			Requester: n.self, MissKind: ms.kind})
 		return
 	}
@@ -823,7 +823,7 @@ func (n *Node) finalize(ms *mshr) {
 	}
 
 	// Unblock the home so queued transactions may proceed.
-	n.send(&Msg{Kind: MsgUnblock, Dst: n.sys.Home(ms.line), Line: ms.line, Requester: n.self})
+	n.send(&Msg{Kind: MsgUnblock, Dst: n.sys.Cfg.Home(ms.line), Line: ms.line, Requester: n.self})
 
 	// Statistics and training.
 	if ms.communicating {
@@ -907,7 +907,7 @@ func (n *Node) evict(v cache.Victim) {
 	case cache.Shared, cache.Invalid:
 		// Shared keeps the preset PutS; Insert never yields an Invalid victim.
 	}
-	n.send(&Msg{Kind: kind, Dst: n.sys.Home(v.Addr), Line: v.Addr, Requester: n.self})
+	n.send(&Msg{Kind: kind, Dst: n.sys.Cfg.Home(v.Addr), Line: v.Addr, Requester: n.self})
 }
 
 func (n *Node) handlePutAck(m *Msg) {

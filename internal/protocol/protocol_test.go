@@ -406,3 +406,17 @@ func TestTable5AccountingPlausible(t *testing.T) {
 	}
 	quiesce(t, sim, sys, true)
 }
+
+// Home interleaves lines across the tiles: line l belongs to tile l mod
+// Nodes, on power-of-two tile counts (the mask path) and on others alike.
+func TestHomeInterleaving(t *testing.T) {
+	lines := []arch.LineAddr{0, 1, 2, 15, 16, 17, 255, 256, 1<<40 + 7, 1<<63 + 5, ^arch.LineAddr(0)}
+	for _, nodes := range []int{1, 4, 12, 15, 16, 64, 256} {
+		cfg := Config{Nodes: nodes}
+		for _, l := range lines {
+			if got, want := cfg.Home(l), arch.NodeID(uint64(l)%uint64(nodes)); got != want {
+				t.Fatalf("%d tiles: Home(%#x) = %d, want %d", nodes, uint64(l), got, want)
+			}
+		}
+	}
+}

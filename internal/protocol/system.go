@@ -71,6 +71,24 @@ func ConfigFor(nodes int) (Config, error) {
 // L2HitLatency is the total L2 access time (tag + data).
 func (c Config) L2HitLatency() event.Time { return c.L2TagLatency + c.L2DataLatency }
 
+// Home returns the tile that owns a line: its directory slice in the
+// directory protocols, its memory controller under snooping. Lines are
+// interleaved across the tiles, as in the paper's distributed directory.
+// On a power-of-two tile count (every built-in machine) the interleaving
+// is a mask: Home runs once or more per message, and a snoop miss asks it
+// at each of its deliveries, so the 64-bit divide stays off that path.
+// The receiver is a pointer because with a value receiver every inlined
+// call copied the whole Config (a runtime.duffcopy call per snoop).
+//
+//spcoh:noalloc
+func (c *Config) Home(l arch.LineAddr) arch.NodeID {
+	n := uint64(c.Nodes)
+	if n&(n-1) == 0 {
+		return arch.NodeID(uint64(l) & (n - 1))
+	}
+	return arch.NodeID(uint64(l) % n)
+}
+
 // System is a full coherent CMP: one Node (core-side controller) and one
 // DirSlice (directory home slice) per tile, connected by the mesh.
 type System struct {
@@ -108,10 +126,6 @@ type System struct {
 	getPool  []*dirGet
 	memPool  []*memFetch
 	mshrPool []*mshr
-
-	// homeMask is Cfg.Nodes-1 when the node count is a power of two: the
-	// Home interleaving then reduces to a mask, off the hot path's divide.
-	homeMask uint64
 }
 
 // delivery carries one in-flight message through the scheduler. A record is
@@ -186,9 +200,6 @@ func New(sim *event.Sim, cfg Config, preds []predictor.Predictor) *System {
 		panic("protocol: Config.Nodes must match the mesh size")
 	}
 	s := &System{Cfg: cfg, Sim: sim, Net: noc.New(sim, cfg.NoC)}
-	if cfg.Nodes&(cfg.Nodes-1) == 0 && cfg.Nodes > 1 {
-		s.homeMask = uint64(cfg.Nodes - 1)
-	}
 	s.Nodes = make([]*Node, cfg.Nodes)
 	s.Dirs = make([]*DirSlice, cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
@@ -200,19 +211,6 @@ func New(sim *event.Sim, cfg Config, preds []predictor.Predictor) *System {
 		s.Dirs[i] = newDirSlice(s, arch.NodeID(i))
 	}
 	return s
-}
-
-// Home returns the tile whose directory slice owns a line
-// (line-interleaved, as in the paper's distributed directory). Power-of-two
-// meshes — every builtin machine — take the mask path: Home runs once or
-// more per message, and the integer divide showed up in big-mesh profiles.
-//
-//spcoh:noalloc
-func (s *System) Home(l arch.LineAddr) arch.NodeID {
-	if s.homeMask != 0 {
-		return arch.NodeID(uint64(l) & s.homeMask)
-	}
-	return arch.NodeID(uint64(l) % uint64(s.Cfg.Nodes))
 }
 
 // clockNow returns the protocol-visible clock: the cascade's virtual time
@@ -341,7 +339,7 @@ func (s *System) strays(a *audit) {
 	for _, n := range s.Nodes {
 		id := n.self
 		n.l2.ForEachValid(func(l arch.LineAddr, st cache.State) {
-			e := s.Dirs[s.Home(l)].lookup(l)
+			e := s.Dirs[s.Cfg.Home(l)].lookup(l)
 			switch {
 			case e == nil || e.state == dirU:
 				a.hard = append(a.hard, dirViol{l, id,

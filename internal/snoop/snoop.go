@@ -222,11 +222,6 @@ func New(sim *event.Sim, cfg protocol.Config) *System {
 	return s
 }
 
-// Home returns the tile whose memory controller owns a line.
-func (s *System) Home(l arch.LineAddr) arch.NodeID {
-	return arch.NodeID(uint64(l) % uint64(s.Cfg.Nodes))
-}
-
 // Stats aggregates node counters.
 func (s *System) Stats() Stats {
 	var t Stats
@@ -394,7 +389,7 @@ func (n *Node) broadcast(t *txn) {
 			}
 			s.casc.At(base+lat, fireSnoopDeliver, s.getSnoopDeliver(s.Nodes[d], t))
 		})
-		if t.kind != predictor.UpgradeMiss && s.Home(t.line) == n.self {
+		if t.kind != predictor.UpgradeMiss && s.Cfg.Home(t.line) == n.self {
 			s.casc.After(s.Cfg.MemLatency, localMemFetch, t)
 		}
 		return
@@ -405,7 +400,7 @@ func (n *Node) broadcast(t *txn) {
 	// fetches speculatively; the fetch is cancelled if a cache supplies
 	// first (the HITM signal of bus-based snooping). When the requester is
 	// its own home the fetch starts locally.
-	if t.kind != predictor.UpgradeMiss && s.Home(t.line) == n.self {
+	if t.kind != predictor.UpgradeMiss && s.Cfg.Home(t.line) == n.self {
 		s.Sim.AfterFn(s.Cfg.MemLatency, localMemFetch, t)
 	}
 }
@@ -488,7 +483,7 @@ func (n *Node) snoop(t *txn) {
 	n.stats.SnoopLookups++
 	t.delivered++
 	s := n.sys
-	if t.kind != predictor.UpgradeMiss && s.Home(t.line) == n.self {
+	if t.kind != predictor.UpgradeMiss && s.Cfg.Home(t.line) == n.self {
 		n.speculativeFetch(t)
 	}
 	if t.kind == predictor.UpgradeMiss {
@@ -515,9 +510,9 @@ func (n *Node) snoop(t *txn) {
 			if st == cache.Modified {
 				// Memory update on M->S (data to home).
 				if s.Fast {
-					s.Net.FastSend(n.self, s.Home(t.line), protocol.DataBytes)
+					s.Net.FastSend(n.self, s.Cfg.Home(t.line), protocol.DataBytes)
 				} else {
-					s.Net.Send(n.self, s.Home(t.line), protocol.DataBytes, func() {})
+					s.Net.Send(n.self, s.Cfg.Home(t.line), protocol.DataBytes, func() {})
 				}
 			}
 			n.l2.SetState(t.line, cache.Shared)
@@ -619,9 +614,9 @@ func (n *Node) fill(l arch.LineAddr, st cache.State) {
 		if v.State == cache.Modified {
 			n.stats.Writebacks++
 			if n.sys.Fast {
-				n.sys.Net.FastSend(n.self, n.sys.Home(v.Addr), protocol.DataBytes)
+				n.sys.Net.FastSend(n.self, n.sys.Cfg.Home(v.Addr), protocol.DataBytes)
 			} else {
-				n.sys.Net.Send(n.self, n.sys.Home(v.Addr), protocol.DataBytes, func() {})
+				n.sys.Net.Send(n.self, n.sys.Cfg.Home(v.Addr), protocol.DataBytes, func() {})
 			}
 		}
 	}
