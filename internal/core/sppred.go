@@ -40,11 +40,6 @@ type Config struct {
 	// before the stride prediction is used.
 	StrideConfirm int
 
-	// LockUnionPrev additionally unions the preceding epoch's signature
-	// into lock predictions ("coarse critical sections are likely to
-	// benefit", §4.4). Off in the evaluated design.
-	LockUnionPrev bool
-
 	// MaxEntries bounds the shared SP-table (0 = unlimited).
 	MaxEntries int
 }
@@ -84,7 +79,6 @@ type Predictor struct {
 	curKey  epochKey
 	haveKey bool
 	isLock  bool
-	prevSig arch.SharerSet // signature of the preceding epoch
 
 	// Active prediction state (the "predictor register", §5.5).
 	set        arch.SharerSet
@@ -93,7 +87,6 @@ type Predictor struct {
 	confidence int
 
 	// Statistics.
-	EpochsSeen   uint64
 	Recoveries   uint64
 	NoisySkipped uint64
 }
@@ -154,16 +147,13 @@ func (p *Predictor) OnSync(e predictor.SyncEvent) {
 	// releases the lock").
 	if p.haveKey && !p.isLock {
 		if p.commCount >= p.cfg.NoiseMinComm {
-			sig := p.hotSet()
-			p.table.push(p.curKey, sig)
-			p.prevSig = sig
+			p.table.push(p.curKey, p.hotSet())
 		} else {
 			p.NoisySkipped++
 		}
 	}
 
 	// 2. Open the new epoch.
-	p.EpochsSeen++
 	p.isLock = e.Kind == predictor.SyncLock
 	if p.isLock {
 		p.curKey = epochKey{staticID: e.StaticID, proc: arch.None, lock: true}
@@ -199,9 +189,6 @@ func (p *Predictor) retrievePrediction() (arch.SharerSet, predictor.Tag, bool) {
 		var s arch.SharerSet
 		for _, sig := range sigs {
 			s = s.Union(sig)
-		}
-		if p.cfg.LockUnionPrev {
-			s = s.Union(p.prevSig)
 		}
 		s = s.Remove(p.self)
 		if s.Empty() {

@@ -321,3 +321,24 @@ func TestTablePushNoAlloc(t *testing.T) {
 		t.Errorf("push to a full-depth entry: %v allocs/op, want 0", avg)
 	}
 }
+
+// TestTablePushEvictNoAlloc pins a push of a new epoch into a full bounded
+// SP-table at zero allocations: the epoch takes the evicted entry's slot,
+// and its signatures and stride count are reset in place.
+func TestTablePushEvictNoAlloc(t *testing.T) {
+	const limit = 512
+	tab := NewTable(2, limit)
+	id := uint64(0)
+	for ; id < 10*limit; id++ {
+		tab.push(epochKey{staticID: id, proc: 1}, arch.SetOf(2))
+	}
+	if avg := testing.AllocsPerRun(1000, func() {
+		tab.push(epochKey{staticID: id, proc: 1}, arch.SetOf(2))
+		id++
+	}); avg != 0 {
+		t.Errorf("push of a new epoch into a full table: %v allocs/op, want 0", avg)
+	}
+	if tab.Len() != limit {
+		t.Fatalf("len = %d, want %d", tab.Len(), limit)
+	}
+}

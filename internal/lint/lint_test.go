@@ -293,7 +293,7 @@ func TestNoallocAnnotationConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	loader := NewLoader(root, modPath)
-	pkgs, err := loader.Load("./internal/event", "./internal/noc", "./internal/protocol", "./internal/cache", "./internal/snoop")
+	pkgs, err := loader.Load("./internal/event", "./internal/noc", "./internal/protocol", "./internal/cache", "./internal/snoop", "./internal/predictor")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,9 @@ func TestNoallocAnnotationConsistency(t *testing.T) {
 	// miss path's scheduled entry points), internal/cache/model_test.go
 	// (the warm cache operations and the set helpers they run on) and
 	// internal/snoop/alloc_test.go (the snoop miss's scheduled entry
-	// points; its one allocation is the txn, made in Node.miss).
+	// points; its one allocation is the txn, made in Node.miss) and
+	// internal/predictor/lru_test.go (an LRU hit and an evicting insertion,
+	// with the ring splice they run on).
 	want := map[string]bool{
 		"internal/event.At":               true,
 		"internal/event.AtFn":             true,
@@ -323,6 +325,9 @@ func TestNoallocAnnotationConsistency(t *testing.T) {
 		"internal/cache.Invalidate":       true,
 		"internal/snoop.arbJoin":          true,
 		"internal/snoop.snoopArrive":      true,
+		"internal/predictor.Get":          true,
+		"internal/predictor.Add":          true,
+		"internal/predictor.toFront":      true,
 	}
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {

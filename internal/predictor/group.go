@@ -1,11 +1,6 @@
 package predictor
 
-import (
-	"container/list"
-	"fmt"
-
-	"spcoh/internal/arch"
-)
+import "spcoh/internal/arch"
 
 // Policy selects how a group predictor turns its counters into a predicted
 // set (Martin et al.'s design space, referenced in the paper's §5.4
@@ -25,60 +20,97 @@ const (
 	PolicyGroupOwner
 )
 
+// The counter geometry of every group predictor (paper §5.4): one 2-bit
+// saturating counter per core, a core joins the predicted group at 2, and
+// a 5-bit roll-over counter decays every counter by one each 32 trainings
+// of an entry (train-down), so inactive destinations fade out.
+const (
+	CounterMax      uint8 = 3
+	Threshold       uint8 = 2
+	TrainDownPeriod uint8 = 32
+)
+
 // GroupConfig parameterizes a Martin-style "group" destination-set
-// predictor (paper §5.4): per entry one 2-bit saturating counter per core,
-// trained up by observed coherence activity toward that core, plus a 5-bit
-// roll-over counter implementing train-down so inactive destinations decay.
+// predictor (paper §5.4).
 type GroupConfig struct {
 	// Policy selects the prediction policy (default PolicyGroup).
 	Policy Policy
 
 	Nodes int // number of cores (counter vector width)
-	// IndexGranularityBits selects address-based indexing: entries are
-	// keyed by addr >> IndexGranularityBits. The paper's ADDR predictor
-	// uses 256-byte macroblocks (8 bits). Zero means index by PC instead
-	// (the INST predictor).
+	// IndexGranularityBits sets the address-indexed entries' granularity:
+	// keys are addr >> IndexGranularityBits, 256-byte macroblocks (8 bits)
+	// in the paper's ADDR predictor. ByPC indexes by PC instead (INST).
 	IndexGranularityBits int
 	ByPC                 bool
 	// Entries caps the table size (fully-associative LRU replacement);
 	// 0 means unlimited, the Figure-12 configuration.
 	Entries int
-	// CounterMax is the saturating ceiling (3 for 2-bit counters).
-	CounterMax uint8
-	// Threshold is the minimum counter value for a core to join the
-	// predicted group (2 in the paper's configuration).
-	Threshold uint8
-	// TrainDownPeriod is the roll-over period: after this many training
-	// events on an entry, every counter in the entry decays by one.
-	// 32 models the paper's 5-bit roll-over counter.
-	TrainDownPeriod uint8
 }
 
 // DefaultAddrConfig is the paper's macroblock ADDR predictor.
 func DefaultAddrConfig(nodes int) GroupConfig {
-	return GroupConfig{Nodes: nodes, IndexGranularityBits: 8, CounterMax: 3, Threshold: 2, TrainDownPeriod: 32}
+	return GroupConfig{Nodes: nodes, IndexGranularityBits: 8}
 }
 
 // DefaultInstConfig is the paper's INST (PC-indexed) predictor.
 func DefaultInstConfig(nodes int) GroupConfig {
-	return GroupConfig{Nodes: nodes, ByPC: true, CounterMax: 3, Threshold: 2, TrainDownPeriod: 32}
+	return GroupConfig{Nodes: nodes, ByPC: true}
 }
 
-type groupEntry struct {
-	counters []uint8
-	roll     uint8
-	key      uint64
-	lru      *list.Element
+// train trains one counter vector toward targets: each target's counter
+// but self's steps up to CounterMax, and every TrainDownPeriod-th training
+// (counted in roll) decays all counters by one.
+func train(counters []uint8, roll *uint8, self arch.NodeID, targets arch.SharerSet) {
+	targets.ForEach(func(n arch.NodeID) {
+		if n != self && counters[n] < CounterMax {
+			counters[n]++
+		}
+	})
+	*roll++
+	if *roll >= TrainDownPeriod {
+		*roll = 0
+		for i := range counters {
+			if counters[i] > 0 {
+				counters[i]--
+			}
+		}
+	}
+}
+
+// predict turns one counter vector into a prediction: every core but self
+// whose counter meets Threshold, or with ownerOnly only the highest such
+// core (the lowest-numbered on a tie).
+func predict(counters []uint8, self arch.NodeID, ownerOnly bool) (arch.SharerSet, Tag) {
+	var set arch.SharerSet
+	best, bestC := arch.None, uint8(0)
+	for i, c := range counters {
+		if n := arch.NodeID(i); n != self && c >= Threshold {
+			set = set.Add(n)
+			if c > bestC {
+				best, bestC = n, c
+			}
+		}
+	}
+	if set.Empty() {
+		return arch.EmptySet, TagNone
+	}
+	if ownerOnly {
+		set = arch.SetOf(best)
+	}
+	return set, TagOther
 }
 
 // Group is a group destination-set predictor (ADDR or INST depending on
-// configuration). It is per-node state: each core owns one instance.
+// configuration). It is per-node state: each core owns one instance. The
+// entry in LRU slot s keeps its counters in
+// counters[s*Nodes:(s+1)*Nodes] and its roll-over counter in roll[s].
 type Group struct {
-	name string
-	self arch.NodeID
-	cfg  GroupConfig
-	tab  map[uint64]*groupEntry
-	lru  *list.List // front = most recent; elements hold *groupEntry
+	name     string
+	self     arch.NodeID
+	cfg      GroupConfig
+	lru      *LRU[uint64]
+	counters []uint8
+	roll     []uint8
 }
 
 // NewGroup builds a group predictor for the given node.
@@ -86,7 +118,7 @@ func NewGroup(name string, self arch.NodeID, cfg GroupConfig) *Group {
 	if cfg.Nodes <= 0 {
 		panic("predictor: GroupConfig.Nodes must be positive")
 	}
-	return &Group{name: name, self: self, cfg: cfg, tab: make(map[uint64]*groupEntry), lru: list.New()}
+	return &Group{name: name, self: self, cfg: cfg, lru: NewLRU[uint64](cfg.Entries)}
 }
 
 // NewAddr builds the paper's ADDR predictor (unlimited entries).
@@ -107,90 +139,35 @@ func (g *Group) key(m Miss) uint64 {
 		return m.PC
 	}
 	// Line addresses are already byte-address >> 6; shift the remainder.
-	shift := g.cfg.IndexGranularityBits - arch.LineShift
-	if shift < 0 {
-		shift = 0
-	}
-	return uint64(m.Line) >> uint(shift)
-}
-
-func (g *Group) lookup(key uint64, create bool) *groupEntry {
-	if e, ok := g.tab[key]; ok {
-		if e.lru != nil {
-			g.lru.MoveToFront(e.lru)
-		}
-		return e
-	}
-	if !create {
-		return nil
-	}
-	e := &groupEntry{counters: make([]uint8, g.cfg.Nodes), key: key}
-	g.tab[key] = e
-	e.lru = g.lru.PushFront(e)
-	if g.cfg.Entries > 0 && g.lru.Len() > g.cfg.Entries {
-		victim := g.lru.Back().Value.(*groupEntry)
-		g.lru.Remove(victim.lru)
-		delete(g.tab, victim.key)
-	}
-	return e
+	return uint64(m.Line) >> max(g.cfg.IndexGranularityBits-arch.LineShift, 0)
 }
 
 // Predict implements Predictor: the entry's counters filtered through the
 // configured policy. A missing entry yields no prediction.
 func (g *Group) Predict(m Miss) (arch.SharerSet, Tag) {
-	e := g.lookup(g.key(m), false)
-	if e == nil {
+	s, ok := g.lru.Get(g.key(m))
+	if !ok {
 		return arch.EmptySet, TagNone
 	}
 	ownerOnly := g.cfg.Policy == PolicyOwner ||
 		(g.cfg.Policy == PolicyGroupOwner && m.Kind == ReadMiss)
-	var set arch.SharerSet
-	if ownerOnly {
-		best, bestC := arch.None, uint8(0)
-		for i, c := range e.counters {
-			if arch.NodeID(i) != g.self && c >= g.cfg.Threshold && c > bestC {
-				best, bestC = arch.NodeID(i), c
-			}
-		}
-		if best != arch.None {
-			set = set.Add(best)
-		}
-	} else {
-		for i, c := range e.counters {
-			if arch.NodeID(i) != g.self && c >= g.cfg.Threshold {
-				set = set.Add(arch.NodeID(i))
-			}
-		}
-	}
-	if set.Empty() {
-		return arch.EmptySet, TagNone
-	}
-	return set, TagOther
+	return predict(g.counters[int(s)*g.cfg.Nodes:][:g.cfg.Nodes], g.self, ownerOnly)
 }
 
-func (g *Group) trainEntry(e *groupEntry, targets arch.SharerSet) {
-	targets.ForEach(func(n arch.NodeID) {
-		if n == g.self {
-			return
-		}
-		if e.counters[n] < g.cfg.CounterMax {
-			e.counters[n]++
-		}
-	})
-	e.roll++
-	if e.roll >= g.cfg.TrainDownPeriod {
-		e.roll = 0
-		for i := range e.counters {
-			if e.counters[i] > 0 {
-				e.counters[i]--
-			}
-		}
+// trainKey trains key's entry toward targets, inserting it (and evicting
+// the least recently used entry of a full table) when absent.
+func (g *Group) trainKey(key uint64, targets arch.SharerSet) {
+	s, fresh := g.lru.Add(key)
+	if fresh {
+		g.counters = Fresh(g.counters, s, g.cfg.Nodes)
+		g.roll = Fresh(g.roll, s, 1)
 	}
+	train(g.counters[int(s)*g.cfg.Nodes:][:g.cfg.Nodes], &g.roll[s], g.self, targets)
 }
 
 // Train implements Predictor: trains the entry toward the observed targets.
 func (g *Group) Train(m Miss, o Outcome) {
-	g.trainEntry(g.lookup(g.key(m), true), o.Targets())
+	g.trainKey(g.key(m), o.Targets())
 }
 
 // TrainExternal trains from an incoming coherence request: requester asked
@@ -202,8 +179,7 @@ func (g *Group) TrainExternal(line arch.LineAddr, requester arch.NodeID) {
 	if g.cfg.ByPC {
 		return
 	}
-	e := g.lookup(g.key(Miss{Line: line}), true)
-	g.trainEntry(e, arch.SetOf(requester))
+	g.trainKey(g.key(Miss{Line: line}), arch.SetOf(requester))
 }
 
 // OnSync implements Predictor; group predictors ignore sync-points.
@@ -213,31 +189,25 @@ func (g *Group) OnSync(SyncEvent) {}
 // roll-over counter per entry, plus a tag per entry (paper §5.4: 37 bits
 // untagged for 16 cores; tags add 32 bits).
 func (g *Group) StorageBits() int {
-	perEntry := 2*g.cfg.Nodes + 5 + 32
-	n := len(g.tab)
-	if g.cfg.Entries > 0 {
-		n = g.cfg.Entries
-	}
-	return n * perEntry
+	return g.lru.Provisioned() * (2*g.cfg.Nodes + 5 + 32)
 }
 
 // Len returns the current number of table entries (test aid).
-func (g *Group) Len() int { return len(g.tab) }
+func (g *Group) Len() int { return g.lru.Len() }
 
 // Uni is the paper's UNI predictor: a single untagged group entry trained
 // only by the targets of this core's own misses (coherence responses),
 // independent of address or instruction — pure temporal communication
 // locality, the cheapest possible design point.
 type Uni struct {
-	self arch.NodeID
-	cfg  GroupConfig
-	e    groupEntry
+	self     arch.NodeID
+	counters []uint8
+	roll     uint8
 }
 
 // NewUni builds a UNI predictor for the given node.
 func NewUni(self arch.NodeID, nodes int) *Uni {
-	cfg := DefaultAddrConfig(nodes)
-	return &Uni{self: self, cfg: cfg, e: groupEntry{counters: make([]uint8, nodes)}}
+	return &Uni{self: self, counters: make([]uint8, nodes)}
 }
 
 // Name implements Predictor.
@@ -245,45 +215,16 @@ func (u *Uni) Name() string { return "UNI" }
 
 // Predict implements Predictor.
 func (u *Uni) Predict(Miss) (arch.SharerSet, Tag) {
-	var set arch.SharerSet
-	for i, c := range u.e.counters {
-		if arch.NodeID(i) != u.self && c >= u.cfg.Threshold {
-			set = set.Add(arch.NodeID(i))
-		}
-	}
-	if set.Empty() {
-		return arch.EmptySet, TagNone
-	}
-	return set, TagOther
+	return predict(u.counters, u.self, false)
 }
 
 // Train implements Predictor.
 func (u *Uni) Train(_ Miss, o Outcome) {
-	targets := o.Targets()
-	targets.ForEach(func(n arch.NodeID) {
-		if n == u.self {
-			return
-		}
-		if u.e.counters[n] < u.cfg.CounterMax {
-			u.e.counters[n]++
-		}
-	})
-	u.e.roll++
-	if u.e.roll >= u.cfg.TrainDownPeriod {
-		u.e.roll = 0
-		for i := range u.e.counters {
-			if u.e.counters[i] > 0 {
-				u.e.counters[i]--
-			}
-		}
-	}
+	train(u.counters, &u.roll, u.self, o.Targets())
 }
 
 // OnSync implements Predictor.
 func (u *Uni) OnSync(SyncEvent) {}
 
 // StorageBits implements Predictor: one untagged entry.
-func (u *Uni) StorageBits() int { return 2*u.cfg.Nodes + 5 }
-
-// String aids debugging.
-func (u *Uni) String() string { return fmt.Sprintf("UNI(node %d)", u.self) }
+func (u *Uni) StorageBits() int { return 2*len(u.counters) + 5 }

@@ -81,21 +81,20 @@ func TestInstIndexesByPC(t *testing.T) {
 }
 
 func TestTrainDownDecay(t *testing.T) {
-	cfg := DefaultAddrConfig(4)
-	cfg.TrainDownPeriod = 4
-	g := NewGroup("ADDR", 0, cfg)
+	g := NewAddr(0, 4)
 	m := Miss{Line: 8}
 	trainN(g, m, arch.SetOf(1), 3) // counter(1) = 3 (saturated), roll = 3
-	trainN(g, m, arch.SetOf(2), 8) // rolls over twice: counter(1) decays
-	set, _ := g.Predict(m)
-	if !set.Contains(2) {
-		t.Fatalf("active destination must stay predicted: %v", set)
+	// The 32nd training rolls over: every counter decays by one, so
+	// counter(1) = 2 and counter(2) = 3-1 = 2, both at the threshold.
+	trainN(g, m, arch.SetOf(2), int(TrainDownPeriod)-3)
+	if set, _ := g.Predict(m); set != arch.SetOf(1, 2) {
+		t.Fatalf("after one roll-over: %v, want {1,2}", set)
 	}
-	// After enough training toward 2 only, 1 decays below threshold.
-	trainN(g, m, arch.SetOf(2), 16)
-	set, _ = g.Predict(m)
-	if set.Contains(1) {
-		t.Fatalf("inactive destination should decay out: %v", set)
+	// A second roll-over, with training toward 2 only, takes counter(1)
+	// below the threshold while counter(2) saturates again before it.
+	trainN(g, m, arch.SetOf(2), int(TrainDownPeriod))
+	if set, _ := g.Predict(m); set != arch.SetOf(2) {
+		t.Fatalf("after two roll-overs: %v, want {2}: the inactive destination decays out", set)
 	}
 }
 
@@ -121,6 +120,44 @@ func TestGroupCapacityLRU(t *testing.T) {
 	}
 	if set, _ := g.Predict(Miss{Line: 0}); !set.Empty() {
 		t.Fatalf("evicted entry must not predict: %v", set)
+	}
+}
+
+// TestGroupEvictedSlotStartsClear checks that a key inserted into a full
+// table starts from zeroed counters, not the evicted entry's: the new key
+// reuses the evicted key's LRU slot.
+func TestGroupEvictedSlotStartsClear(t *testing.T) {
+	cfg := DefaultAddrConfig(4)
+	cfg.Entries = 1
+	g := NewGroup("ADDR", 0, cfg)
+	trainN(g, Miss{Line: 0}, arch.SetOf(1), 3)
+	trainN(g, Miss{Line: 4}, arch.SetOf(2), 1) // evicts macroblock 0
+	if set, _ := g.Predict(Miss{Line: 4}); !set.Empty() {
+		t.Fatalf("one training must not predict: %v (inherited counters?)", set)
+	}
+	trainN(g, Miss{Line: 4}, arch.SetOf(2), 1)
+	if set, _ := g.Predict(Miss{Line: 4}); set != arch.SetOf(2) {
+		t.Fatalf("prediction = %v, want {2}", set)
+	}
+}
+
+// TestGroupEvictNoAlloc pins training a new key into a full bounded group
+// predictor at zero allocations: the key takes the evicted entry's slot
+// and its counters are cleared in place.
+func TestGroupEvictNoAlloc(t *testing.T) {
+	cfg := DefaultAddrConfig(16)
+	cfg.Entries = 64
+	g := NewGroup("ADDR-small", 0, cfg)
+	line := func(block int) Miss { return Miss{Line: arch.LineAddr(4 * block)} } // 4 lines a macroblock
+	block := 0
+	for ; block < 100*cfg.Entries; block++ {
+		g.Train(line(block), Outcome{Provider: 3, Communicating: true})
+	}
+	if avg := testing.AllocsPerRun(1000, func() {
+		g.Train(line(block), Outcome{Provider: 3, Communicating: true})
+		block++
+	}); avg != 0 {
+		t.Errorf("training a new key into a full group: %v allocs/op, want 0", avg)
 	}
 }
 

@@ -69,7 +69,7 @@ func ConfigFor(nodes int) (Config, error) {
 }
 
 // L2HitLatency is the total L2 access time (tag + data).
-func (c Config) L2HitLatency() event.Time { return c.L2TagLatency + c.L2DataLatency }
+func (c *Config) L2HitLatency() event.Time { return c.L2TagLatency + c.L2DataLatency }
 
 // Home returns the tile that owns a line: its directory slice in the
 // directory protocols, its memory controller under snooping. Lines are

@@ -269,7 +269,7 @@ func (n *Node) Stats() Stats { return n.stats }
 func (n *Node) Access(pc uint64, addr arch.Addr, write bool, done func()) {
 	n.stats.Accesses++
 	line := addr.Line()
-	cfg := n.sys.Cfg
+	cfg := &n.sys.Cfg
 	if !write {
 		if n.l1.Lookup(line).Valid() {
 			n.stats.L1Hits++
@@ -307,7 +307,7 @@ func (n *Node) Access(pc uint64, addr arch.Addr, write bool, done func()) {
 // and LRU movement are identical to Access (see protocol.Node.AccessFast).
 func (n *Node) AccessFast(pc uint64, addr arch.Addr, write bool) (lat event.Time, ok bool) {
 	line := addr.Line()
-	cfg := n.sys.Cfg
+	cfg := &n.sys.Cfg
 	if !write {
 		if n.l1.Lookup(line).Valid() {
 			n.stats.Accesses++
