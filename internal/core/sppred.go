@@ -5,6 +5,10 @@ import (
 	"spcoh/internal/predictor"
 )
 
+// strideConfirm is how many consecutive alternations must be observed
+// before the stride prediction is used.
+const strideConfirm = 2
+
 // Config parameterizes the SP-predictor. The zero value is not useful;
 // start from DefaultConfig.
 type Config struct {
@@ -36,10 +40,6 @@ type Config struct {
 	// StrideDetect enables the stride-2 repetitive-pattern policy.
 	StrideDetect bool
 
-	// StrideConfirm is how many consecutive alternations must be observed
-	// before the stride prediction is used.
-	StrideConfirm int
-
 	// MaxEntries bounds the shared SP-table (0 = unlimited).
 	MaxEntries int
 }
@@ -58,7 +58,6 @@ func DefaultConfig(nodes int) Config {
 		NoiseMinComm:  4,
 		ConfidenceMax: 15,
 		StrideDetect:  true,
-		StrideConfirm: 2,
 	}
 }
 
@@ -209,7 +208,7 @@ func (p *Predictor) retrievePrediction() (arch.SharerSet, predictor.Tag, bool) {
 	default:
 		// Stride-2 repetitive pattern: the next instance repeats the
 		// signature seen two instances ago.
-		if p.cfg.StrideDetect && stride >= p.cfg.StrideConfirm {
+		if p.cfg.StrideDetect && stride >= strideConfirm {
 			return sigs[1], predictor.TagHistory, true
 		}
 		// Last stable hot set: intersection of the two most recent

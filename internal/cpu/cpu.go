@@ -271,12 +271,14 @@ func (c *Core) finish() {
 }
 
 // Coordinator is the default SyncRuntime: sense-reversing barriers over all
-// cores and FIFO locks.
+// cores and FIFO locks. A barrier's waiter slice and a lock's queue keep
+// their capacity across rounds, so a warmed barrier or lock hand-off
+// allocates nothing.
 type Coordinator struct {
 	sim *event.Sim
 	n   int
 
-	barWaiting map[uint64][]func()
+	barWaiting map[uint64][]func() // empty between rounds
 	locks      map[uint64]*lockState
 }
 
@@ -295,11 +297,10 @@ func NewCoordinator(sim *event.Sim, n int) *Coordinator {
 func (co *Coordinator) Barrier(_ int, id uint64, resume func()) {
 	w := append(co.barWaiting[id], resume)
 	if len(w) == co.n {
-		delete(co.barWaiting, id)
 		for _, r := range w {
 			co.sim.After(1, r)
 		}
-		return
+		w = w[:0]
 	}
 	co.barWaiting[id] = w
 }
@@ -327,7 +328,8 @@ func (co *Coordinator) Unlock(_ int, id uint64) {
 	}
 	if len(st.queue) > 0 {
 		next := st.queue[0]
-		st.queue = st.queue[1:]
+		n := copy(st.queue, st.queue[1:])
+		st.queue = st.queue[:n]
 		co.sim.After(1, next)
 		return
 	}
@@ -339,7 +341,9 @@ func (co *Coordinator) Unlock(_ int, id uint64) {
 func (co *Coordinator) Pending() string {
 	s := ""
 	for _, id := range detutil.SortedKeys(co.barWaiting) {
-		s += fmt.Sprintf("barrier %d: %d/%d arrived; ", id, len(co.barWaiting[id]), co.n)
+		if n := len(co.barWaiting[id]); n > 0 {
+			s += fmt.Sprintf("barrier %d: %d/%d arrived; ", id, n, co.n)
+		}
 	}
 	for _, id := range detutil.SortedKeys(co.locks) {
 		if st := co.locks[id]; len(st.queue) > 0 {

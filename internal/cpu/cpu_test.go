@@ -224,3 +224,43 @@ func TestCoordinatorPendingDiagnostics(t *testing.T) {
 		t.Fatal("queued lock waiter should be reported")
 	}
 }
+
+// TestCoordinatorSteadyStateAllocs: a barrier's waiter slice and a lock's
+// queue keep their capacity, so a warmed barrier round and a warmed lock
+// hand-off allocate nothing.
+func TestCoordinatorSteadyStateAllocs(t *testing.T) {
+	const n = 4
+	sim := event.New()
+	co := NewCoordinator(sim, n)
+	nop := func() {}
+	barrierRound := func() {
+		for c := 0; c < n; c++ {
+			co.Barrier(c, 5, nop)
+		}
+		sim.Run()
+	}
+	handOff := func() {
+		for c := 0; c < n; c++ {
+			co.Lock(c, 9, nop)
+		}
+		for c := 0; c < n; c++ {
+			co.Unlock(c, 9)
+		}
+		sim.Run()
+	}
+	// Warm-up: every round moves the clock one cycle, so run enough rounds
+	// to grow every bucket of the event ring once.
+	for i := 0; i < 1024; i++ {
+		barrierRound()
+		handOff()
+	}
+	if avg := testing.AllocsPerRun(200, barrierRound); avg != 0 {
+		t.Errorf("warmed barrier round: %v allocs/op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(200, handOff); avg != 0 {
+		t.Errorf("warmed lock hand-off: %v allocs/op, want 0", avg)
+	}
+	if p := co.Pending(); p != "" {
+		t.Fatalf("released barrier and lock still reported pending: %q", p)
+	}
+}

@@ -22,14 +22,3 @@ func SortedKeys[M ~map[K]V, K cmp.Ordered, V any](m M) []K {
 	slices.Sort(keys)
 	return keys
 }
-
-// SortedKeysFunc returns m's keys ordered by the given comparison function,
-// for key types that are not cmp.Ordered (structs, arrays).
-func SortedKeysFunc[M ~map[K]V, K comparable, V any](m M, less func(a, b K) int) []K {
-	keys := make([]K, 0, len(m))
-	for k := range m { //spvet:ordered — keys are sorted before use
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, less)
-	return keys
-}

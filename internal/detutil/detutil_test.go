@@ -17,18 +17,3 @@ func TestSortedKeys(t *testing.T) {
 		t.Fatalf("SortedKeys(nil) = %v", got)
 	}
 }
-
-func TestSortedKeysFunc(t *testing.T) {
-	type key struct{ a, b int }
-	m := map[key]bool{{2, 1}: true, {1, 9}: true, {1, 2}: true}
-	got := SortedKeysFunc(m, func(x, y key) int {
-		if x.a != y.a {
-			return x.a - y.a
-		}
-		return x.b - y.b
-	})
-	want := []key{{1, 2}, {1, 9}, {2, 1}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("SortedKeysFunc = %v, want %v", got, want)
-	}
-}

@@ -174,22 +174,6 @@ func (r Ratio) Value() float64 {
 // Percent returns the ratio scaled to percent.
 func (r Ratio) Percent() float64 { return 100 * r.Value() }
 
-// GeoMean returns the geometric mean of vs, ignoring non-positive entries.
-func GeoMean(vs []float64) float64 {
-	var sum float64
-	n := 0
-	for _, v := range vs {
-		if v > 0 {
-			sum += math.Log(v)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(sum / float64(n))
-}
-
 // ArithMean returns the arithmetic mean of vs (0 for empty).
 func ArithMean(vs []float64) float64 {
 	if len(vs) == 0 {

@@ -202,15 +202,6 @@ func TestRatio(t *testing.T) {
 }
 
 func TestGeoArithMean(t *testing.T) {
-	if g := GeoMean([]float64{1, 4, 16}); math.Abs(g-4) > 1e-9 {
-		t.Fatalf("geomean = %v, want 4", g)
-	}
-	if g := GeoMean(nil); g != 0 {
-		t.Fatalf("geomean of empty = %v", g)
-	}
-	if g := GeoMean([]float64{0, -1}); g != 0 {
-		t.Fatalf("geomean of non-positive = %v", g)
-	}
 	if a := ArithMean([]float64{1, 2, 3}); a != 2 {
 		t.Fatalf("arith = %v", a)
 	}

@@ -128,7 +128,7 @@ func runJob(ctx context.Context, j Job, run RunFunc, store *Store) JobResult {
 	err := ctx.Err()
 	if err == nil {
 		var res *sim.Result
-		if res, err = RunAttempt(ctx, j, run, 0); err == nil {
+		if res, err = RunAttempt(ctx, j, run); err == nil {
 			jr.Result = res
 			if store != nil {
 				jr.Err = store.Put(j, res)
@@ -147,11 +147,11 @@ func runJob(ctx context.Context, j Job, run RunFunc, store *Store) JobResult {
 	return jr
 }
 
-// RunAttempt runs one attempt of a job with panic recovery and an optional
-// wall-clock timeout. It is the single attempt-containment primitive: the
-// local engine and internal/sweepd's workers both execute every
-// simulation through it.
-func RunAttempt(ctx context.Context, j Job, run RunFunc, timeout time.Duration) (*sim.Result, error) {
+// RunAttempt runs one attempt of a job with panic recovery, returning
+// early when ctx is canceled. It is the single attempt-containment
+// primitive: the local engine and internal/sweepd's workers both execute
+// every simulation through it.
+func RunAttempt(ctx context.Context, j Job, run RunFunc) (*sim.Result, error) {
 	type outcome struct {
 		res *sim.Result
 		err error
@@ -166,17 +166,9 @@ func RunAttempt(ctx context.Context, j Job, run RunFunc, timeout time.Duration) 
 		res, err := run(j)
 		ch <- outcome{res: res, err: err}
 	}()
-	var expired <-chan time.Time
-	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		expired = t.C
-	}
 	select {
 	case o := <-ch:
 		return o.res, o.err
-	case <-expired:
-		return nil, fmt.Errorf("timed out after %s", timeout)
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}

@@ -1,7 +1,6 @@
 package sweepd
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -14,8 +13,7 @@ import (
 )
 
 // Client talks to a Server over HTTP. It implements WorkerAPI, so
-// RunWorker drives the exact worker loop through it that the server's
-// in-process pool runs — the only difference is the transport.
+// RunWorker can lease through it.
 type Client struct {
 	base  string
 	token string
@@ -23,8 +21,7 @@ type Client struct {
 }
 
 // NewClient returns a client for the server at base (e.g.
-// "http://127.0.0.1:8437"). Requests other than streams time out after
-// a minute.
+// "http://127.0.0.1:8437"). Requests time out after a minute.
 func NewClient(base string) *Client {
 	return &Client{
 		base: strings.TrimRight(base, "/"),
@@ -104,11 +101,6 @@ func decodeError(resp *http.Response) error {
 	return fmt.Errorf("sweepd client: %s", msg)
 }
 
-// Healthz reports whether the server answers.
-func (c *Client) Healthz() error {
-	return c.doJSON(http.MethodGet, "/healthz", nil, nil)
-}
-
 // Submit submits a matrix (idempotent; see Server.Submit).
 func (c *Client) Submit(req *SubmitRequest) (*SubmitResponse, error) {
 	var resp SubmitResponse
@@ -118,28 +110,11 @@ func (c *Client) Submit(req *SubmitRequest) (*SubmitResponse, error) {
 	return &resp, nil
 }
 
-// List lists the server's sweeps.
-func (c *Client) List() (*ListResponse, error) {
-	var resp ListResponse
-	if err := c.doJSON(http.MethodGet, "/sweeps", nil, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
-// Status reports one sweep's state.
-func (c *Client) Status(sweepID string) (*StatusResponse, error) {
-	var resp StatusResponse
-	if err := c.doJSON(http.MethodGet, "/sweeps/"+sweepID, nil, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
 // Results streams the merged results of a finished sweep to w, verbatim
 // — the bytes are the server's deterministic rendering, byte-identical
-// to a local run. format is json, csv or table ("" = json). A sweep that
-// is not yet terminal yields an error (HTTP 409).
+// to a local run. format must be "json" or "" (the same); the server
+// refuses any other with HTTP 400. A sweep that is not yet terminal
+// yields an error (HTTP 409).
 func (c *Client) Results(sweepID, format string, w io.Writer) error {
 	path := "/sweeps/" + sweepID + "/results"
 	if format != "" {
@@ -161,50 +136,7 @@ func (c *Client) Results(sweepID, format string, w io.Writer) error {
 	return err
 }
 
-// StreamEvents follows a sweep's NDJSON status stream, invoking fn per
-// event, until the stream ends (the sweep completed, fn returned false,
-// or the connection dropped). A dropped connection returns an error; the
-// caller may simply reconnect — the stream replays terminal states, so
-// nothing is lost. The request carries no timeout (streams outlive any).
-func (c *Client) StreamEvents(sweepID string, fn func(Event) bool) error {
-	req, err := c.newRequest(http.MethodGet, "/sweeps/"+sweepID+"/events", nil)
-	if err != nil {
-		return err
-	}
-	streamClient := &http.Client{Transport: c.http.Transport}
-	resp, err := streamClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return decodeError(resp)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var ev Event
-		if err := json.Unmarshal(line, &ev); err != nil {
-			return fmt.Errorf("sweepd client: bad event: %w", err)
-		}
-		if !fn(ev) {
-			return nil
-		}
-		if ev.Type == "complete" {
-			return nil
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("sweepd client: stream: %w", err)
-	}
-	return nil
-}
-
-// WorkerAPI implementation — the remote half of the shared worker loop.
+// WorkerAPI implementation.
 
 // Lease implements WorkerAPI over HTTP.
 func (c *Client) Lease(worker string) (*Grant, bool, error) {

@@ -63,26 +63,17 @@ func TestOversizedPayloadRejected413(t *testing.T) {
 	}
 
 	// An in-cap request still works.
-	if err := c.Healthz(); err != nil {
-		t.Fatalf("server unhealthy after 413: %v", err)
-	}
 	if _, err := c.Submit(&SubmitRequest{Matrix: testServerMatrix()}); err != nil {
 		t.Fatalf("in-cap submit after 413: %v", err)
 	}
 }
 
 // TestTokenAuth: with a token configured, unauthenticated and
-// wrong-token requests get 401, the health probe stays open, and a
-// token-carrying client works end to end.
+// wrong-token requests get 401, and a token-carrying client works end to
+// end.
 func TestTokenAuth(t *testing.T) {
 	_, c, stop := startServer(t, t.TempDir(), Options{Token: "sesame"})
 	defer stop()
-
-	// Health stays open (load balancers, `spsweep work` reachability probe
-	// run before credentials are known to be right).
-	if err := c.Healthz(); err != nil {
-		t.Fatalf("tokenless healthz: %v", err)
-	}
 
 	// No token and wrong token: 401 with a JSON error.
 	for _, tok := range []string{"", "wrong"} {
@@ -94,8 +85,8 @@ func TestTokenAuth(t *testing.T) {
 			t.Errorf("401 error not diagnosable: %q", msg)
 		}
 	}
-	if _, err := c.List(); err == nil {
-		t.Fatal("tokenless client listed sweeps against a token-protected server")
+	if _, _, err := c.Lease("anonymous"); err == nil {
+		t.Fatal("tokenless client leased against a token-protected server")
 	}
 
 	// The authenticated client exercises every verb of the worker loop.
@@ -106,12 +97,9 @@ func TestTokenAuth(t *testing.T) {
 	}
 	exec := &countingExec{}
 	drainWorker(t, c, "authed", 1, exec.exec)
-	st, err := c.Status(sub.SweepID)
-	if err != nil {
-		t.Fatalf("authenticated status: %v", err)
-	}
-	if st.Counts.Done != st.Counts.Jobs || st.Counts.Failed != 0 {
-		t.Fatalf("sweep not finished under auth: %+v", st.Counts)
+	counts := resubmitCounts(t, c, testServerMatrix())
+	if counts.Done != counts.Jobs || counts.Failed != 0 {
+		t.Fatalf("sweep not finished under auth: %+v", counts)
 	}
 	var buf bytes.Buffer
 	if err := c.Results(sub.SweepID, "json", &buf); err != nil {
@@ -138,13 +126,23 @@ func TestModeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fast-mode submit: %v", err)
 	}
-	st, err := c.Status(sub.SweepID)
-	if err != nil {
-		t.Fatal(err)
+	if sub.Counts.Jobs != len(m.Jobs()) {
+		t.Fatalf("fast-mode submit counts: %+v", sub.Counts)
 	}
-	for _, j := range st.Jobs {
-		if !strings.HasSuffix(j.Key, "/fast") {
-			t.Errorf("fast-matrix job key %q lacks /fast suffix", j.Key)
+	// Every job the server hands out carries the /fast key suffix.
+	for {
+		g, _, err := c.Lease("w")
+		if err != nil {
+			t.Fatal(err)
 		}
+		if g == nil {
+			break
+		}
+		if !strings.HasSuffix(g.Job.Key(), "/fast") {
+			t.Errorf("fast-matrix job key %q lacks /fast suffix", g.Job.Key())
+		}
+	}
+	if counts := resubmitCounts(t, c, m); counts.Leased != len(m.Jobs()) {
+		t.Fatalf("leased %d of %d fast-mode jobs", counts.Leased, len(m.Jobs()))
 	}
 }

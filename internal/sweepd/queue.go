@@ -3,8 +3,6 @@ package sweepd
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"math/rand"
 	"sort"
 	"sync"
 	"time"
@@ -13,9 +11,9 @@ import (
 )
 
 // This file is the lease table: a pure in-memory state machine with an
-// injectable clock. All I/O — artifact store writes, spec file reads,
-// HTTP — lives in server.go, so every lease-lifecycle transition is unit
-// testable without sleeping.
+// injectable clock. All I/O — artifact store writes and HTTP — lives in
+// server.go, so every lease-lifecycle transition is unit testable without
+// sleeping.
 
 // Lease errors. The HTTP layer maps ErrUnknownLease to 404 and
 // ErrLeaseGone to 410.
@@ -25,9 +23,9 @@ var (
 	// from leases, so an orphaned worker simply loses its attempt).
 	ErrUnknownLease = errors.New("sweepd: unknown lease")
 	// ErrLeaseGone: the lease was issued but is no longer active — it
-	// expired and the job was requeued or finished elsewhere. A worker
-	// holding a gone lease should stop heartbeating; its eventual
-	// Complete is still accepted (first write wins).
+	// expired and the job failed. A worker holding a gone lease should
+	// stop heartbeating; its eventual Complete is still accepted (first
+	// write wins).
 	ErrLeaseGone = errors.New("sweepd: lease gone")
 )
 
@@ -41,7 +39,7 @@ const (
 	stateFailed
 )
 
-// String renders the state for the status API.
+// String renders the state for error messages.
 func (s jobState) String() string {
 	switch s {
 	case statePending:
@@ -57,46 +55,26 @@ func (s jobState) String() string {
 	}
 }
 
-// attempt is one entry of a job's attempt history.
-type attempt struct {
-	worker  string
-	leaseID string
-	start   time.Time
-	end     time.Time // zero while running
-	err     string    // "" = success
-	expired bool      // ended by lease expiry, not a worker report
-}
-
-// jobEntry is one job's scheduling state.
+// jobEntry is one job's scheduling state. A job is leased at most once:
+// a cell is a deterministic simulation, so a failed attempt would fail the
+// same way again, and a failed or expired lease is terminal.
 type jobEntry struct {
-	job      sweep.Job
-	specPath string // server-side spec file ("" for built-in cells)
+	job sweep.Job
 
-	state    jobState
-	cached   bool // terminal via store recall, not execution
-	attempts []attempt
+	state  jobState
+	cached bool   // terminal via store recall, not execution
+	errMsg string // terminal reason when stateFailed
 
-	// Active lease, valid while state == stateLeased.
+	// The lease, valid while state == stateLeased.
 	leaseID string
 	expires time.Time
-
-	// notBefore gates re-leasing after a failed attempt (jittered
-	// exponential backoff, same schedule as the local engine's retries).
-	notBefore time.Time
-
-	errMsg string // last attempt's error; terminal reason when stateFailed
+	worker  string
 }
 
 // queueConfig sizes the lease table.
 type queueConfig struct {
 	// TTL is the lease lifetime; heartbeats extend it. <= 0 means 1m.
 	TTL time.Duration
-	// MaxAttempts bounds executions per job (1 + retries). <= 0 means 1.
-	MaxAttempts int
-	// Backoff/BackoffSeed parameterize retryDelay for the requeue gate
-	// after a failed attempt.
-	Backoff     time.Duration
-	BackoffSeed int64
 	// now is the clock; tests inject a fake. nil means time.Now.
 	now func() time.Time
 }
@@ -110,59 +88,35 @@ type queue struct {
 	jobs   map[string]*jobEntry // by job key
 	keys   []string             // sorted; leases are granted in key order
 	leases map[string]string    // lease ID → job key, kept for the store's
-	// first-write-wins duplicate detection (bounded by total attempts)
+	// first-write-wins duplicate detection (one per job at most)
 	nextLease int
-
-	// changed is closed and replaced on every state transition; watchers
-	// re-snapshot when it fires.
-	changed chan struct{}
 }
 
 func newQueue(cfg queueConfig) *queue {
 	if cfg.TTL <= 0 {
 		cfg.TTL = time.Minute
 	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 1
-	}
 	if cfg.now == nil {
 		cfg.now = time.Now
 	}
 	return &queue{
-		cfg:     cfg,
-		jobs:    make(map[string]*jobEntry),
-		leases:  make(map[string]string),
-		changed: make(chan struct{}),
+		cfg:    cfg,
+		jobs:   make(map[string]*jobEntry),
+		leases: make(map[string]string),
 	}
-}
-
-// bumpLocked wakes watchers; the caller holds q.mu.
-func (q *queue) bumpLocked() {
-	close(q.changed)
-	q.changed = make(chan struct{})
-}
-
-// watch returns a channel that fires (closes) on the next state change.
-func (q *queue) watch() <-chan struct{} {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.changed
 }
 
 // add registers a job if unknown. done marks it already terminal (recalled
 // from the store). Jobs are shared across sweeps by key: a second sweep
 // containing a known cell adopts its state, whatever it is.
-func (q *queue) add(j sweep.Job, specPath string, done bool) {
+func (q *queue) add(j sweep.Job, done bool) {
 	key := j.Key()
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if e, ok := q.jobs[key]; ok {
-		if e.specPath == "" && specPath != "" {
-			e.specPath = specPath
-		}
+	if _, ok := q.jobs[key]; ok {
 		return
 	}
-	e := &jobEntry{job: j, specPath: specPath}
+	e := &jobEntry{job: j}
 	if done {
 		e.state = stateDone
 		e.cached = true
@@ -172,25 +126,23 @@ func (q *queue) add(j sweep.Job, specPath string, done bool) {
 	q.keys = append(q.keys, "")
 	copy(q.keys[i+1:], q.keys[i:])
 	q.keys[i] = key
-	q.bumpLocked()
 }
 
-// grantInfo is a granted lease before the server attaches spec content.
+// grantInfo is a granted lease.
 type grantInfo struct {
-	leaseID  string
-	job      sweep.Job
-	specPath string
+	leaseID string
+	job     sweep.Job
 }
 
-// lease grants the first eligible pending job in key order. A nil grant
-// with drained == true means every known job is terminal.
+// lease grants the first pending job in key order. A nil grant with
+// drained == true means every known job is terminal.
 func (q *queue) lease(worker string) (*grantInfo, bool) {
 	now := q.cfg.now()
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for _, key := range q.keys {
 		e := q.jobs[key]
-		if e.state != statePending || now.Before(e.notBefore) {
+		if e.state != statePending {
 			continue
 		}
 		q.nextLease++
@@ -198,10 +150,9 @@ func (q *queue) lease(worker string) (*grantInfo, bool) {
 		e.state = stateLeased
 		e.leaseID = id
 		e.expires = now.Add(q.cfg.TTL)
-		e.attempts = append(e.attempts, attempt{worker: worker, leaseID: id, start: now})
+		e.worker = worker
 		q.leases[id] = key
-		q.bumpLocked()
-		return &grantInfo{leaseID: id, job: e.job, specPath: e.specPath}, false
+		return &grantInfo{leaseID: id, job: e.job}, false
 	}
 	return nil, q.drainedLocked()
 }
@@ -227,22 +178,32 @@ func (q *queue) heartbeat(leaseID string) error {
 	now := q.cfg.now()
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	key, ok := q.leases[leaseID]
-	if !ok {
-		return ErrUnknownLease
-	}
-	e := q.jobs[key]
-	if e.state != stateLeased || e.leaseID != leaseID {
-		return ErrLeaseGone
+	e, err := q.activeLocked(leaseID)
+	if err != nil {
+		return err
 	}
 	e.expires = now.Add(q.cfg.TTL)
 	return nil
 }
 
+// activeLocked resolves a lease that is still the job's live lease; the
+// caller holds q.mu.
+func (q *queue) activeLocked(leaseID string) (*jobEntry, error) {
+	key, ok := q.leases[leaseID]
+	if !ok {
+		return nil, ErrUnknownLease
+	}
+	e := q.jobs[key]
+	if e.state != stateLeased || e.leaseID != leaseID {
+		return e, ErrLeaseGone
+	}
+	return e, nil
+}
+
 // jobForLease resolves a lease to its job for completion. done reports
 // that the job is already stateDone — the duplicate-completion no-op case.
-// Any lease ever issued for the job resolves, so a worker whose lease
-// expired mid-run can still deliver its (deterministic, thus identical)
+// A lease resolves after it expired, so a worker whose lease lapsed
+// mid-run can still deliver its (deterministic, thus only possible)
 // result: first write wins, later writes are no-ops.
 func (q *queue) jobForLease(leaseID string) (sweep.Job, bool, error) {
 	q.mu.Lock()
@@ -256,11 +217,9 @@ func (q *queue) jobForLease(leaseID string) (sweep.Job, bool, error) {
 }
 
 // markDone finishes the job behind leaseID after its result reached the
-// store. Idempotent; it also un-fails a job whose late completion arrived
-// after attempts were exhausted (the result is valid — determinism makes
-// it the only possible result).
+// store. Idempotent; it also un-fails a job whose completion arrived
+// after its lease expired.
 func (q *queue) markDone(leaseID string) {
-	now := q.cfg.now()
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	key, ok := q.leases[leaseID]
@@ -268,44 +227,35 @@ func (q *queue) markDone(leaseID string) {
 		return
 	}
 	e := q.jobs[key]
-	q.closeAttemptLocked(e, leaseID, "", false, now)
-	if e.state == stateDone {
-		return
-	}
 	e.state = stateDone
 	e.errMsg = ""
 	e.leaseID = ""
-	q.bumpLocked()
 }
 
-// fail records a failed attempt and requeues or terminally fails the job.
-// It returns the job and whether this failure was terminal (so the server
-// can write the store's failure ledger).
+// fail terminally fails the job behind an active lease. It returns the
+// job and whether this report failed it (so the server can write the
+// store's failure ledger); a report on a lease that is no longer active
+// is stale and changes nothing.
 func (q *queue) fail(leaseID, msg string) (sweep.Job, bool, error) {
-	now := q.cfg.now()
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	key, ok := q.leases[leaseID]
-	if !ok {
-		return sweep.Job{}, false, ErrUnknownLease
-	}
-	e := q.jobs[key]
-	if e.state != stateLeased || e.leaseID != leaseID {
-		// Stale report: the job resolved elsewhere, or expiry already
-		// requeued (possibly re-leased) it. Close the old attempt record
-		// if expiry hasn't; the job's current state is untouched.
-		q.closeAttemptLocked(e, leaseID, msg, false, now)
+	e, err := q.activeLocked(leaseID)
+	switch {
+	case errors.Is(err, ErrLeaseGone):
 		return e.job, false, nil
+	case err != nil:
+		return sweep.Job{}, false, err
 	}
+	e.state = stateFailed
+	e.errMsg = msg
 	e.leaseID = ""
-	q.closeAttemptLocked(e, leaseID, msg, false, now)
-	return e.job, q.requeueLocked(e, key, msg, now), nil
+	return e.job, true, nil
 }
 
-// expire scans for overdue leases and requeues (or terminally fails)
-// their jobs. It returns the jobs that became terminally failed, so the
-// server can record them in the store's failure ledger. Called by the
-// server's expiry ticker; tests call it directly with a fake clock.
+// expire terminally fails every job whose lease is overdue and returns
+// those jobs, so the server can record them in the store's failure
+// ledger. Called by the server's expiry ticker; tests call it directly
+// with a fake clock.
 func (q *queue) expire() []sweep.Job {
 	now := q.cfg.now()
 	q.mu.Lock()
@@ -316,77 +266,21 @@ func (q *queue) expire() []sweep.Job {
 		if e.state != stateLeased || !now.After(e.expires) {
 			continue
 		}
-		msg := "lease expired"
-		if n := len(e.attempts); n > 0 {
-			msg = fmt.Sprintf("lease expired (worker %s)", e.attempts[n-1].worker)
-		}
-		q.closeAttemptExpiredLocked(e, e.leaseID, msg, now)
+		e.state = stateFailed
+		e.errMsg = fmt.Sprintf("lease expired (worker %s)", e.worker)
 		e.leaseID = ""
-		if q.requeueLocked(e, key, msg, now) {
-			dead = append(dead, e.job)
-		}
+		dead = append(dead, e.job)
 	}
 	return dead
 }
 
-// requeueLocked moves a non-terminal entry back to pending, or to
-// stateFailed once attempts are exhausted; returns true when terminal.
-// The caller holds q.mu.
-func (q *queue) requeueLocked(e *jobEntry, key, msg string, now time.Time) bool {
-	e.errMsg = msg
-	if len(e.attempts) >= q.cfg.MaxAttempts {
-		e.state = stateFailed
-		q.bumpLocked()
-		return true
-	}
-	e.state = statePending
-	e.notBefore = now.Add(retryDelay(key, len(e.attempts)+1, q.cfg.Backoff, q.cfg.BackoffSeed))
-	q.bumpLocked()
-	return false
-}
-
-// retryDelay returns the requeue pause before attempt k of the job with
-// the given key: base << (k-2), scaled by a jitter factor in [0.5, 1.5)
-// drawn from a rand seeded by (seed, key, k). Attempt 1 and base <= 0 wait
-// nothing.
-//
-// The function is pure — the same sweep requeues on the same schedule
-// every run, which keeps tests deterministic — and it never touches the
-// global math/rand source.
-func retryDelay(key string, attempt int, base time.Duration, seed int64) time.Duration {
-	if base <= 0 || attempt <= 1 {
-		return 0
-	}
-	exp := attempt - 2
-	if exp > 16 {
-		exp = 16 // cap the exponential; 65536x base is already absurd
-	}
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	rng := rand.New(rand.NewSource(seed ^ int64(h.Sum64()) ^ int64(attempt)<<32))
-	jitter := 0.5 + rng.Float64() // [0.5, 1.5)
-	return time.Duration(float64(base<<exp) * jitter)
-}
-
-// closeAttemptLocked stamps the end of the attempt issued as leaseID, if
-// it is still open. The caller holds q.mu.
-func (q *queue) closeAttemptLocked(e *jobEntry, leaseID, errMsg string, expired bool, now time.Time) {
-	for i := len(e.attempts) - 1; i >= 0; i-- {
-		a := &e.attempts[i]
-		if a.leaseID != leaseID {
-			continue
-		}
-		if a.end.IsZero() {
-			a.end = now
-			a.err = errMsg
-			a.expired = expired
-		}
-		return
-	}
-}
-
-func (q *queue) closeAttemptExpiredLocked(e *jobEntry, leaseID, msg string, now time.Time) {
-	q.closeAttemptLocked(e, leaseID, msg, true, now)
+// outcome reports one job's state, whether it was recalled from the
+// store, and its terminal error.
+func (q *queue) outcome(key string) (jobState, bool, string) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	e := q.jobs[key]
+	return e.state, e.cached, e.errMsg
 }
 
 // counts summarizes the given keys; nil means every known job.
@@ -418,67 +312,4 @@ func (q *queue) counts(keys []string) Counts {
 		}
 	}
 	return c
-}
-
-// status snapshots the given keys (which must be sorted; the result keeps
-// their order) for the status API.
-func (q *queue) status(keys []string) []JobStatus {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	out := make([]JobStatus, 0, len(keys))
-	for _, key := range keys {
-		e, ok := q.jobs[key]
-		if !ok {
-			continue
-		}
-		out = append(out, q.jobStatusLocked(key, e))
-	}
-	return out
-}
-
-// jobStatusLocked renders one entry; the caller holds q.mu.
-func (q *queue) jobStatusLocked(key string, e *jobEntry) JobStatus {
-	js := JobStatus{
-		Key:      key,
-		State:    e.state.String(),
-		Cached:   e.cached,
-		Attempts: len(e.attempts),
-		Error:    e.errMsg,
-	}
-	if n := len(e.attempts); n > 0 {
-		last := e.attempts[n-1]
-		js.Worker = last.worker
-		if !last.end.IsZero() {
-			js.Seconds = last.end.Sub(last.start).Seconds()
-		}
-	}
-	return js
-}
-
-// terminalStatuses returns, in order, the keys among the given sorted set
-// that are terminal and not yet in seen, marking them seen. done reports
-// whether the whole set is terminal. This powers the status stream: each
-// watcher replays current terminal states, then follows transitions.
-func (q *queue) terminalStatuses(keys []string, seen map[string]bool) ([]JobStatus, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	var out []JobStatus
-	done := true
-	for _, key := range keys {
-		e, ok := q.jobs[key]
-		if !ok {
-			done = false
-			continue
-		}
-		if e.state != stateDone && e.state != stateFailed {
-			done = false
-			continue
-		}
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		out = append(out, q.jobStatusLocked(key, e))
-	}
-	return out, done
 }

@@ -30,11 +30,11 @@ func newTestQueue(clk *fakeClock, cfg queueConfig) *queue {
 	return newQueue(cfg)
 }
 
-func TestLeaseLifecycleExpiryRequeues(t *testing.T) {
+func TestExpiredLeaseFailsTerminally(t *testing.T) {
 	clk := newFakeClock()
-	q := newTestQueue(clk, queueConfig{TTL: time.Minute, MaxAttempts: 2})
+	q := newTestQueue(clk, queueConfig{TTL: time.Minute})
 	j := testJob("ocean")
-	q.add(j, "", false)
+	q.add(j, false)
 
 	g, drained := q.lease("w1")
 	if g == nil || drained {
@@ -57,43 +57,29 @@ func TestLeaseLifecycleExpiryRequeues(t *testing.T) {
 		t.Fatalf("counts after early expire: %+v", got)
 	}
 
-	// Past the TTL, the job requeues (attempt 1 of 2 burned).
+	// Past the TTL the job fails terminally, and expire reports it for
+	// the failure ledger. It is never leased again.
 	clk.advance(2 * time.Second)
-	if dead := q.expire(); len(dead) != 0 {
-		t.Fatalf("first expiry should requeue, not fail: %v", dead)
-	}
-	if got := q.counts(nil); got.Pending != 1 || got.Leased != 0 {
-		t.Fatalf("counts after expiry: %+v", got)
-	}
-	st := q.status([]string{j.Key()})
-	if len(st) != 1 || st[0].State != "pending" || st[0].Attempts != 1 {
-		t.Fatalf("status after expiry: %+v", st)
-	}
-
-	// Second lease, second expiry: attempts exhausted, terminally failed,
-	// and expire reports the job for the failure ledger.
-	g, _ = q.lease("w2")
-	if g == nil {
-		t.Fatal("requeued job not leasable")
-	}
-	clk.advance(2 * time.Minute)
 	dead := q.expire()
 	if len(dead) != 1 || dead[0].Key() != j.Key() {
-		t.Fatalf("second expiry should terminally fail %s: %v", j.Key(), dead)
+		t.Fatalf("expiry should terminally fail %s: %v", j.Key(), dead)
 	}
-	st = q.status([]string{j.Key()})
-	if st[0].State != "failed" || st[0].Attempts != 2 || st[0].Error == "" {
-		t.Fatalf("terminal status: %+v", st[0])
+	if got := q.counts(nil); got.Failed != 1 || got.Leased != 0 || got.Pending != 0 {
+		t.Fatalf("counts after expiry: %+v", got)
 	}
-	if !q.drainedLocked() {
-		t.Fatal("queue with only a failed job should report drained")
+	state, _, msg := q.outcome(j.Key())
+	if state != stateFailed || msg != "lease expired (worker w1)" {
+		t.Fatalf("terminal outcome: %v %q", state, msg)
+	}
+	if g, drained := q.lease("w2"); g != nil || !drained {
+		t.Fatalf("failed job re-leased: grant=%v drained=%v", g, drained)
 	}
 }
 
 func TestHeartbeatExtendsLease(t *testing.T) {
 	clk := newFakeClock()
-	q := newTestQueue(clk, queueConfig{TTL: time.Minute, MaxAttempts: 1})
-	q.add(testJob("ocean"), "", false)
+	q := newTestQueue(clk, queueConfig{TTL: time.Minute})
+	q.add(testJob("ocean"), false)
 	g, _ := q.lease("w1")
 
 	// Heartbeats every 30s keep a 1m lease alive well past its original TTL.
@@ -111,7 +97,7 @@ func TestHeartbeatExtendsLease(t *testing.T) {
 	}
 
 	// Stop heartbeating: one TTL later the lease dies and the heartbeat
-	// starts answering ErrLeaseGone (MaxAttempts=1 → terminal).
+	// starts answering ErrLeaseGone (the job failed).
 	clk.advance(2 * time.Minute)
 	if dead := q.expire(); len(dead) != 1 {
 		t.Fatalf("lease should expire after heartbeats stop: %v", dead)
@@ -126,110 +112,99 @@ func TestHeartbeatExtendsLease(t *testing.T) {
 
 func TestDuplicateCompletionFirstWriteWins(t *testing.T) {
 	clk := newFakeClock()
-	q := newTestQueue(clk, queueConfig{TTL: time.Minute, MaxAttempts: 3})
+	q := newTestQueue(clk, queueConfig{TTL: time.Minute})
 	j := testJob("ocean")
-	q.add(j, "", false)
+	q.add(j, false)
 
-	// w1 leases, its lease expires, w2 leases the requeued job and wins.
+	// w1's lease expires: the job fails.
 	g1, _ := q.lease("w1")
 	clk.advance(2 * time.Minute)
 	q.expire()
-	g2, _ := q.lease("w2")
-	if g2 == nil || g2.leaseID == g1.leaseID {
-		t.Fatalf("requeued job should get a fresh lease: %+v", g2)
+
+	// w1's late completion resolves through its old lease, is not a
+	// duplicate, and makes the job done.
+	if _, done, err := q.jobForLease(g1.leaseID); err != nil || done {
+		t.Fatalf("late completion: done=%v err=%v", done, err)
+	}
+	q.markDone(g1.leaseID)
+	if state, _, msg := q.outcome(j.Key()); state != stateDone || msg != "" {
+		t.Fatalf("after the late completion: %v %q", state, msg)
 	}
 
-	if _, done, err := q.jobForLease(g2.leaseID); err != nil || done {
-		t.Fatalf("w2 jobForLease: done=%v err=%v", done, err)
-	}
-	q.markDone(g2.leaseID)
-	if st := q.status([]string{j.Key()}); st[0].State != "done" {
-		t.Fatalf("after w2 completes: %+v", st[0])
-	}
-
-	// w1's late completion resolves through its old lease and reports the
-	// duplicate; the job's state does not change.
+	// A second completion is flagged as a duplicate; the state stays.
 	_, done, err := q.jobForLease(g1.leaseID)
-	if err != nil {
-		t.Fatalf("w1's expired lease must still resolve: %v", err)
+	if err != nil || !done {
+		t.Fatalf("second completion: done=%v err=%v, want a duplicate", done, err)
 	}
-	if !done {
-		t.Fatal("w1's completion should be flagged as a duplicate")
-	}
-	q.markDone(g1.leaseID) // the server still closes the attempt record
-	st := q.status([]string{j.Key()})
-	if st[0].State != "done" || st[0].Attempts != 2 {
-		t.Fatalf("after duplicate completion: %+v", st[0])
+	q.markDone(g1.leaseID)
+	if state, _, _ := q.outcome(j.Key()); state != stateDone {
+		t.Fatalf("after the duplicate completion: %v", state)
 	}
 }
 
-func TestFailRequeuesWithBackoffGate(t *testing.T) {
+func TestFailIsTerminal(t *testing.T) {
 	clk := newFakeClock()
-	q := newTestQueue(clk, queueConfig{
-		TTL: time.Minute, MaxAttempts: 2,
-		Backoff: time.Second, BackoffSeed: 7,
-	})
+	q := newTestQueue(clk, queueConfig{TTL: time.Minute})
 	j := testJob("ocean")
-	q.add(j, "", false)
+	q.add(j, false)
 
 	g, _ := q.lease("w1")
-	if _, terminal, err := q.fail(g.leaseID, "boom"); err != nil || terminal {
-		t.Fatalf("first failure: terminal=%v err=%v", terminal, err)
+	if _, failed, err := q.fail(g.leaseID, "boom"); err != nil || !failed {
+		t.Fatalf("failure: failed=%v err=%v", failed, err)
 	}
-	// The requeue gate holds the job back for retryDelay(key, 2, ...).
-	want := retryDelay(j.Key(), 2, time.Second, 7)
-	if want <= 0 {
-		t.Fatal("test needs a positive backoff delay")
+	if state, _, msg := q.outcome(j.Key()); state != stateFailed || msg != "boom" {
+		t.Fatalf("terminal outcome: %v %q", state, msg)
 	}
-	if g2, _ := q.lease("w1"); g2 != nil {
-		t.Fatalf("job leased before its backoff gate: %+v", g2)
+	if g, drained := q.lease("w1"); g != nil || !drained {
+		t.Fatalf("failed job re-leased: grant=%v drained=%v", g, drained)
 	}
-	clk.advance(want + time.Millisecond)
-	g2, _ := q.lease("w1")
-	if g2 == nil {
-		t.Fatal("job not leasable after its backoff gate")
-	}
-
-	// Second failure exhausts the attempts.
-	_, terminal, err := q.fail(g2.leaseID, "boom again")
-	if err != nil || !terminal {
-		t.Fatalf("second failure: terminal=%v err=%v", terminal, err)
-	}
-	st := q.status([]string{j.Key()})
-	if st[0].State != "failed" || st[0].Error != "boom again" {
-		t.Fatalf("terminal status: %+v", st[0])
+	if _, _, err := q.fail("L99999999", "boom"); err != ErrUnknownLease {
+		t.Fatalf("fail on a never-issued lease: %v, want ErrUnknownLease", err)
 	}
 }
 
 func TestStaleFailDoesNotDisturbNewLease(t *testing.T) {
 	clk := newFakeClock()
-	q := newTestQueue(clk, queueConfig{TTL: time.Minute, MaxAttempts: 5})
-	j := testJob("ocean")
-	q.add(j, "", false)
+	q := newTestQueue(clk, queueConfig{TTL: time.Minute})
+	a, b := testJob("fmm"), testJob("ocean")
+	q.add(a, false)
+	q.add(b, false)
 
-	g1, _ := q.lease("w1")
+	g1, _ := q.lease("w1") // fmm (key order)
 	clk.advance(2 * time.Minute)
 	q.expire()
-	g2, _ := q.lease("w2")
+	g2, _ := q.lease("w2") // ocean
 
-	// w1's stale failure report must not requeue or fail the job w2 holds.
-	if _, terminal, err := q.fail(g1.leaseID, "stale"); err != nil || terminal {
-		t.Fatalf("stale fail: terminal=%v err=%v", terminal, err)
+	// w1's stale failure report must neither overwrite fmm's expiry nor
+	// touch the lease w2 holds.
+	if _, failed, err := q.fail(g1.leaseID, "stale"); err != nil || failed {
+		t.Fatalf("stale fail: failed=%v err=%v", failed, err)
 	}
-	st := q.status([]string{j.Key()})
-	if st[0].State != "leased" {
-		t.Fatalf("stale fail disturbed the active lease: %+v", st[0])
+	if state, _, msg := q.outcome(a.Key()); state != stateFailed || msg != "lease expired (worker w1)" {
+		t.Fatalf("stale fail rewrote the expired job: %v %q", state, msg)
+	}
+	if state, _, _ := q.outcome(b.Key()); state != stateLeased {
+		t.Fatalf("stale fail disturbed the active lease: %v", state)
 	}
 	if err := q.heartbeat(g2.leaseID); err != nil {
 		t.Fatalf("active lease broken by stale fail: %v", err)
+	}
+
+	// Nor may it undo a late completion.
+	q.markDone(g1.leaseID)
+	if _, failed, err := q.fail(g1.leaseID, "stale"); err != nil || failed {
+		t.Fatalf("stale fail after completion: failed=%v err=%v", failed, err)
+	}
+	if state, _, _ := q.outcome(a.Key()); state != stateDone {
+		t.Fatalf("stale fail undid a completion: %v", state)
 	}
 }
 
 func TestCachedAddIsTerminal(t *testing.T) {
 	clk := newFakeClock()
-	q := newTestQueue(clk, queueConfig{TTL: time.Minute, MaxAttempts: 1})
-	q.add(testJob("ocean"), "", true) // recalled from the store
-	q.add(testJob("fmm"), "", false)
+	q := newTestQueue(clk, queueConfig{TTL: time.Minute})
+	q.add(testJob("ocean"), true) // recalled from the store
+	q.add(testJob("fmm"), false)
 
 	c := q.counts(nil)
 	if c.Jobs != 2 || c.Done != 1 || c.Cached != 1 || c.Pending != 1 {
@@ -243,106 +218,5 @@ func TestCachedAddIsTerminal(t *testing.T) {
 	q.markDone(g.leaseID)
 	if g, drained := q.lease("w1"); g != nil || !drained {
 		t.Fatalf("queue should be drained: grant=%v drained=%v", g, drained)
-	}
-}
-
-func TestTerminalStatusReplay(t *testing.T) {
-	clk := newFakeClock()
-	q := newTestQueue(clk, queueConfig{TTL: time.Minute, MaxAttempts: 1})
-	a, b := testJob("fmm"), testJob("ocean")
-	q.add(a, "", false)
-	q.add(b, "", false)
-	keys := []string{a.Key(), b.Key()}
-
-	seen := make(map[string]bool)
-	if events, done := q.terminalStatuses(keys, seen); len(events) != 0 || done {
-		t.Fatalf("fresh queue: events=%v done=%v", events, done)
-	}
-
-	g, _ := q.lease("w1") // fmm (key order)
-	q.markDone(g.leaseID)
-	events, done := q.terminalStatuses(keys, seen)
-	if len(events) != 1 || events[0].Key != a.Key() || done {
-		t.Fatalf("after one completion: events=%+v done=%v", events, done)
-	}
-	// Replay is incremental: the same terminal state is not re-delivered.
-	if events, _ := q.terminalStatuses(keys, seen); len(events) != 0 {
-		t.Fatalf("terminal state replayed twice: %+v", events)
-	}
-
-	g, _ = q.lease("w1")
-	q.markDone(g.leaseID)
-	events, done = q.terminalStatuses(keys, seen)
-	if len(events) != 1 || events[0].Key != b.Key() || !done {
-		t.Fatalf("after both complete: events=%+v done=%v", events, done)
-	}
-
-	// A late subscriber replays both terminal states at once.
-	late := make(map[string]bool)
-	events, done = q.terminalStatuses(keys, late)
-	if len(events) != 2 || !done {
-		t.Fatalf("late subscriber replay: events=%+v done=%v", events, done)
-	}
-}
-
-func TestWatchFiresOnTransition(t *testing.T) {
-	clk := newFakeClock()
-	q := newTestQueue(clk, queueConfig{TTL: time.Minute, MaxAttempts: 1})
-	ch := q.watch()
-	select {
-	case <-ch:
-		t.Fatal("watch fired before any transition")
-	default:
-	}
-	q.add(testJob("ocean"), "", false)
-	select {
-	case <-ch:
-	default:
-		t.Fatal("watch did not fire on add")
-	}
-}
-
-func TestRetryDelayPureAndBounded(t *testing.T) {
-	const base = time.Second
-
-	// Pure: the same inputs always produce the same delay.
-	for _, key := range []string{"ocean/sp/t16/x0.25/s42", "fmm/dir/t16/x1/s7"} {
-		for attempt := 2; attempt <= 6; attempt++ {
-			a := retryDelay(key, attempt, base, 99)
-			b := retryDelay(key, attempt, base, 99)
-			if a != b {
-				t.Fatalf("retryDelay(%q, %d) not deterministic: %v vs %v", key, attempt, a, b)
-			}
-			// Bounded by the jitter envelope around base << (attempt-2).
-			lo := time.Duration(float64(base<<(attempt-2)) * 0.5)
-			hi := time.Duration(float64(base<<(attempt-2)) * 1.5)
-			if a < lo || a >= hi {
-				t.Fatalf("retryDelay(%q, %d) = %v outside [%v, %v)", key, attempt, a, lo, hi)
-			}
-		}
-	}
-
-	// The first attempt and a zero base never wait.
-	if d := retryDelay("k", 1, base, 0); d != 0 {
-		t.Fatalf("attempt 1 delayed %v", d)
-	}
-	if d := retryDelay("k", 3, 0, 0); d != 0 {
-		t.Fatalf("zero base delayed %v", d)
-	}
-
-	// Different seeds and different keys decorrelate the jitter (with the
-	// same exponent the raw delay would otherwise collide).
-	if retryDelay("k", 2, base, 1) == retryDelay("k", 2, base, 2) &&
-		retryDelay("k", 3, base, 1) == retryDelay("k", 3, base, 2) {
-		t.Fatal("seed does not influence the jitter")
-	}
-	if retryDelay("a", 2, base, 0) == retryDelay("b", 2, base, 0) &&
-		retryDelay("a", 3, base, 0) == retryDelay("b", 3, base, 0) {
-		t.Fatal("key does not influence the jitter")
-	}
-
-	// The exponent caps: absurd attempt numbers must not overflow.
-	if d := retryDelay("k", 1000, time.Millisecond, 0); d <= 0 || d > time.Duration(1)<<40 {
-		t.Fatalf("capped delay out of range: %v", d)
 	}
 }

@@ -7,14 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"time"
 
-	"spcoh/internal/detutil"
-	"spcoh/internal/scenario"
 	"spcoh/internal/sim"
 	"spcoh/internal/sweep"
 )
@@ -26,45 +22,25 @@ type Options struct {
 	// manifest are re-adopted and their completed cells recalled, so a
 	// restarted server recomputes nothing.
 	Store *sweep.Store
-	// LeaseTTL is the lease lifetime; heartbeats extend it. Default 1m.
+	// LeaseTTL is the lease lifetime; heartbeats extend it. A lease that
+	// lapses fails its job. Default 1m.
 	LeaseTTL time.Duration
-	// Retries is the number of additional attempts after a job's first
-	// failed one (so MaxAttempts = 1 + Retries). Default 2.
-	Retries int
-	// Backoff is the base requeue delay after a failed attempt, jittered
-	// per retryDelay (queue.go). Default 1s; BackoffSeed seeds the jitter.
-	Backoff     time.Duration
-	BackoffSeed int64
-	// Timeout bounds one attempt's wall time in the local pool (remote
-	// workers choose their own). 0 = none.
-	Timeout time.Duration
-	// LocalWorkers is the in-process worker pool size started by Start.
-	// 0 = serve leases to remote workers only.
-	LocalWorkers int
-	// Poll is the local pool's idle lease cadence. Default 200ms.
-	Poll time.Duration
-	// Exec executes jobs in the local pool; nil means DefaultExec. Tests
-	// inject stubs here.
-	Exec ExecFunc
-	// Token, when non-empty, requires every API request (except the
-	// health probe) to carry "Authorization: Bearer <Token>".
+	// Token, when non-empty, requires every API request to carry
+	// "Authorization: Bearer <Token>".
 	Token string
 	// MaxBodyBytes caps every request body; a larger payload is rejected
 	// with 413 before the decoder buffers it. Default 8 MiB — an order of
 	// magnitude above the largest legitimate payload (a completed
 	// metrics-enabled sim.Result).
 	MaxBodyBytes int64
-	// Log, when set, receives one line per server event. Display only.
-	Log func(format string, args ...any)
 
 	// now is the queue clock; tests inject a fake. nil means time.Now.
 	now func() time.Time
 }
 
 // Server is the sweep job service: a lease table (queue) over the shared
-// artifact store, an HTTP/JSON API, and an optional in-process worker
-// pool. Create with New, serve Handler, call Start for the background
-// loops and Close to stop them.
+// artifact store and an HTTP/JSON API. Create with New, serve Handler,
+// call Start for the lease-expiry loop and Close to stop it.
 type Server struct {
 	opt   Options
 	store *sweep.Store
@@ -95,51 +71,25 @@ func New(opt Options) (*Server, error) {
 	if opt.LeaseTTL <= 0 {
 		opt.LeaseTTL = time.Minute
 	}
-	if opt.Retries < 0 {
-		opt.Retries = 0
-	}
-	if opt.Backoff == 0 {
-		opt.Backoff = time.Second
-	}
-	if opt.Poll <= 0 {
-		opt.Poll = 200 * time.Millisecond
-	}
-	if opt.Exec == nil {
-		opt.Exec = DefaultExec
-	}
 	if opt.MaxBodyBytes <= 0 {
 		opt.MaxBodyBytes = 8 << 20
 	}
-	if opt.Log == nil {
-		opt.Log = func(string, ...any) {}
-	}
 	s := &Server{
-		opt:   opt,
-		store: opt.Store,
-		q: newQueue(queueConfig{
-			TTL:         opt.LeaseTTL,
-			MaxAttempts: 1 + opt.Retries,
-			Backoff:     opt.Backoff,
-			BackoffSeed: opt.BackoffSeed,
-			now:         opt.now,
-		}),
+		opt:    opt,
+		store:  opt.Store,
+		q:      newQueue(queueConfig{TTL: opt.LeaseTTL, now: opt.now}),
 		sweeps: make(map[string]*sweepState),
 	}
 	s.routes()
 	for _, id := range s.store.SweepIDs() {
-		m, ok := s.store.Sweep(id)
-		if !ok {
-			continue
+		if m, ok := s.store.Sweep(id); ok {
+			s.adopt(m)
 		}
-		s.adopt(m)
-		s.opt.Log("adopted sweep %.12s from store", id)
 	}
 	return s, nil
 }
 
-// Start launches the background loops: the lease-expiry ticker and, when
-// configured, the in-process worker pool (which runs the same RunWorker
-// code path as remote workers, with the server itself as the API).
+// Start launches the lease-expiry loop.
 func (s *Server) Start() {
 	ctx, cancel := context.WithCancel(context.Background())
 	s.cancel = cancel
@@ -148,25 +98,10 @@ func (s *Server) Start() {
 		defer s.wg.Done()
 		s.expiryLoop(ctx)
 	}()
-	if s.opt.LocalWorkers > 0 {
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			RunWorker(ctx, s, WorkerOptions{
-				ID:      "local",
-				Slots:   s.opt.LocalWorkers,
-				Poll:    s.opt.Poll,
-				Timeout: s.opt.Timeout,
-				Exec:    s.opt.Exec,
-				Log:     s.opt.Log,
-			})
-		}()
-	}
 }
 
-// Close stops the background loops and waits for in-flight local attempts
-// to settle. In-flight simulations are not preemptible; their leases
-// simply die with the process and a later life requeues them.
+// Close stops the expiry loop. Leases still out simply die with the
+// process; a later life re-adopts their jobs as pending.
 func (s *Server) Close() {
 	if s.cancel != nil {
 		s.cancel()
@@ -174,8 +109,7 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// expiryLoop requeues jobs whose leases lapsed, recording jobs that
-// exhausted their attempts in the store's failure ledger.
+// expiryLoop calls expireLeases at a quarter of the lease TTL.
 func (s *Server) expiryLoop(ctx context.Context) {
 	interval := s.opt.LeaseTTL / 4
 	if interval < 10*time.Millisecond {
@@ -188,59 +122,31 @@ func (s *Server) expiryLoop(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			for _, j := range s.q.expire() {
-				s.opt.Log("%s: attempts exhausted after lease expiry", j.Key())
-				_ = s.store.MarkFailed(j, "lease expired")
-			}
+			s.expireLeases()
 		}
 	}
 }
 
-// specDir is where uploaded scenario specs live inside the store
-// directory, content-addressed by digest.
-func (s *Server) specDir() string { return filepath.Join(s.store.Dir(), "specs") }
-
-func (s *Server) specPath(digest string) string {
-	return filepath.Join(s.specDir(), digest+".json")
+// expireLeases fails the jobs whose leases lapsed and records them in the
+// store's failure ledger.
+func (s *Server) expireLeases() {
+	for _, j := range s.q.expire() {
+		_ = s.store.MarkFailed(j, "lease expired")
+	}
 }
 
 // Submit registers a matrix (idempotently: the sweep ID is the matrix
-// digest) after validating it and re-homing its scenario specs from the
-// uploads. Jobs already present in the store come back terminal without
-// recomputation; cells shared with other registered sweeps share their
-// state and artifact.
+// digest) after validating it. Jobs already present in the store come
+// back terminal without recomputation; cells shared with other registered
+// sweeps share their state and artifact. Scenario-spec matrices are
+// refused: workers receive built-in profile cells only.
 func (s *Server) Submit(req *SubmitRequest) (*SubmitResponse, error) {
 	m := req.Matrix
 	if err := sweep.ValidateMatrix(m); err != nil {
 		return nil, err
 	}
-	// Re-home specs: every SpecRef must arrive with content hashing to
-	// the digest recorded in the ref — the same re-verification a local
-	// sweep performs against the file system.
-	uploads := make(map[string]json.RawMessage, len(req.Specs))
-	for _, u := range req.Specs {
-		sp, err := scenario.Parse(u.Content)
-		if err != nil {
-			return nil, fmt.Errorf("spec %q: %w", u.Name, err)
-		}
-		if d := sp.Digest(); d != u.Digest {
-			return nil, fmt.Errorf("spec %q: content hashes to %.12s, upload claims %.12s", u.Name, d, u.Digest)
-		}
-		uploads[u.Digest] = u.Content
-	}
-	for i, ref := range m.Specs {
-		content, ok := uploads[ref.Digest]
-		if !ok {
-			return nil, fmt.Errorf("spec %q (%.12s) referenced by the matrix but not uploaded", ref.Name, ref.Digest)
-		}
-		path := s.specPath(ref.Digest)
-		if err := os.MkdirAll(s.specDir(), 0o755); err != nil {
-			return nil, fmt.Errorf("sweepd: spec dir: %w", err)
-		}
-		if err := atomicWrite(path, content); err != nil {
-			return nil, fmt.Errorf("sweepd: store spec %.12s: %w", ref.Digest, err)
-		}
-		m.Specs[i].Path = path
+	if len(m.Specs) > 0 {
+		return nil, fmt.Errorf("sweepd: the matrix names %d scenario specs; the server runs built-in profiles only (run spec matrices with a local sweep)", len(m.Specs))
 	}
 
 	id := m.Digest()
@@ -251,41 +157,25 @@ func (s *Server) Submit(req *SubmitRequest) (*SubmitResponse, error) {
 		if err := s.store.AddSweep(m); err != nil {
 			return nil, err
 		}
-		ss := s.adopt(m)
-		s.opt.Log("sweep %.12s submitted: %d jobs", id, len(ss.keys))
+		s.adopt(m)
 	}
-	s.mu.Lock()
-	ss := s.sweeps[id]
-	s.mu.Unlock()
+	ss, _ := s.sweepByID(id)
 	return &SubmitResponse{SweepID: id, Counts: s.q.counts(ss.keys)}, nil
 }
 
 // adopt registers a matrix's jobs with the queue, recalling completed
 // cells from the store.
-func (s *Server) adopt(m sweep.Matrix) *sweepState {
+func (s *Server) adopt(m sweep.Matrix) {
 	jobs := m.Jobs()
 	keys := make([]string, len(jobs))
 	for i, j := range jobs {
 		keys[i] = j.Key()
-		specPath := ""
-		if j.SpecDigest != "" {
-			// Specs are content-addressed inside the store; the path
-			// recorded in the matrix is advisory (it is rewritten to the
-			// store location at submit time, but a manifest hand-moved
-			// from another host still resolves).
-			specPath = j.SpecPath
-			if _, err := os.Stat(specPath); err != nil {
-				specPath = s.specPath(j.SpecDigest)
-			}
-		}
 		_, done := s.store.Lookup(j)
-		s.q.add(j, specPath, done)
+		s.q.add(j, done)
 	}
-	ss := &sweepState{matrix: m, keys: keys}
 	s.mu.Lock()
-	s.sweeps[m.Digest()] = ss
+	s.sweeps[m.Digest()] = &sweepState{matrix: m, keys: keys}
 	s.mu.Unlock()
-	return ss
 }
 
 // sweepByID returns a registered sweep.
@@ -296,43 +186,31 @@ func (s *Server) sweepByID(id string) (*sweepState, bool) {
 	return ss, ok
 }
 
-// sweepIDs returns the registered sweep IDs, sorted.
-func (s *Server) sweepIDs() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return detutil.SortedKeys(s.sweeps)
-}
-
 // report assembles the deterministic merged report of a fully terminal
 // sweep: jobs in key order, results recalled from the content-addressed
 // store, failures rendered exactly as the local engine renders them. The
-// bytes of every sweep.Format* rendering are therefore identical to a
-// local sweep.Run of the same matrix, regardless of worker count,
+// bytes of its JSON rendering are therefore identical to a local
+// sweep.Run of the same matrix, regardless of worker count,
 // distribution, duplicate completions or server restarts.
 func (s *Server) report(ss *sweepState) (*sweep.Report, error) {
 	rep := &sweep.Report{}
-	statuses := s.q.status(ss.keys)
-	byKey := make(map[string]JobStatus, len(statuses))
-	for _, js := range statuses {
-		byKey[js.Key] = js
-	}
 	for _, j := range ss.matrix.Jobs() {
 		jr := sweep.JobResult{Job: j}
-		js := byKey[j.Key()]
-		switch js.State {
-		case "done":
+		state, cached, errMsg := s.q.outcome(j.Key())
+		switch state {
+		case stateDone:
 			res, ok := s.store.Lookup(j)
 			if !ok {
 				return nil, fmt.Errorf("sweepd: %s is done but its artifact is missing from the store", j.Key())
 			}
 			jr.Result = res
-			jr.Cached = js.Cached
-		case "failed":
+			jr.Cached = cached
+		case stateFailed:
 			// Match the local engine's terminal error shape
-			// (sweep: <key>: <last attempt error>).
-			jr.Err = fmt.Errorf("sweep: %s: %s", j.Key(), js.Error)
+			// (sweep: <key>: <error>).
+			jr.Err = fmt.Errorf("sweep: %s: %s", j.Key(), errMsg)
 		default:
-			return nil, fmt.Errorf("sweepd: %s is %s; the sweep is not terminal", j.Key(), js.State)
+			return nil, fmt.Errorf("sweepd: %s is %s; the sweep is not terminal", j.Key(), state)
 		}
 		rep.Jobs = append(rep.Jobs, jr)
 		switch {
@@ -347,31 +225,13 @@ func (s *Server) report(ss *sweepState) (*sweep.Report, error) {
 	return rep, nil
 }
 
-// WorkerAPI: the server itself is the in-process pool's job source, so
-// local and remote workers share one code path with two transports.
-
 // Lease implements WorkerAPI.
 func (s *Server) Lease(worker string) (*Grant, bool, error) {
 	g, drained := s.q.lease(worker)
 	if g == nil {
 		return nil, drained, nil
 	}
-	grant := &Grant{LeaseID: g.leaseID, Job: g.job, TTLMillis: s.opt.LeaseTTL.Milliseconds()}
-	if g.job.SpecDigest != "" {
-		b, err := os.ReadFile(g.specPath)
-		if err != nil {
-			// The cell cannot run anywhere without its spec; report the
-			// attempt failed and let the retry budget decide.
-			msg := fmt.Sprintf("spec unavailable on server: %v", err)
-			if job, terminal, ferr := s.q.fail(g.leaseID, msg); ferr == nil && terminal {
-				_ = s.store.MarkFailed(job, msg)
-			}
-			return nil, false, errors.New(msg)
-		}
-		grant.Spec = b
-	}
-	s.opt.Log("lease %s -> %s (%s)", g.leaseID, worker, g.job.Key())
-	return grant, false, nil
+	return &Grant{LeaseID: g.leaseID, Job: g.job, TTLMillis: s.opt.LeaseTTL.Milliseconds()}, false, nil
 }
 
 // Heartbeat implements WorkerAPI.
@@ -386,34 +246,30 @@ func (s *Server) Complete(leaseID string, res *sim.Result) (bool, error) {
 		return false, err
 	}
 	if done {
-		s.q.markDone(leaseID) // close the attempt record
 		return true, nil
 	}
 	if res == nil {
 		return false, errors.New("sweepd: complete with no result")
 	}
 	if err := s.store.Put(job, res); err != nil {
-		if _, terminal, ferr := s.q.fail(leaseID, "store: "+err.Error()); ferr == nil && terminal {
-			_ = s.store.MarkFailed(job, "store: "+err.Error())
+		msg := "store: " + err.Error()
+		if _, failed, ferr := s.q.fail(leaseID, msg); ferr == nil && failed {
+			_ = s.store.MarkFailed(job, msg)
 		}
 		return false, err
 	}
 	s.q.markDone(leaseID)
-	s.opt.Log("%s: done", job.Key())
 	return false, nil
 }
 
-// Fail implements WorkerAPI.
+// Fail implements WorkerAPI: the job fails terminally.
 func (s *Server) Fail(leaseID, errMsg string) error {
-	job, terminal, err := s.q.fail(leaseID, errMsg)
+	job, failed, err := s.q.fail(leaseID, errMsg)
 	if err != nil {
 		return err
 	}
-	if terminal {
-		s.opt.Log("%s: attempts exhausted: %s", job.Key(), errMsg)
+	if failed {
 		_ = s.store.MarkFailed(job, errMsg)
-	} else {
-		s.opt.Log("%s: attempt failed, requeued: %s", job.Key(), errMsg)
 	}
 	return nil
 }
@@ -422,11 +278,10 @@ func (s *Server) Fail(leaseID, errMsg string) error {
 
 // Handler returns the server's HTTP API: the route mux behind two guards
 // applied to every request — the bearer-token check (when a token is
-// configured; the health probe stays open so load balancers can ping
-// without credentials) and the request-body cap.
+// configured) and the request-body cap.
 func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if s.opt.Token != "" && r.URL.Path != APIBase+"/healthz" {
+		if s.opt.Token != "" {
 			if subtle.ConstantTimeCompare([]byte(bearerToken(r)), []byte(s.opt.Token)) != 1 {
 				writeError(w, http.StatusUnauthorized,
 					errors.New("missing or invalid bearer token (set Authorization: Bearer <token>)"))
@@ -453,14 +308,8 @@ func bearerToken(r *http.Request) string {
 
 func (s *Server) routes() {
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("GET "+APIBase+"/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
 	s.mux.HandleFunc("POST "+APIBase+"/sweeps", s.handleSubmit)
-	s.mux.HandleFunc("GET "+APIBase+"/sweeps", s.handleList)
-	s.mux.HandleFunc("GET "+APIBase+"/sweeps/{id}", s.handleStatus)
 	s.mux.HandleFunc("GET "+APIBase+"/sweeps/{id}/results", s.handleResults)
-	s.mux.HandleFunc("GET "+APIBase+"/sweeps/{id}/events", s.handleEvents)
 	s.mux.HandleFunc("POST "+APIBase+"/lease", s.handleLease)
 	s.mux.HandleFunc("POST "+APIBase+"/leases/{lease}/heartbeat", s.handleHeartbeat)
 	s.mux.HandleFunc("POST "+APIBase+"/leases/{lease}/complete", s.handleComplete)
@@ -481,33 +330,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	resp := &ListResponse{Sweeps: []SweepInfo{}}
-	for _, id := range s.sweepIDs() {
-		ss, ok := s.sweepByID(id)
-		if !ok {
-			continue
-		}
-		resp.Sweeps = append(resp.Sweeps, SweepInfo{SweepID: id, Counts: s.q.counts(ss.keys)})
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	ss, ok := s.sweepByID(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("unknown sweep"))
+// handleResults renders a terminal sweep's merged report as JSON, the
+// only format served.
+func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
+	if format := r.URL.Query().Get("format"); format != "" && format != "json" {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown format %q (json only)", format))
 		return
 	}
-	writeJSON(w, http.StatusOK, &StatusResponse{
-		SweepID: r.PathValue("id"),
-		Matrix:  ss.matrix,
-		Counts:  s.q.counts(ss.keys),
-		Jobs:    s.q.status(ss.keys),
-	})
-}
-
-func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	ss, ok := s.sweepByID(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, errors.New("unknown sweep"))
@@ -523,68 +352,8 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	switch format := r.URL.Query().Get("format"); format {
-	case "", "json":
-		w.Header().Set("Content-Type", "application/json")
-		if err := rep.FormatJSON(w); err != nil {
-			s.opt.Log("results: %v", err)
-		}
-	case "csv":
-		w.Header().Set("Content-Type", "text/csv")
-		if err := rep.FormatCSV(w); err != nil {
-			s.opt.Log("results: %v", err)
-		}
-	case "table":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		rep.FormatTable(w)
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown format %q (json|csv|table)", format))
-	}
-}
-
-// handleEvents streams the sweep's status as NDJSON: terminal states
-// replayed in key order for late subscribers, then live transitions, then
-// one "complete" event. Display only — results come from the merge
-// endpoint.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	ss, ok := s.sweepByID(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("unknown sweep"))
-		return
-	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, errors.New("streaming unsupported"))
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	seen := make(map[string]bool, len(ss.keys))
-	for {
-		ch := s.q.watch()
-		events, done := s.q.terminalStatuses(ss.keys, seen)
-		for i := range events {
-			if err := enc.Encode(Event{Type: "job", Job: &events[i]}); err != nil {
-				return
-			}
-		}
-		if len(events) > 0 {
-			flusher.Flush()
-		}
-		if done {
-			c := s.q.counts(ss.keys)
-			_ = enc.Encode(Event{Type: "complete", SweepID: id, Counts: &c})
-			flusher.Flush()
-			return
-		}
-		select {
-		case <-ch:
-		case <-r.Context().Done():
-			return
-		}
-	}
+	w.Header().Set("Content-Type", "application/json")
+	_ = rep.FormatJSON(w)
 }
 
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
@@ -662,32 +431,14 @@ func writeError(w http.ResponseWriter, status int, err error) {
 
 // writeDecodeError maps a request-body decode failure to a status: an
 // over-cap body (http.MaxBytesReader tripped) is 413 with the limit named
-// so the caller knows to raise -max-body or shrink the payload; anything
-// else is a plain 400.
+// so the caller knows to raise Options.MaxBodyBytes or shrink the payload;
+// anything else is a plain 400.
 func writeDecodeError(w http.ResponseWriter, err error) {
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {
 		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf(
-			"request body exceeds the server's %d-byte limit (raise -max-body on the daemon or shrink the payload)", mbe.Limit))
+			"request body exceeds the server's %d-byte limit (raise Options.MaxBodyBytes or shrink the payload)", mbe.Limit))
 		return
 	}
 	writeError(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
-}
-
-// atomicWrite writes data via temp file + rename, like the store's.
-func atomicWrite(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }

@@ -3,6 +3,8 @@ package sweepd
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -113,6 +115,17 @@ func serverResultsJSON(t *testing.T, c *Client, sweepID string) []byte {
 	return buf.Bytes()
 }
 
+// resubmitCounts reads a sweep's counts from an idempotent resubmission
+// of its matrix.
+func resubmitCounts(t *testing.T, c *Client, m sweep.Matrix) Counts {
+	t.Helper()
+	sub, err := c.Submit(&SubmitRequest{Matrix: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sub.Counts
+}
+
 // TestServerResultsByteIdenticalToLocalRun is the tentpole's core
 // acceptance: the server's merged output matches a local `spsweep run`
 // byte for byte, for more than one worker count.
@@ -122,7 +135,7 @@ func TestServerResultsByteIdenticalToLocalRun(t *testing.T) {
 
 	for _, workers := range []int{1, 3} {
 		ex := &countingExec{}
-		_, c, stop := startServer(t, t.TempDir(), Options{Exec: ex.exec})
+		_, c, stop := startServer(t, t.TempDir(), Options{})
 		sub, err := c.Submit(&SubmitRequest{Matrix: m})
 		if err != nil {
 			t.Fatal(err)
@@ -148,23 +161,18 @@ func TestServerResultsByteIdenticalToLocalRun(t *testing.T) {
 func TestServerRestartResumesFromStore(t *testing.T) {
 	m := testServerMatrix()
 	dir := t.TempDir()
-	jobs := m.Jobs()
 
-	// Life 1: the executor fails every "sp" cell; with Retries=0 they go
-	// terminally failed while the "dir" cells complete into the store.
+	// Life 1: the executor fails every "sp" cell; they go terminally
+	// failed while the "dir" cells complete into the store.
 	ex1 := &countingExec{failFn: func(j sweep.Job) bool { return j.Kind == "sp" }}
-	_, c1, stop1 := startServer(t, dir, Options{Exec: ex1.exec, Retries: 0})
+	_, c1, stop1 := startServer(t, dir, Options{})
 	sub, err := c1.Submit(&SubmitRequest{Matrix: m})
 	if err != nil {
 		t.Fatal(err)
 	}
 	drainWorker(t, c1, "life1", 2, ex1.exec)
-	st, err := c1.Status(sub.SweepID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Counts.Done != 2 || st.Counts.Failed != 2 {
-		t.Fatalf("life 1 counts: %+v", st.Counts)
+	if counts := resubmitCounts(t, c1, m); counts.Done != 2 || counts.Failed != 2 {
+		t.Fatalf("life 1 counts: %+v", counts)
 	}
 	stop1() // crash: in-memory lease table and sweep registry are gone
 
@@ -183,14 +191,13 @@ func TestServerRestartResumesFromStore(t *testing.T) {
 	// Life 2: a fresh server over the same store re-adopts the sweep with
 	// zero resubmission; the healthy executor finishes only what's left.
 	ex2 := &countingExec{}
-	_, c2, stop2 := startServer(t, dir, Options{Exec: ex2.exec})
+	srv2, c2, stop2 := startServer(t, dir, Options{})
 	defer stop2()
-	st, err = c2.Status(sub.SweepID)
-	if err != nil {
-		t.Fatalf("re-adopted sweep not visible: %v", err)
+	if _, ok := srv2.sweepByID(sub.SweepID); !ok {
+		t.Fatal("re-adopted sweep not registered")
 	}
-	if st.Counts.Done != 2 || st.Counts.Cached != 2 || st.Counts.Pending != 2 {
-		t.Fatalf("life 2 adoption counts: %+v", st.Counts)
+	if counts := resubmitCounts(t, c2, m); counts.Done != 2 || counts.Cached != 2 || counts.Pending != 2 {
+		t.Fatalf("life 2 adoption counts: %+v", counts)
 	}
 	drainWorker(t, c2, "life2", 2, ex2.exec)
 
@@ -211,23 +218,19 @@ func TestServerRestartResumesFromStore(t *testing.T) {
 	if failed := store2.FailedCells(); len(failed) != 0 {
 		t.Fatalf("failure ledger not cleared by completion: %v", failed)
 	}
-	_ = jobs
 }
 
-// TestDuplicateCompletionOverHTTP expires a lease with a fake clock,
-// lets a second worker complete the job, then delivers the first
-// worker's late result: first write wins, the second is a no-op, and the
-// result bytes are untouched.
+// TestDuplicateCompletionOverHTTP expires a lease with a fake clock: the
+// job fails terminally and lands in the failure ledger. The worker's late
+// result then makes it done (first write wins), and a second push of the
+// same result is a no-op duplicate.
 func TestDuplicateCompletionOverHTTP(t *testing.T) {
 	m := testServerMatrix()
 	clk := newFakeClock()
-	ex := &countingExec{}
-	srv, c, stop := startServer(t, t.TempDir(), Options{
-		Exec: ex.exec, LeaseTTL: time.Minute, Retries: 2, now: clk.now,
-	})
+	dir := t.TempDir()
+	srv, c, stop := startServer(t, dir, Options{LeaseTTL: time.Minute, now: clk.now})
 	defer stop()
-	sub, err := c.Submit(&SubmitRequest{Matrix: m})
-	if err != nil {
+	if _, err := c.Submit(&SubmitRequest{Matrix: m}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -236,39 +239,51 @@ func TestDuplicateCompletionOverHTTP(t *testing.T) {
 		t.Fatalf("w1 lease: %v %v", g1, err)
 	}
 	clk.advance(2 * time.Minute)
-	srv.q.expire()               // the ticker isn't running; fire it by hand
-	clk.advance(5 * time.Second) // pass the requeue backoff gate
-	g2, _, err := c.Lease("w2")
-	if err != nil || g2 == nil || g2.Job.Key() != g1.Job.Key() {
-		t.Fatalf("w2 should re-lease %s: got %v err=%v", g1.Job.Key(), g2, err)
+	srv.expireLeases() // the ticker isn't running; fire it by hand
+	if counts := resubmitCounts(t, c, m); counts.Failed != 1 || counts.Leased != 0 {
+		t.Fatalf("counts after expiry: %+v", counts)
 	}
 	if err := c.Heartbeat(g1.LeaseID); err != ErrLeaseGone {
 		t.Fatalf("heartbeat on expired lease over HTTP: %v, want ErrLeaseGone", err)
 	}
-
-	res := fakeResult(g2.Job)
-	if dup, err := c.Complete(g2.LeaseID, res); err != nil || dup {
-		t.Fatalf("w2 complete: dup=%v err=%v", dup, err)
+	ledger := func() map[string]string {
+		store, err := sweep.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return store.FailedCells()
 	}
-	// w1's late push: same deterministic bytes, flagged duplicate, no-op.
-	if dup, err := c.Complete(g1.LeaseID, fakeResult(g1.Job)); err != nil || !dup {
+	if failed := ledger(); len(failed) != 1 || failed[g1.Job.Key()] != "lease expired" {
+		t.Fatalf("failure ledger after expiry: %v, want [%s]", failed, g1.Job.Key())
+	}
+	// The failed job is not handed out again.
+	if g2, _, err := c.Lease("w2"); err != nil || g2 == nil || g2.Job.Key() == g1.Job.Key() {
+		t.Fatalf("w2 lease: %v err=%v, want another job", g2, err)
+	}
+
+	// w1's late push wins: the job is done and leaves the ledger.
+	if dup, err := c.Complete(g1.LeaseID, fakeResult(g1.Job)); err != nil || dup {
 		t.Fatalf("w1 late complete: dup=%v err=%v", dup, err)
 	}
-	st, err := c.Status(sub.SweepID)
-	if err != nil {
-		t.Fatal(err)
+	if counts := resubmitCounts(t, c, m); counts.Done != 1 || counts.Failed != 0 {
+		t.Fatalf("counts after the late completion: %+v", counts)
 	}
-	for _, js := range st.Jobs {
-		if js.Key == g1.Job.Key() && js.State != "done" {
-			t.Fatalf("job state after duplicate completion: %+v", js)
-		}
+	if failed := ledger(); len(failed) != 0 {
+		t.Fatalf("failure ledger after the late completion: %v", failed)
+	}
+	// A second push of the same result is a no-op duplicate.
+	if dup, err := c.Complete(g1.LeaseID, fakeResult(g1.Job)); err != nil || !dup {
+		t.Fatalf("second complete: dup=%v err=%v", dup, err)
+	}
+	if counts := resubmitCounts(t, c, m); counts.Done != 1 {
+		t.Fatalf("counts after the duplicate completion: %+v", counts)
 	}
 }
 
-// TestSpecSweepOverServer pushes a scenario-spec matrix through the HTTP
-// path: the spec travels in the submit, is digest-verified server-side,
-// re-homed into the store, and re-verified by the worker before running.
-func TestSpecSweepOverServer(t *testing.T) {
+// TestSubmitRejectsSpecMatrix: the server runs built-in profiles only, so
+// a matrix naming a scenario spec is refused with 400 — with or without
+// the spec's bytes attached — and never reaches the store's manifest.
+func TestSubmitRejectsSpecMatrix(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("..", "workload", "specs", "03-ocean.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -284,86 +299,27 @@ func TestSpecSweepOverServer(t *testing.T) {
 		Scales:  []float64{0.25},
 		Threads: 16,
 	}
-
-	var sawSpec atomic.Int64
-	exec := func(j sweep.Job, sp *scenario.Spec) (*sim.Result, error) {
-		if sp == nil || sp.Digest() != j.SpecDigest {
-			t.Errorf("worker got spec %v for job wanting %.12s", sp, j.SpecDigest)
-		}
-		sawSpec.Add(1)
-		return fakeResult(j), nil
-	}
-	_, c, stop := startServer(t, t.TempDir(), Options{Exec: exec})
+	srv, c, stop := startServer(t, t.TempDir(), Options{})
 	defer stop()
 
-	// Submitting without the spec upload is rejected.
 	if _, err := c.Submit(&SubmitRequest{Matrix: m}); err == nil ||
-		!strings.Contains(err.Error(), "not uploaded") {
-		t.Fatalf("submit without spec upload: %v", err)
+		!strings.Contains(err.Error(), "built-in profiles only") {
+		t.Fatalf("spec matrix submit: %v", err)
 	}
-	// Submitting with content that does not hash to the claimed digest is
-	// rejected.
-	tampered := bytes.Replace(raw, []byte(`"version"`), []byte(`"version" `), 1)
-	if _, err := c.Submit(&SubmitRequest{
-		Matrix: m,
-		Specs:  []SpecUpload{{Name: spec.Name, Digest: "0000000000000000", Content: tampered}},
-	}); err == nil {
-		t.Fatal("digest-mismatched spec upload accepted")
-	}
-
-	sub, err := c.Submit(&SubmitRequest{
-		Matrix: m,
-		Specs:  []SpecUpload{{Name: spec.Name, Digest: spec.Digest(), Content: raw}},
+	body, err := json.Marshal(map[string]any{
+		"matrix": m,
+		"specs":  []map[string]any{{"name": spec.Name, "digest": spec.Digest(), "content": json.RawMessage(raw)}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	drainWorker(t, c, "w", 1, exec)
-	if sawSpec.Load() != 1 {
-		t.Fatalf("spec cell executed %d times, want 1", sawSpec.Load())
+	resp := postRaw(t, c, "/sweeps", "", body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("spec upload: got %d, want 400", resp.StatusCode)
 	}
-	st, err := c.Status(sub.SweepID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Counts.Terminal() || st.Counts.Failed != 0 {
-		t.Fatalf("spec sweep counts: %+v", st.Counts)
-	}
-}
-
-// TestEventsStreamReplaysAndCompletes checks the NDJSON stream: a
-// subscriber arriving after the sweep finished still sees every job
-// event and the final complete event.
-func TestEventsStreamReplaysAndCompletes(t *testing.T) {
-	m := testServerMatrix()
-	ex := &countingExec{}
-	_, c, stop := startServer(t, t.TempDir(), Options{Exec: ex.exec})
-	defer stop()
-	sub, err := c.Submit(&SubmitRequest{Matrix: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	drainWorker(t, c, "w", 2, ex.exec)
-
-	var jobEvents int
-	var final *Counts
-	err = c.StreamEvents(sub.SweepID, func(ev Event) bool {
-		switch ev.Type {
-		case "job":
-			jobEvents++
-			if ev.Job == nil || ev.Job.State != "done" {
-				t.Errorf("bad job event: %+v", ev)
-			}
-		case "complete":
-			final = ev.Counts
-		}
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if jobEvents != len(m.Jobs()) || final == nil || final.Done != len(m.Jobs()) {
-		t.Fatalf("stream: %d job events, final=%+v", jobEvents, final)
+	if ids := srv.store.SweepIDs(); len(ids) != 0 {
+		t.Fatalf("refused spec matrix registered in the manifest: %v", ids)
 	}
 }
 
@@ -412,8 +368,7 @@ func TestSubmitValidation(t *testing.T) {
 // render a sweep that could still change.
 func TestResultsBeforeTerminalConflicts(t *testing.T) {
 	m := testServerMatrix()
-	ex := &countingExec{}
-	_, c, stop := startServer(t, t.TempDir(), Options{Exec: ex.exec})
+	_, c, stop := startServer(t, t.TempDir(), Options{})
 	defer stop()
 	sub, err := c.Submit(&SubmitRequest{Matrix: m})
 	if err != nil {
@@ -423,5 +378,29 @@ func TestResultsBeforeTerminalConflicts(t *testing.T) {
 	if err := c.Results(sub.SweepID, "json", &buf); err == nil ||
 		!strings.Contains(err.Error(), "not finished") {
 		t.Fatalf("results on a pending sweep: %v", err)
+	}
+}
+
+// TestResultsJSONOnly: the results endpoint serves JSON and answers any
+// other format with 400.
+func TestResultsJSONOnly(t *testing.T) {
+	m := testServerMatrix()
+	_, c, stop := startServer(t, t.TempDir(), Options{})
+	defer stop()
+	sub, err := c.Submit(&SubmitRequest{Matrix: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := &countingExec{}
+	drainWorker(t, c, "w", 1, ex.exec)
+	for _, format := range []string{"csv", "table", "xml"} {
+		var buf bytes.Buffer
+		err := c.Results(sub.SweepID, format, &buf)
+		if err == nil || !strings.Contains(err.Error(), "json only") {
+			t.Fatalf("format %q: %v, want a 400", format, err)
+		}
+	}
+	if !bytes.Equal(serverResultsJSON(t, c, sub.SweepID), localRunJSON(t, m)) {
+		t.Fatal("JSON results differ from the local reference run")
 	}
 }

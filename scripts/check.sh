@@ -3,7 +3,8 @@
 # verification, in cheapest-first order:
 #
 #   gofmt -l      formatting
-#   go vet        stock correctness vet
+#   go vet        stock correctness vet, also over perfbench/ (its own
+#                 module, which go build ./... does not compile)
 #   go build      compilation
 #   spvet         invariant analysis (internal/lint): maprange, wallclock,
 #                 goroutine, floatorder, exhaustive, noalloc, obspure,
@@ -46,6 +47,10 @@
 #                 on purpose)
 #   bench smoke   every testing.B benchmark compiled and run once
 #                 (-benchtime=1x) so benchmark code cannot rot
+#   perfbench     one short sweep-fast-server run: the in-process sweep
+#   sweep smoke   server must serve every cell's pinned digest and bytes
+#                 equal to a local sweep.Run ("correct":true, "failed":0);
+#                 its build goes to a temporary directory
 #   speed gate    scripts/abbench.sh: perfbench suite-dir-sp, suite-bcast and
 #                 mesh16-sharded (the 16x16 mesh) for the change and its
 #                 base, alternately on this host; fails
@@ -69,6 +74,7 @@ fi
 
 echo "== go vet"
 go vet ./...
+(cd perfbench && go vet ./...)
 
 echo "== go build"
 go build ./...
@@ -189,6 +195,17 @@ go test -bench=. -benchtime=1x -run='^$' ./... > "$sweepdir/bench.log" 2>&1 || {
     cat "$sweepdir/bench.log" >&2
     exit 1
 }
+
+echo "== perfbench sweep smoke (sweep-fast-server: pinned digests, served bytes)"
+CARGO_TARGET_DIR="$sweepdir/perfbench-build" bash perfbench/run.sh \
+    --workload sweep-fast-server --seed 42 --seconds 1 --trace 0 \
+    > "$sweepdir/sweepserver.json" 2> "$sweepdir/sweepserver.log"
+if ! grep -q '"correct":true' "$sweepdir/sweepserver.json" ||
+    ! grep -q '"failed":0,' "$sweepdir/sweepserver.json"; then
+    echo "perfbench: sweep-fast-server served wrong or failed cells:" >&2
+    cat "$sweepdir/sweepserver.json" "$sweepdir/sweepserver.log" >&2
+    exit 1
+fi
 
 echo "== speed gate (perfbench, change vs base on this host)"
 sh scripts/abbench.sh "$sweepdir/abbench.json"
