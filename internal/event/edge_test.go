@@ -132,54 +132,3 @@ func TestAtInPastDuringStep(t *testing.T) {
 		t.Fatalf("clock at %d, want 10", s.Now())
 	}
 }
-
-// TestRunUntilEmptyQueue checks RunUntil on a drained engine still advances
-// the clock to the limit, and that interleaved AdvanceTo/At keep the clock
-// monotone and the schedule intact.
-func TestRunUntilEmptyQueue(t *testing.T) {
-	s := New()
-	s.RunUntil(100)
-	if s.Now() != 100 {
-		t.Fatalf("RunUntil on empty queue left clock at %d, want 100", s.Now())
-	}
-	s.RunUntil(50) // backwards limit: monotone no-op
-	if s.Now() != 100 {
-		t.Fatalf("backwards RunUntil moved clock to %d", s.Now())
-	}
-}
-
-// TestAdvanceToAtInterleaving interleaves AdvanceTo with fresh schedules and
-// checks monotonicity: AdvanceTo never jumps a pending event, and events
-// scheduled after an advance still fire at their cycles.
-func TestAdvanceToAtInterleaving(t *testing.T) {
-	s := New()
-	var fired []Time
-	note := func() { fired = append(fired, s.Now()) }
-
-	s.At(30, note)
-	s.AdvanceTo(100) // must stop at 30, the earliest pending event
-	if s.Now() != 30 {
-		t.Fatalf("AdvanceTo jumped pending event: clock %d, want 30", s.Now())
-	}
-	s.Step() // fire the event at 30; the clock may now advance past it
-	s.At(40, note)
-	s.At(ringSize+200, note) // heap resident
-	s.AdvanceTo(35)          // past nothing: clock moves to 35
-	if s.Now() != 35 {
-		t.Fatalf("clock %d, want 35", s.Now())
-	}
-	s.AdvanceTo(20) // backwards: no-op
-	if s.Now() != 35 {
-		t.Fatalf("backwards AdvanceTo moved clock to %d", s.Now())
-	}
-	s.Run()
-	want := []Time{30, 40, ringSize + 200}
-	if len(fired) != len(want) {
-		t.Fatalf("fired at %v, want %v", fired, want)
-	}
-	for i := range want {
-		if fired[i] != want[i] {
-			t.Fatalf("fired at %v, want %v", fired, want)
-		}
-	}
-}

@@ -32,7 +32,7 @@
 // events have fired, instead of searching for the next event per firing.
 // FIFO still holds: while cycle T runs, every new event for T has delta 0
 // and lands at the tail of T's bucket, so the loop reaches it in
-// scheduling order. Step fires a single event and serves RunUntil.
+// scheduling order. Step fires a single event.
 package event
 
 import "fmt"
@@ -253,24 +253,6 @@ func (e ringCorrupt) Error() string {
 		e.s.ringCnt, e.s.cursor, e.s.now)
 }
 
-// NextTime returns the timestamp of the earliest pending event, and false
-// when the queue is empty.
-func (s *Sim) NextTime() (Time, bool) {
-	switch {
-	case s.ringCnt == 0 && len(s.far) == 0:
-		return 0, false
-	case s.ringCnt == 0:
-		return s.far[0].when, true
-	case len(s.far) == 0:
-		return s.scanRing(), true
-	}
-	ringT := s.scanRing()
-	if s.far[0].when < ringT {
-		return s.far[0].when, true
-	}
-	return ringT, true
-}
-
 // pop removes and returns the earliest event. At equal cycles the heap
 // drains before the ring: heap events for a cycle are always scheduled
 // earlier than ring events for it (see the package comment), so this is
@@ -350,35 +332,5 @@ func (s *Sim) Run() {
 			s.fire(e)
 		}
 		b.head, b.evs = 0, b.evs[:0]
-	}
-}
-
-// RunUntil fires events with timestamps <= limit, leaving later events
-// queued, and advances the clock to limit. Ending at limit — not at the
-// last fired event — is load-bearing for epoch-boundary sampling: a cycle
-// window with no events still ends exactly at its boundary, so repeated
-// RunUntil calls never drift.
-func (s *Sim) RunUntil(limit Time) {
-	for {
-		next, ok := s.NextTime()
-		if !ok || next > limit {
-			break
-		}
-		s.Step()
-	}
-	s.AdvanceTo(limit)
-}
-
-// AdvanceTo moves the clock forward to t without firing any events.
-// Moving backwards is a no-op (monotonicity). It is a programming error to
-// advance past a pending event's timestamp; doing so would fire that event
-// late (At clamps past schedules to the current time), so AdvanceTo stops
-// at the earliest pending event instead.
-func (s *Sim) AdvanceTo(t Time) {
-	if next, ok := s.NextTime(); ok && next < t {
-		t = next
-	}
-	if t > s.now {
-		s.now = t
 	}
 }

@@ -70,72 +70,6 @@ func TestSchedulingInPastClamps(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	s := New()
-	count := 0
-	for i := Time(1); i <= 10; i++ {
-		s.At(i*10, func() { count++ })
-	}
-	s.RunUntil(55)
-	if count != 5 {
-		t.Fatalf("RunUntil(55) fired %d events, want 5", count)
-	}
-	if s.Pending() != 5 {
-		t.Fatalf("pending = %d, want 5", s.Pending())
-	}
-	// The clock ends at the limit, not at the last fired event (cycle 50):
-	// epoch sampling depends on RunUntil landing exactly on the boundary.
-	if s.Now() != 55 {
-		t.Fatalf("after RunUntil(55), Now() = %d, want 55", s.Now())
-	}
-	s.Run()
-	if count != 10 {
-		t.Fatalf("after Run, fired %d, want 10", count)
-	}
-}
-
-func TestRunUntilEmptyCycleWindowEndsAtLimit(t *testing.T) {
-	s := New()
-	s.At(3, func() {})
-	s.RunUntil(10) // events exist but none in (3, 10]
-	if s.Now() != 10 {
-		t.Fatalf("Now() = %d, want 10", s.Now())
-	}
-	s.RunUntil(20) // entirely empty window
-	if s.Now() != 20 {
-		t.Fatalf("Now() = %d, want 20", s.Now())
-	}
-	// Sampling epochs of width 10 from these boundaries must not drift:
-	// a later event still fires at its own time.
-	var at Time
-	s.At(25, func() { at = s.Now() })
-	s.RunUntil(30)
-	if at != 25 || s.Now() != 30 {
-		t.Fatalf("event at %d (want 25), Now() = %d (want 30)", at, s.Now())
-	}
-}
-
-func TestAdvanceTo(t *testing.T) {
-	s := New()
-	s.AdvanceTo(7)
-	if s.Now() != 7 {
-		t.Fatalf("Now() = %d, want 7", s.Now())
-	}
-	s.AdvanceTo(3) // backwards: no-op
-	if s.Now() != 7 {
-		t.Fatalf("Now() = %d after backwards AdvanceTo, want 7", s.Now())
-	}
-	// Never advances past a pending event (which would fire it late).
-	s.At(10, func() {})
-	s.AdvanceTo(50)
-	if s.Now() != 10 {
-		t.Fatalf("Now() = %d, want clamped to 10 (pending event)", s.Now())
-	}
-	if !s.Step() || s.Now() != 10 {
-		t.Fatal("pending event should still fire at its own time")
-	}
-}
-
 // TestScanRingCorruptPanics: a ring event count that disagrees with the
 // buckets must stop the engine with a diagnosable panic after one ring
 // revolution, not spin forever looking for an event that is not there.
@@ -274,6 +208,19 @@ func (sc *stepScript) fire(id int) {
 	}
 }
 
+// runTo fires the events due by limit and parks the clock there: a
+// sentinel event at limit stops the Step loop. The sentinel logs itself,
+// so the log keeps one entry per fired event.
+func (sc *stepScript) runTo(limit Time) {
+	stop := false
+	sc.s.At(limit, func() {
+		stop = true
+		sc.log = append(sc.log, stepFired{-1, sc.s.Now(), 0})
+	})
+	for !stop && sc.s.Step() {
+	}
+}
+
 func newStepScript(seed uint64, observe bool) *stepScript {
 	sc := &stepScript{s: New(), seed: seed, budget: 4000}
 	if observe {
@@ -294,14 +241,15 @@ func newStepScript(seed uint64, observe bool) *stepScript {
 // the same (now, depth) observer sequence and the same Fired count, on
 // random self-extending schedules that mix delta-0, ring-edge and
 // far-heap deltas, nested schedules from inside callbacks, both call
-// forms, past-clamped schedules, and a clock already advanced by RunUntil.
+// forms, past-clamped schedules, and a clock already advanced by a
+// sentinel-stopped Step loop (runTo).
 func TestRunMatchesStep(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
 		observe := seed%2 == 0
 		run, step := newStepScript(seed, observe), newStepScript(seed, observe)
 		if seed%4 == 1 {
-			run.s.RunUntil(100)
-			step.s.RunUntil(100)
+			run.runTo(100)
+			step.runTo(100)
 		}
 		run.s.Run()
 		for step.s.Step() {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -350,4 +351,68 @@ func TestNoallocAnnotationConsistency(t *testing.T) {
 	for key := range want {
 		t.Errorf("benchmark-pinned function %s not found", key)
 	}
+}
+
+// TestObsDenyKeysResolve makes the obspure deny list fail closed: every
+// key must name a function or method the module declares, because a key
+// that names nothing never matches and guards nothing.
+func TestObsDenyKeysResolve(t *testing.T) {
+	root, modPath, err := FindModule(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 0, len(obsDeny))
+	rels := map[string]bool{}
+	for key := range obsDeny {
+		keys = append(keys, key)
+		rels[key[:strings.Index(key, ".")]] = true
+	}
+	sort.Strings(keys)
+	var patterns []string
+	for rel := range rels {
+		patterns = append(patterns, "./"+rel)
+	}
+	sort.Strings(patterns)
+	pkgs, err := NewLoader(root, modPath).Load(patterns...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scopes := map[string]*types.Scope{}
+	for _, pkg := range pkgs {
+		scopes[pkg.Dir] = pkg.Types.Scope()
+	}
+	for _, key := range keys {
+		rel, name, _ := strings.Cut(key, ".")
+		if !declares(scopes[rel], name) {
+			t.Errorf("obsDeny key %q names no function or method declared in the module", key)
+		}
+	}
+}
+
+// declares reports whether scope declares name, a function ("Func") or a
+// method of a named type ("Recv.Method").
+func declares(scope *types.Scope, name string) bool {
+	if scope == nil {
+		return false
+	}
+	recv, method, isMethod := strings.Cut(name, ".")
+	obj := scope.Lookup(recv)
+	if !isMethod {
+		_, ok := obj.(*types.Func)
+		return ok
+	}
+	tn, ok := obj.(*types.TypeName)
+	if !ok {
+		return false
+	}
+	named, ok := tn.Type().(*types.Named)
+	if !ok {
+		return false
+	}
+	for i := 0; i < named.NumMethods(); i++ {
+		if named.Method(i).Name() == method {
+			return true
+		}
+	}
+	return false
 }

@@ -18,5 +18,5 @@ type Network struct {
 // SetObserver attaches telemetry.
 func (n *Network) SetObserver(o Observer) { n.obs = o }
 
-// Send injects traffic; calling it from an observer is a purity violation.
-func (n *Network) Send(bytes int) { n.n += bytes }
+// SendFn injects traffic; calling it from an observer is a purity violation.
+func (n *Network) SendFn(bytes int) { n.n += bytes }

@@ -21,7 +21,7 @@ type collector struct {
 // Deliver is an observer method that injects traffic: impure.
 func (c *collector) Deliver(now event.Time, bytes int) {
 	c.delivers++
-	c.net.Send(bytes) // want:obspure
+	c.net.SendFn(bytes) // want:obspure
 }
 
 // onStep is registered via Sim.SetObserver (root family 3); the violation

@@ -158,7 +158,7 @@ func TestCollectorOnNetwork(t *testing.T) {
 
 	for i := 0; i < 8; i++ {
 		src, dst := arch.NodeID(i), arch.NodeID(15-i)
-		net.Send(src, dst, 64, func() {})
+		net.SendFn(src, dst, 64, func(any) {}, nil)
 	}
 	net.Broadcast(0, fullSetMinus(0), 8, func(arch.NodeID, any) {}, nil)
 	s.Run()

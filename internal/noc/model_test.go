@@ -295,6 +295,15 @@ func randDsts(rng *rand.Rand, nodes int, src arch.NodeID) arch.SharerSet {
 	return s
 }
 
+// runTo fires the events due by limit and parks the clock there: a
+// sentinel event at limit stops the Step loop.
+func runTo(s *event.Sim, limit event.Time) {
+	stop := false
+	s.At(limit, func() { stop = true })
+	for !stop && s.Step() {
+	}
+}
+
 // TestDifferentialNetworkModel drives the table-driven network and the
 // reference model through identical random Send / Broadcast /
 // FastBroadcast / FastSend sequences on 1×N, N×1, non-square, 4×4 and
@@ -328,9 +337,9 @@ func TestDifferentialNetworkModel(t *testing.T) {
 				net.busyUntil[l], ref.busyUntil[l] = b, b
 			}
 			for a := arch.NodeID(0); int(a) < nodes; a++ {
-				x, y := net.XY(a)
+				x, y := net.col[a], net.row[a]
 				if rx, ry := ref.xy(a); x != rx || y != ry {
-					t.Fatalf("XY(%d) = %d,%d, want %d,%d", a, x, y, rx, ry)
+					t.Fatalf("node %d at %d,%d, want %d,%d", a, x, y, rx, ry)
 				}
 				for b := arch.NodeID(0); int(b) < nodes; b += arch.NodeID(1 + nodes/16) {
 					if got, want := net.Hops(a, b), ref.hops(a, b); got != want {
@@ -352,7 +361,7 @@ func TestDifferentialNetworkModel(t *testing.T) {
 					if k == 0 {
 						dst = src
 					}
-					net.Send(src, dst, payload, func() { gotD = append(gotD, delivery{op, dst, simN.Now()}) })
+					net.SendFn(src, dst, payload, func(any) { gotD = append(gotD, delivery{op, dst, simN.Now()}) }, nil)
 					ref.send(src, dst, payload, func() { wantD = append(wantD, delivery{op, dst, simR.Now()}) })
 				case k < 6:
 					dsts := randDsts(rng, nodes, src)
@@ -383,8 +392,8 @@ func TestDifferentialNetworkModel(t *testing.T) {
 				}
 				if rng.Intn(3) == 0 {
 					limit := simN.Now() + event.Time(rng.Intn(30))
-					simN.RunUntil(limit)
-					simR.RunUntil(limit)
+					runTo(simN, limit)
+					runTo(simR, limit)
 				}
 			}
 			simN.Run()

@@ -13,7 +13,7 @@
 // Routes are walked from per-node coordinate tables: an X-Y route is an X
 // leg and a Y leg, each a run of directed links at a fixed index stride (±4
 // per hop east or west, ±4·Width per hop south or north), so no hop divides
-// or looks a node up. Send and Broadcast reserve every leg with one hop
+// or looks a node up. SendFn and Broadcast reserve every leg with one hop
 // loop (walk) that makes no calls; when a metrics observer is attached, a
 // separate replay (observe) reports the leg's links afterwards from the
 // reservations walk left behind. Broadcast builds its tree in one pass from
@@ -53,33 +53,23 @@ func (c Config) Nodes() int { return c.Width * c.Height }
 
 // Stats aggregates network activity for bandwidth and energy accounting.
 //
-// Injections and deliveries are distinct quantities: Send and Broadcast
+// Injections and deliveries are distinct quantities: SendFn and Broadcast
 // each count one injection (Packets) however many endpoints receive the
 // packet, while Deliveries counts endpoint arrivals. A Broadcast to k
 // destinations is therefore 1 injection / k deliveries (the in-network
-// tree replicates), whereas k Sends to the same destinations are k
+// tree replicates), whereas k SendFn calls to the same destinations are k
 // injections / k deliveries (source-side replication, as the directory
 // protocol sends predicted requests). TotalLat accumulates per-*delivery*
 // latency, so mean latency must divide by Deliveries — dividing by Packets
 // inflates broadcast latency by up to k.
 type Stats struct {
-	Packets     uint64 // packets injected (one per Send, one per Broadcast)
+	Packets     uint64 // packets injected (one per SendFn, one per Broadcast)
 	Deliveries  uint64 // endpoint arrivals (k per Broadcast to k destinations)
 	Bytes       uint64 // payload+header bytes injected (per-packet, not per-hop)
 	FlitHops    uint64 // flits × links traversed (energy ∝ this)
 	RouterHops  uint64 // packet × routers traversed
 	TotalLat    uint64 // accumulated per-delivery latencies (cycles)
 	StallCycles uint64 // cycles packets spent waiting on busy links
-}
-
-// AvgLatency returns the mean per-delivery latency: TotalLat accumulates
-// once per endpoint arrival, so the divisor is Deliveries, not Packets
-// (they differ exactly for Broadcast; see the Stats comment).
-func (s *Stats) AvgLatency() float64 {
-	if s.Deliveries == 0 {
-		return 0
-	}
-	return float64(s.TotalLat) / float64(s.Deliveries)
 }
 
 // Observer carries the NoC hooks of the run-time metrics layer
@@ -189,9 +179,6 @@ func (n *Network) SetObserver(o Observer) { n.obs = o }
 // (4 per node; edge links exist but carry no traffic).
 func (n *Network) NumLinks() int { return len(n.busyUntil) }
 
-// XY returns the mesh coordinates of a node.
-func (n *Network) XY(id arch.NodeID) (x, y int) { return n.col[id], n.row[id] }
-
 // Hops returns the Manhattan distance between two nodes.
 func (n *Network) Hops(a, b arch.NodeID) int {
 	return abs(n.col[a]-n.col[b]) + abs(n.row[a]-n.row[b])
@@ -237,51 +224,30 @@ func (c Config) flits(payloadBytes int) int {
 	return max(1, c.HeaderFlits+(payloadBytes+c.FlitBytes-1)/c.FlitBytes)
 }
 
-// deliverAt accounts one endpoint delivery of latency lat and schedules the
-// delivery — exactly one of fn (closure form) or pfn(arg) (pre-bound form)
-// — at the arrival cycle. The pre-bound form goes through the event queue
-// with no allocation; the observer path wraps in a closure, a cost only
+// deliverAt accounts one endpoint delivery of latency lat and schedules
+// fn(arg) at the arrival cycle, through the event queue with no
+// allocation; the observer path wraps in a closure, a cost only
 // instrumented runs pay.
 //
 //spcoh:noalloc
-func (n *Network) deliverAt(arrival, lat event.Time, fn func(), pfn event.ArgFunc, arg any) {
+func (n *Network) deliverAt(arrival, lat event.Time, fn event.ArgFunc, arg any) {
 	n.stats.Deliveries++
 	n.stats.TotalLat += uint64(lat)
 	if n.obs != nil {
 		obs := n.obs
-		if pfn != nil {
-			n.sim.At(arrival, func() { obs.Deliver(lat); pfn(arg) }) //spvet:allow noalloc -- observer wrap: a cost only instrumented runs pay
-		} else {
-			n.sim.At(arrival, func() { obs.Deliver(lat); fn() }) //spvet:allow noalloc -- observer wrap: a cost only instrumented runs pay
-		}
+		n.sim.At(arrival, func() { obs.Deliver(lat); fn(arg) }) //spvet:allow noalloc -- observer wrap: a cost only instrumented runs pay
 		return
 	}
-	if pfn != nil {
-		n.sim.AtFn(arrival, pfn, arg)
-		return
-	}
-	n.sim.At(arrival, fn)
+	n.sim.AtFn(arrival, fn, arg)
 }
 
-// Send injects a packet of payloadBytes from src to dst and schedules
-// deliver at the arrival time. Local delivery (src == dst) costs a fixed
-// router traversal. Send accounts all bandwidth/energy statistics.
-//
-//spcoh:noalloc
-func (n *Network) Send(src, dst arch.NodeID, payloadBytes int, deliver func()) {
-	n.send(src, dst, payloadBytes, deliver, nil, nil)
-}
-
-// SendFn is Send with a pre-bound delivery callback: fn(arg) runs at the
-// arrival time. With a pointer-shaped arg the injection allocates nothing.
+// SendFn injects a packet of payloadBytes from src to dst and runs fn(arg)
+// at the arrival time; with a pointer-shaped arg the injection allocates
+// nothing. Local delivery (src == dst) costs a fixed router traversal.
+// SendFn accounts all bandwidth/energy statistics.
 //
 //spcoh:noalloc
 func (n *Network) SendFn(src, dst arch.NodeID, payloadBytes int, fn event.ArgFunc, arg any) {
-	n.send(src, dst, payloadBytes, nil, fn, arg)
-}
-
-//spcoh:noalloc
-func (n *Network) send(src, dst arch.NodeID, payloadBytes int, deliver func(), pfn event.ArgFunc, arg any) {
 	now := n.sim.Now()
 	flits := n.Flits(payloadBytes)
 	bytes := uint64(flits * n.cfg.FlitBytes)
@@ -289,7 +255,7 @@ func (n *Network) send(src, dst arch.NodeID, payloadBytes int, deliver func(), p
 	n.stats.Bytes += bytes
 
 	if src == dst {
-		n.deliverAt(now+n.cfg.RouterDelay, n.cfg.RouterDelay, deliver, pfn, arg)
+		n.deliverAt(now+n.cfg.RouterDelay, n.cfg.RouterDelay, fn, arg)
 		return
 	}
 
@@ -308,7 +274,7 @@ func (n *Network) send(src, dst arch.NodeID, payloadBytes int, deliver func(), p
 	if arrival < head {
 		arrival = head
 	}
-	n.deliverAt(arrival, arrival-now, deliver, pfn, arg)
+	n.deliverAt(arrival, arrival-now, fn, arg)
 }
 
 // walk occupies g's links in path order for a packet whose head flit is
@@ -454,8 +420,8 @@ func (n *Network) Broadcast(src arch.NodeID, dsts arch.SharerSet, payloadBytes i
 		if d == src {
 			// Loopback is a delivery like any other: it costs the local
 			// router traversal and is counted in Deliveries/TotalLat
-			// (mirroring Send's src == dst path).
-			n.deliverAt(now+n.cfg.RouterDelay, n.cfg.RouterDelay, nil, deliverNode, n.getNodeCb(fn, arg, d))
+			// (mirroring SendFn's src == dst path).
+			n.deliverAt(now+n.cfg.RouterDelay, n.cfg.RouterDelay, deliverNode, n.getNodeCb(fn, arg, d))
 			return
 		}
 		head := n.headAt[d]
@@ -463,7 +429,7 @@ func (n *Network) Broadcast(src arch.NodeID, dsts arch.SharerSet, payloadBytes i
 		if arrival < head {
 			arrival = head
 		}
-		n.deliverAt(arrival, arrival-now, nil, deliverNode, n.getNodeCb(fn, arg, d))
+		n.deliverAt(arrival, arrival-now, deliverNode, n.getNodeCb(fn, arg, d))
 	})
 }
 

@@ -33,20 +33,17 @@ func (n *Network) route(src, dst arch.NodeID) []int {
 
 func TestCoordinates(t *testing.T) {
 	_, n := newNet()
-	x, y := n.XY(0)
-	if x != 0 || y != 0 {
-		t.Fatalf("XY(0) = %d,%d", x, y)
+	if x, y := n.col[0], n.row[0]; x != 0 || y != 0 {
+		t.Fatalf("node 0 at %d,%d", x, y)
 	}
-	x, y = n.XY(5)
-	if x != 1 || y != 1 {
-		t.Fatalf("XY(5) = %d,%d", x, y)
+	if x, y := n.col[5], n.row[5]; x != 1 || y != 1 {
+		t.Fatalf("node 5 at %d,%d", x, y)
 	}
 	if n.nodeAt(3, 3) != 15 {
 		t.Fatalf("nodeAt(3,3) = %d", n.nodeAt(3, 3))
 	}
 	for id := arch.NodeID(0); id < 16; id++ {
-		x, y := n.XY(id)
-		if n.nodeAt(x, y) != id {
+		if n.nodeAt(n.col[id], n.row[id]) != id {
 			t.Fatalf("coordinate round trip failed for %d", id)
 		}
 	}
@@ -147,7 +144,7 @@ func TestZeroLoadLatency(t *testing.T) {
 				for src := arch.NodeID(0); int(src) < nodes; src++ {
 					for dst := arch.NodeID(0); int(dst) < nodes; dst++ {
 						sent, got := sim.Now(), event.Time(0)
-						n.Send(src, dst, payload, func() { got = sim.Now() - sent })
+						n.SendFn(src, dst, payload, func(any) { got = sim.Now() - sent }, nil)
 						sim.Run()
 						if w := want(src, dst, flits); got != w {
 							t.Fatalf("%dx%d %v: Send(%d→%d, %dB) took %d cycles, want %d", geom[0], geom[1], timing, src, dst, payload, got, w)
@@ -178,7 +175,7 @@ func TestSendLatencyUncontended(t *testing.T) {
 	sim, n := newNet()
 	var arrived event.Time
 	// 0 -> 1: one hop. Control packet (8B payload = 2 flits).
-	n.Send(0, 1, 8, func() { arrived = sim.Now() })
+	n.SendFn(0, 1, 8, func(any) { arrived = sim.Now() }, nil)
 	sim.Run()
 	// router(2) + link(1) + router(2) + tail trailing (ser 2 flits*1 - 1) = 6
 	cfg := DefaultConfig()
@@ -192,7 +189,7 @@ func TestSendLatencyUncontended(t *testing.T) {
 func TestSendLocal(t *testing.T) {
 	sim, n := newNet()
 	var arrived event.Time
-	n.Send(3, 3, 64, func() { arrived = sim.Now() })
+	n.SendFn(3, 3, 64, func(any) { arrived = sim.Now() }, nil)
 	sim.Run()
 	if arrived != DefaultConfig().RouterDelay {
 		t.Fatalf("local delivery at %d, want %d", arrived, DefaultConfig().RouterDelay)
@@ -206,8 +203,8 @@ func TestContentionSerializes(t *testing.T) {
 	sim, n := newNet()
 	var first, second event.Time
 	// Two max-size packets on the same link back to back.
-	n.Send(0, 1, 64, func() { first = sim.Now() })
-	n.Send(0, 1, 64, func() { second = sim.Now() })
+	n.SendFn(0, 1, 64, func(any) { first = sim.Now() }, nil)
+	n.SendFn(0, 1, 64, func(any) { second = sim.Now() }, nil)
 	sim.Run()
 	if second <= first {
 		t.Fatalf("contended packet arrived at %d, not after %d", second, first)
@@ -218,8 +215,8 @@ func TestContentionSerializes(t *testing.T) {
 	// Uncontended paths don't interact.
 	sim2, n2 := newNet()
 	var a, b event.Time
-	n2.Send(0, 1, 64, func() { a = sim2.Now() })
-	n2.Send(4, 5, 64, func() { b = sim2.Now() })
+	n2.SendFn(0, 1, 64, func(any) { a = sim2.Now() }, nil)
+	n2.SendFn(4, 5, 64, func(any) { b = sim2.Now() }, nil)
 	sim2.Run()
 	if a != b {
 		t.Fatalf("disjoint paths should have equal latency: %d vs %d", a, b)
@@ -229,8 +226,8 @@ func TestContentionSerializes(t *testing.T) {
 func TestFartherIsSlower(t *testing.T) {
 	sim, n := newNet()
 	var near, far event.Time
-	n.Send(0, 1, 8, func() { near = sim.Now() })
-	n.Send(0, 15, 8, func() { far = sim.Now() })
+	n.SendFn(0, 1, 8, func(any) { near = sim.Now() }, nil)
+	n.SendFn(0, 15, 8, func(any) { far = sim.Now() }, nil)
 	sim.Run()
 	if far <= near {
 		t.Fatalf("6-hop (%d) should be slower than 1-hop (%d)", far, near)
@@ -239,7 +236,7 @@ func TestFartherIsSlower(t *testing.T) {
 
 func TestStatsAccounting(t *testing.T) {
 	sim, n := newNet()
-	n.Send(0, 3, 64, func() {}) // 3 hops, 5 flits
+	n.SendFn(0, 3, 64, func(any) {}, nil) // 3 hops, 5 flits
 	sim.Run()
 	s := n.Stats()
 	if s.FlitHops != 15 {
@@ -251,15 +248,15 @@ func TestStatsAccounting(t *testing.T) {
 	if s.Bytes != 5*16 {
 		t.Fatalf("bytes = %d, want 80", s.Bytes)
 	}
-	if s.AvgLatency() <= 0 {
-		t.Fatal("avg latency should be positive")
+	if s.TotalLat == 0 {
+		t.Fatal("total latency should be positive")
 	}
 }
 
 // Regression for the broadcast accounting bug: TotalLat accumulates once
-// per destination while Packets counts one injection per Broadcast, so the
-// old AvgLatency (TotalLat / Packets) over-reported broadcast latency by
-// the fan-out factor. The mean must be per-delivery.
+// per destination while Packets counts one injection per Broadcast, so a
+// mean of TotalLat / Packets over-reports broadcast latency by the fan-out
+// factor. The mean must be per-delivery.
 func TestBroadcastAvgLatencyIsPerDelivery(t *testing.T) {
 	sim, n := newNet()
 	dsts := arch.SetOf(1, 5, 15)
@@ -285,18 +282,15 @@ func TestBroadcastAvgLatencyIsPerDelivery(t *testing.T) {
 	if s.TotalLat != sum {
 		t.Fatalf("TotalLat = %d, want per-delivery sum %d", s.TotalLat, sum)
 	}
-	want := float64(sum) / float64(dsts.Count())
-	if got := s.AvgLatency(); got != want {
-		t.Fatalf("AvgLatency = %v, want per-delivery mean %v", got, want)
-	}
-	// The old accounting reported the per-destination sum over one packet.
-	if old := float64(sum) / float64(s.Packets); s.AvgLatency() >= old {
-		t.Fatalf("AvgLatency = %v not below the old per-injection value %v", s.AvgLatency(), old)
+	mean := float64(s.TotalLat) / float64(s.Deliveries)
+	// The per-injection mean reports the per-destination sum over one packet.
+	if old := float64(sum) / float64(s.Packets); mean >= old {
+		t.Fatalf("per-delivery mean %v not below the per-injection value %v", mean, old)
 	}
 	// Invariant: the mean delivery latency is bounded by the slowest
 	// (farthest-destination) delivery on an idle mesh.
-	if s.AvgLatency() > float64(farthest) {
-		t.Fatalf("AvgLatency = %v exceeds farthest delivery %d", s.AvgLatency(), farthest)
+	if mean > float64(farthest) {
+		t.Fatalf("per-delivery mean %v exceeds farthest delivery %d", mean, farthest)
 	}
 }
 
@@ -327,10 +321,10 @@ func TestBroadcastDeliveriesPerDestination(t *testing.T) {
 // asymmetry with Broadcast.
 func TestSendAndMulticastDeliveriesMatchPackets(t *testing.T) {
 	sim, n := newNet()
-	n.Send(0, 1, 8, func() {})
-	n.Send(3, 3, 64, func() {}) // local
+	n.SendFn(0, 1, 8, func(any) {}, nil)
+	n.SendFn(3, 3, 64, func(any) {}, nil) // local
 	for _, d := range []arch.NodeID{2, 7, 9} {
-		n.Send(0, d, 8, func() {})
+		n.SendFn(0, d, 8, func(any) {}, nil)
 	}
 	sim.Run()
 	s := n.Stats()
@@ -343,14 +337,14 @@ func TestSendAndMulticastDeliveriesMatchPackets(t *testing.T) {
 // cycles and arrival time as an equivalent unicast Send.
 func TestBroadcastStallMatchesSend(t *testing.T) {
 	simA, a := newNet()
-	a.Send(0, 1, 64, func() {}) // occupy link 0->1
+	a.SendFn(0, 1, 64, func(any) {}, nil) // occupy link 0->1
 	var sendArrival event.Time
-	a.Send(0, 1, 8, func() { sendArrival = simA.Now() })
+	a.SendFn(0, 1, 8, func(any) { sendArrival = simA.Now() }, nil)
 	simA.Run()
 	sendStalls := a.Stats().StallCycles
 
 	simB, b := newNet()
-	b.Send(0, 1, 64, func() {}) // same contention
+	b.SendFn(0, 1, 64, func(any) {}, nil) // same contention
 	var bcastArrival event.Time
 	b.Broadcast(0, arch.SetOf(1), 8, func(arch.NodeID, any) { bcastArrival = simB.Now() }, nil)
 	simB.Run()
@@ -374,11 +368,11 @@ func TestPropertyLatencyMonotoneInDistance(t *testing.T) {
 		b := arch.NodeID(bRaw % 16)
 		simA, nA := newNet()
 		var tA event.Time
-		nA.Send(0, a, 8, func() { tA = simA.Now() })
+		nA.SendFn(0, a, 8, func(any) { tA = simA.Now() }, nil)
 		simA.Run()
 		simB, nB := newNet()
 		var tB event.Time
-		nB.Send(0, b, 8, func() { tB = simB.Now() })
+		nB.SendFn(0, b, 8, func(any) { tB = simB.Now() }, nil)
 		simB.Run()
 		if nA.Hops(0, a) < nB.Hops(0, b) {
 			return tA < tB

@@ -84,6 +84,3 @@ func (f *RegionFilter) OnSync(e SyncEvent) { f.inner.OnSync(e) }
 func (f *RegionFilter) StorageBits() int {
 	return f.inner.StorageBits() + len(f.state)*(2+20)
 }
-
-// Inner returns the wrapped predictor.
-func (f *RegionFilter) Inner() Predictor { return f.inner }

@@ -66,7 +66,7 @@ func TestFilterExternalRequestMarksShared(t *testing.T) {
 func TestFilterMetadata(t *testing.T) {
 	inner := &always{set: arch.SetOf(1)}
 	f := NewRegionFilter(inner)
-	if f.Name() != "always+filter" || f.Inner() != inner {
+	if f.Name() != "always+filter" || f.inner != inner {
 		t.Fatalf("metadata wrong: %q", f.Name())
 	}
 	f.Train(Miss{Line: 1}, Outcome{})

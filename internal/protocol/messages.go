@@ -88,9 +88,6 @@ func (k MsgKind) Bytes() int {
 	}
 }
 
-// CarriesData reports whether the message includes a cache line.
-func (k MsgKind) CarriesData() bool { return k.Bytes() == DataBytes }
-
 // Msg is a coherence message in flight.
 type Msg struct {
 	Kind MsgKind

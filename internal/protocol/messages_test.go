@@ -40,9 +40,6 @@ func TestMessageSizes(t *testing.T) {
 		if k.Bytes() != want {
 			t.Errorf("%v bytes = %d, want %d", k, k.Bytes(), want)
 		}
-		if k.CarriesData() != dataKinds[k] {
-			t.Errorf("%v CarriesData = %v", k, k.CarriesData())
-		}
 	}
 	if DataBytes != arch.LineSize+ControlBytes {
 		t.Fatal("data message must carry one cache line plus header")

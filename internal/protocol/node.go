@@ -188,13 +188,12 @@ type wbEntry struct {
 	waiters []func()
 }
 
-// Node is the per-tile cache-side coherence controller: L1 + L2 arrays,
-// MSHRs, writeback buffer, and the prediction action of §4.5.
+// Node is the per-tile cache-side coherence controller of the directory
+// protocols: the shared Tile (L1 + L2 and the hit path), MSHRs, writeback
+// buffer, and the prediction action of §4.5.
 type Node struct {
+	Tile
 	sys  *System
-	self arch.NodeID
-	l1   *cache.Cache
-	l2   *cache.Cache
 	pred predictor.Predictor
 
 	// mshrs holds the outstanding misses, one per line, in no particular
@@ -220,14 +219,9 @@ type Node struct {
 }
 
 // predInvWindow bounds how long a too-early predicted invalidation can
-// poison a subsequent miss. Config.PredInvWindow overrides the default of
-// 4*MemLatency (comfortably longer than any transaction).
-func (n *Node) predInvWindow() event.Time {
-	if w := n.sys.Cfg.PredInvWindow; w != 0 {
-		return w
-	}
-	return 4 * n.sys.Cfg.MemLatency
-}
+// poison a subsequent miss: 4*MemLatency, comfortably longer than any
+// transaction.
+func (n *Node) predInvWindow() event.Time { return 4 * n.sys.Cfg.MemLatency }
 
 // predInvPruneMin is the table size below which prunePredInv does nothing:
 // tiny tables cost nothing to keep, and the guard keeps the amortized prune
@@ -255,27 +249,23 @@ func (n *Node) prunePredInv() {
 
 func newNode(sys *System, self arch.NodeID, p predictor.Predictor) *Node {
 	return &Node{
+		Tile:          NewTile(self, &sys.Cfg),
 		sys:           sys,
-		self:          self,
-		l1:            cache.New(sys.Cfg.L1),
-		l2:            cache.New(sys.Cfg.L2),
 		pred:          p,
 		wb:            make(map[arch.LineAddr]*wbEntry),
 		recentPredInv: make(map[arch.LineAddr]event.Time),
 	}
 }
 
-// ID returns the node's tile ID.
-func (n *Node) ID() arch.NodeID { return n.self }
-
 // Predictor returns the node's destination-set predictor.
 func (n *Node) Predictor() predictor.Predictor { return n.pred }
 
 // Stats returns a snapshot of the node's counters.
-func (n *Node) Stats() NodeStats { return n.stats }
-
-// L2 exposes the L2 array (tests and characterization).
-func (n *Node) L2() *cache.Cache { return n.l2 }
+func (n *Node) Stats() NodeStats {
+	s := n.stats
+	s.Accesses, s.L1Hits, s.L2Hits = n.hits.Accesses, n.hits.L1Hits, n.hits.L2Hits
+	return s
+}
 
 // Outstanding reports the number of in-flight misses (quiescence check).
 func (n *Node) Outstanding() int { return len(n.mshrs) + len(n.wb) }
@@ -290,78 +280,16 @@ func (n *Node) OnSync(kind predictor.SyncKind, staticID uint64) {
 }
 
 // Access performs one memory access. done runs when the access completes
-// (the CPU may proceed). Timing: L1 hit = L1Latency; L2 hit = L1Latency +
-// L2 tag+data; miss = detection plus the coherence transaction.
+// (the CPU may proceed): after the hit latency on an L1 or L2 hit (see
+// Tile.AccessFast), after miss detection plus the coherence transaction on
+// a miss.
 func (n *Node) Access(pc uint64, addr arch.Addr, write bool, done func()) {
-	n.stats.Accesses++
-	line := addr.Line()
-	if !write {
-		if n.l1.Lookup(line).Valid() {
-			n.stats.L1Hits++
-			n.sys.Sim.After(n.sys.Cfg.L1Latency, done)
-			return
-		}
-		if n.l2.Lookup(line).Valid() {
-			n.stats.L2Hits++
-			n.l1.Insert(line, cache.Shared)
-			n.sys.Sim.After(n.sys.Cfg.L1Latency+n.sys.Cfg.L2HitLatency(), done)
-			return
-		}
-		n.miss(pc, line, predictor.ReadMiss, done)
+	if lat, ok := n.AccessFast(pc, addr, write); ok {
+		n.sys.Sim.After(lat, done)
 		return
 	}
-	// Write: L1 is write-through, so ownership is checked at the L2.
-	if st := n.l2.Lookup(line); st.Valid() {
-		switch st {
-		case cache.Modified, cache.Exclusive:
-			n.l2.SetState(line, cache.Modified) // silent E->M upgrade
-			n.stats.L2Hits++
-			n.l1.Insert(line, cache.Shared)
-			n.sys.Sim.After(n.sys.Cfg.L1Latency+n.sys.Cfg.L2HitLatency(), done)
-		default: // Shared or Forward: upgrade miss
-			n.miss(pc, line, predictor.UpgradeMiss, done)
-		}
-		return
-	}
-	n.miss(pc, line, predictor.WriteMiss, done)
-}
-
-// AccessFast is the fast-mode hit path: it resolves L1/L2 hits by returning
-// the access latency for the core to accumulate on its own virtual clock,
-// without touching the event queue. A miss (or upgrade miss) returns
-// ok=false with the caches untouched; the caller re-issues the access
-// through Access, which performs the single authoritative lookup. Hit/miss
-// classification and LRU movement are identical to Access: exactly one
-// mutating Lookup happens per access either way.
-func (n *Node) AccessFast(pc uint64, addr arch.Addr, write bool) (lat event.Time, ok bool) {
 	line := addr.Line()
-	if !write {
-		if n.l1.Lookup(line).Valid() {
-			n.stats.Accesses++
-			n.stats.L1Hits++
-			return n.sys.Cfg.L1Latency, true
-		}
-		if n.l2.Lookup(line).Valid() {
-			n.stats.Accesses++
-			n.stats.L2Hits++
-			n.l1.Insert(line, cache.Shared)
-			return n.sys.Cfg.L1Latency + n.sys.Cfg.L2HitLatency(), true
-		}
-		return 0, false
-	}
-	// Write: classify with a silent Peek first so that an upgrade miss
-	// (line present in S/F) does not get an extra LRU touch here — the
-	// re-issued Access performs the one mutating Lookup, as in detailed
-	// mode.
-	if st := n.l2.Peek(line); st != cache.Modified && st != cache.Exclusive {
-		return 0, false
-	}
-	n.l2.Lookup(line)
-	n.l2.SetState(line, cache.Modified) // silent E->M upgrade
-	n.stats.Accesses++
-	n.stats.L2Hits++
-	n.l1.Insert(line, cache.Shared)
-	return n.sys.Cfg.L1Latency + n.sys.Cfg.L2HitLatency(), true
+	n.miss(pc, line, n.ClassifyMiss(line, write), done)
 }
 
 // mshrFor is the memoized mshrs lookup (see memoMshr).
@@ -630,7 +558,7 @@ func (n *Node) handlePredGetM(m *Msg) {
 	case st.CanForward():
 		n.sendAfter(n.sys.Cfg.L2HitLatency(), &Msg{Kind: MsgData, Dst: m.Requester, Line: m.Line,
 			Requester: m.Requester, MissKind: m.MissKind})
-		n.invalidateLocal(m.Line)
+		n.Invalidate(m.Line)
 		n.sendAfter(n.sys.Cfg.L2HitLatency(), &Msg{Kind: MsgDirUpd, Dst: n.sys.Cfg.Home(m.Line), Line: m.Line, Requester: m.Requester})
 	default:
 		if !st.Valid() {
@@ -639,7 +567,7 @@ func (n *Node) handlePredGetM(m *Msg) {
 			n.prunePredInv()
 			n.recentPredInv[m.Line] = n.sys.Sim.Now()
 		}
-		n.invalidateLocal(m.Line)
+		n.Invalidate(m.Line)
 		n.sendAfter(n.sys.Cfg.L2TagLatency, &Msg{Kind: MsgInvAck, Dst: m.Requester, Line: m.Line, Requester: m.Requester})
 	}
 }
@@ -668,20 +596,15 @@ func (n *Node) handleFwdGetM(m *Msg) {
 	n.trainExternal(m)
 	n.sendAfter(n.sys.Cfg.L2HitLatency(), &Msg{Kind: MsgData, Dst: m.Requester, Line: m.Line,
 		Requester: m.Requester, MissKind: m.MissKind})
-	n.invalidateLocal(m.Line)
+	n.Invalidate(m.Line)
 }
 
 // handleInv invalidates a shared copy; the ack goes to the requester.
 func (n *Node) handleInv(m *Msg) {
 	n.stats.SnoopLookups++
 	n.trainExternal(m)
-	n.invalidateLocal(m.Line)
+	n.Invalidate(m.Line)
 	n.sendAfter(n.sys.Cfg.L2TagLatency, &Msg{Kind: MsgInvAck, Dst: m.Requester, Line: m.Line, Requester: m.Requester})
-}
-
-func (n *Node) invalidateLocal(l arch.LineAddr) {
-	n.l1.Invalidate(l)
-	n.l2.Invalidate(l)
 }
 
 func (n *Node) handleData(m *Msg) {
@@ -810,9 +733,15 @@ func (n *Node) checkComplete(ms *mshr) {
 func (n *Node) finalize(ms *mshr) {
 	n.retire(ms)
 
-	// Install the fill.
-	switch ms.kind {
-	case predictor.ReadMiss:
+	// Install the fill, unless the line left as a victim while this
+	// upgrade was in flight: a read proceeds on its first data, and its
+	// later fill can evict the line the next access is upgrading. The home
+	// orders that Put after this transaction and drops the copy, so
+	// installing it would leave a copy the home does not register.
+	_, evicting := n.wb[ms.line]
+	switch {
+	case evicting:
+	case ms.kind == predictor.ReadMiss:
 		st := cache.Forward
 		if ms.dataExcl {
 			st = cache.Exclusive
@@ -872,7 +801,7 @@ func (n *Node) finalize(ms *mshr) {
 	// A racing predicted invalidation was acknowledged mid-miss: the fill
 	// is immediately invalid.
 	if ms.poisoned {
-		n.invalidateLocal(ms.line)
+		n.Invalidate(ms.line)
 	}
 
 	// Replay same-line accesses that waited on this transaction, then
@@ -885,18 +814,13 @@ func (n *Node) finalize(ms *mshr) {
 	n.sys.mshrPool = append(n.sys.mshrPool, ms)
 }
 
-// fill inserts a line into the L2 (and L1), evicting as needed.
+// fill installs a line (Tile.Fill) and issues the eviction transaction for
+// the L2 victim it displaces.
 func (n *Node) fill(l arch.LineAddr, st cache.State) {
-	v, evicted := n.l2.Insert(l, st)
-	n.l1.Insert(l, cache.Shared)
-	if evicted {
-		n.evict(v)
+	v, evicted := n.Fill(l, st)
+	if !evicted {
+		return
 	}
-}
-
-// evict issues the eviction transaction for a victim line.
-func (n *Node) evict(v cache.Victim) {
-	n.l1.Invalidate(v.Addr)
 	n.wb[v.Addr] = &wbEntry{state: v.State}
 	kind := MsgPutS
 	switch v.State {

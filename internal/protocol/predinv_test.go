@@ -13,13 +13,16 @@ import (
 // predInvRun executes one seeded chaos-predictor run and returns the final
 // cycle count and aggregate statistics. Chaos predictors issue predicted
 // invalidations at nodes that hold nothing, which is exactly what populates
-// recentPredInv.
-func predInvRun(t *testing.T, seed int64, window event.Time) (event.Time, NodeStats) {
+// recentPredInv. memLat, when non-zero, replaces the memory latency and so
+// sets the race window (4*MemLatency).
+func predInvRun(t *testing.T, seed int64, memLat event.Time) (event.Time, NodeStats) {
 	t.Helper()
 	cfg := testConfig()
 	cfg.L2 = cache.Config{Bytes: 4 * arch.LineSize, Ways: 2}
 	cfg.L1 = cache.Config{Bytes: 2 * arch.LineSize, Ways: 1}
-	cfg.PredInvWindow = window
+	if memLat != 0 {
+		cfg.MemLatency = memLat
+	}
 	preds := make([]predictor.Predictor, 4)
 	for i := range preds {
 		preds[i] = &chaosPred{rng: rand.New(rand.NewSource(seed*19 + int64(i))), nodes: 4}
@@ -39,23 +42,24 @@ func predInvRun(t *testing.T, seed int64, window event.Time) (event.Time, NodeSt
 // expired recentPredInv entries must never change a coherence decision,
 // because the poisoning lookup already rejects entries older than the
 // window. The same seeded run is executed with the default lazy pruning and
-// with pruning forced on every insert/lookup; cycle counts and every
-// statistic must match exactly.
+// with pruning forced on every insert/lookup, at the default window and at
+// windows of 40 and 2000 cycles; cycle counts and every statistic must
+// match exactly.
 func TestPredInvEvictionInvisible(t *testing.T) {
 	defer func(min int) { predInvPruneMin = min }(predInvPruneMin)
-	for _, window := range []event.Time{0, 40, 2000} {
+	for _, memLat := range []event.Time{0, 10, 500} {
 		for seed := int64(0); seed < 4; seed++ {
 			predInvPruneMin = 1 << 30 // pruning effectively off
-			lazyCycles, lazyStats := predInvRun(t, seed, window)
+			lazyCycles, lazyStats := predInvRun(t, seed, memLat)
 			predInvPruneMin = 0 // prune on every touch
-			eagerCycles, eagerStats := predInvRun(t, seed, window)
+			eagerCycles, eagerStats := predInvRun(t, seed, memLat)
 			if lazyCycles != eagerCycles {
-				t.Fatalf("window %d seed %d: cycles diverge with eager eviction: %d vs %d",
-					window, seed, lazyCycles, eagerCycles)
+				t.Fatalf("memory latency %d seed %d: cycles diverge with eager eviction: %d vs %d",
+					memLat, seed, lazyCycles, eagerCycles)
 			}
 			if lazyStats != eagerStats {
-				t.Fatalf("window %d seed %d: stats diverge with eager eviction:\nlazy  %+v\neager %+v",
-					window, seed, lazyStats, eagerStats)
+				t.Fatalf("memory latency %d seed %d: stats diverge with eager eviction:\nlazy  %+v\neager %+v",
+					memLat, seed, lazyStats, eagerStats)
 			}
 		}
 	}
@@ -68,7 +72,7 @@ func TestPredInvTableBounded(t *testing.T) {
 	defer func(min int) { predInvPruneMin = min }(predInvPruneMin)
 	predInvPruneMin = 0
 	cfg := testConfig()
-	cfg.PredInvWindow = 64
+	cfg.MemLatency = 16 // a race window of 64 cycles
 	preds := make([]predictor.Predictor, 4)
 	for i := range preds {
 		preds[i] = &chaosPred{rng: rand.New(rand.NewSource(int64(i) + 5)), nodes: 4}

@@ -24,12 +24,6 @@ type Config struct {
 	DirLatency    event.Time // directory slice access
 	MemLatency    event.Time // main memory round trip from the home tile
 
-	// PredInvWindow bounds how long a predicted invalidation that found
-	// nothing to invalidate can poison a subsequent same-line miss (the race
-	// in Node.recentPredInv); entries past the window are evicted. Zero
-	// selects the default of 4*MemLatency.
-	PredInvWindow event.Time
-
 	NoC noc.Config
 }
 
@@ -283,7 +277,8 @@ func (s *System) dispatch(m *Msg) {
 func (s *System) Stats() NodeStats {
 	var total NodeStats
 	for _, n := range s.Nodes {
-		total.merge(&n.stats)
+		st := n.Stats()
+		total.merge(&st)
 	}
 	return total
 }

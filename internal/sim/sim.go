@@ -7,7 +7,6 @@ package sim
 import (
 	"fmt"
 
-	"spcoh/internal/arch"
 	"spcoh/internal/cpu"
 	"spcoh/internal/energy"
 	"spcoh/internal/event"
@@ -157,6 +156,12 @@ func (r *Result) CommRatio() float64 {
 	return float64(c) / float64(t)
 }
 
+// Both protocols' nodes serve the fast-mode hit path (cpu.Core.EnableFast).
+var (
+	_ cpu.FastPort = (*protocol.Node)(nil)
+	_ cpu.FastPort = (*snoop.Node)(nil)
+)
+
 // Run executes a program to completion and returns measurements. It errors
 // on deadlock (cores unfinished with an empty event queue).
 func Run(prog *workload.Program, opt Options) (*Result, error) {
@@ -209,7 +214,7 @@ func Run(prog *workload.Program, opt Options) (*Result, error) {
 		snpSys.Fast = fast
 		res.Predictor = "broadcast"
 		for _, node := range snpSys.Nodes {
-			ports = append(ports, snoopPort{node})
+			ports = append(ports, node)
 		}
 	}
 
@@ -271,15 +276,3 @@ func Run(prog *workload.Program, opt Options) (*Result, error) {
 	}
 	return res, nil
 }
-
-// snoopPort adapts snoop.Node to cpu.MemPort (snooping ignores sync-point
-// exposure — it has no predictor).
-type snoopPort struct{ n *snoop.Node }
-
-func (p snoopPort) Access(pc uint64, addr arch.Addr, write bool, done func()) {
-	p.n.Access(pc, addr, write, done)
-}
-func (p snoopPort) AccessFast(pc uint64, addr arch.Addr, write bool) (event.Time, bool) {
-	return p.n.AccessFast(pc, addr, write)
-}
-func (p snoopPort) OnSync(predictor.SyncKind, uint64) {}

@@ -128,12 +128,12 @@ func respLaunch(a any) {
 	s := r.n.sys
 	if s.Fast {
 		r.sent = s.casc.Now()
-		lat := s.Net.FastSend(r.n.self, r.t.node.self, r.bytes)
+		lat := s.Net.FastSend(r.n.ID(), r.t.node.ID(), r.bytes)
 		s.casc.After(lat, respArrive, r)
 		return
 	}
 	r.sent = s.Sim.Now()
-	s.Net.SendFn(r.n.self, r.t.node.self, r.bytes, respArrive, r)
+	s.Net.SendFn(r.n.ID(), r.t.node.ID(), r.bytes, respArrive, r)
 }
 
 // respArrive fires at the requester: it frees the record, updates the
@@ -174,12 +174,11 @@ type Obs struct {
 // SetObserver attaches (or, with nil, detaches) the metrics hooks.
 func (s *System) SetObserver(o *Obs) { s.obs = o }
 
-// Node is one tile: L1 + L2 + snoop logic.
+// Node is one tile: the cache side it shares with the directory protocol
+// (protocol.Tile: L1 + L2 and the hit path) plus the snoop logic.
 type Node struct {
+	protocol.Tile
 	sys         *System
-	self        arch.NodeID
-	l1          *cache.Cache
-	l2          *cache.Cache
 	outstanding map[arch.LineAddr]*txn
 	stats       Stats
 }
@@ -216,7 +215,7 @@ func New(sim *event.Sim, cfg protocol.Config) *System {
 	s := &System{Cfg: cfg, Sim: sim, Net: noc.New(sim, cfg.NoC), arb: make(map[arch.LineAddr]*txn)}
 	s.Nodes = make([]*Node, cfg.Nodes)
 	for i := range s.Nodes {
-		s.Nodes[i] = &Node{sys: s, self: arch.NodeID(i), l1: cache.New(cfg.L1), l2: cache.New(cfg.L2),
+		s.Nodes[i] = &Node{Tile: protocol.NewTile(arch.NodeID(i), &s.Cfg), sys: s,
 			outstanding: make(map[arch.LineAddr]*txn)}
 	}
 	return s
@@ -226,15 +225,16 @@ func New(sim *event.Sim, cfg protocol.Config) *System {
 func (s *System) Stats() Stats {
 	var t Stats
 	for _, n := range s.Nodes {
-		t.Accesses += n.stats.Accesses
-		t.L1Hits += n.stats.L1Hits
-		t.L2Hits += n.stats.L2Hits
-		t.Misses += n.stats.Misses
-		t.Communicating += n.stats.Communicating
-		t.NonCommunicating += n.stats.NonCommunicating
-		t.MissLatencySum += n.stats.MissLatencySum
-		t.SnoopLookups += n.stats.SnoopLookups
-		t.Writebacks += n.stats.Writebacks
+		ns := n.Stats()
+		t.Accesses += ns.Accesses
+		t.L1Hits += ns.L1Hits
+		t.L2Hits += ns.L2Hits
+		t.Misses += ns.Misses
+		t.Communicating += ns.Communicating
+		t.NonCommunicating += ns.NonCommunicating
+		t.MissLatencySum += ns.MissLatencySum
+		t.SnoopLookups += ns.SnoopLookups
+		t.Writebacks += ns.Writebacks
 	}
 	return t
 }
@@ -256,81 +256,26 @@ func (s *System) clockNow() event.Time {
 // Outstanding reports in-flight transactions (quiescence check).
 func (s *System) Outstanding() int { return len(s.arb) }
 
-// ID returns the node's tile ID.
-func (n *Node) ID() arch.NodeID { return n.self }
-
-// L2 exposes the L2 array.
-func (n *Node) L2() *cache.Cache { return n.l2 }
-
 // Stats returns the node's counters.
-func (n *Node) Stats() Stats { return n.stats }
-
-// Access performs one memory access; done runs at completion.
-func (n *Node) Access(pc uint64, addr arch.Addr, write bool, done func()) {
-	n.stats.Accesses++
-	line := addr.Line()
-	cfg := &n.sys.Cfg
-	if !write {
-		if n.l1.Lookup(line).Valid() {
-			n.stats.L1Hits++
-			n.sys.Sim.After(cfg.L1Latency, done)
-			return
-		}
-		if n.l2.Lookup(line).Valid() {
-			n.stats.L2Hits++
-			n.l1.Insert(line, cache.Shared)
-			n.sys.Sim.After(cfg.L1Latency+cfg.L2HitLatency(), done)
-			return
-		}
-		n.miss(line, predictor.ReadMiss, done)
-		return
-	}
-	if st := n.l2.Lookup(line); st.Valid() {
-		switch st {
-		case cache.Modified, cache.Exclusive:
-			n.l2.SetState(line, cache.Modified)
-			n.stats.L2Hits++
-			n.l1.Insert(line, cache.Shared)
-			n.sys.Sim.After(cfg.L1Latency+cfg.L2HitLatency(), done)
-		default:
-			n.miss(line, predictor.UpgradeMiss, done)
-		}
-		return
-	}
-	n.miss(line, predictor.WriteMiss, done)
+func (n *Node) Stats() Stats {
+	s := n.stats
+	h := n.HitStats()
+	s.Accesses, s.L1Hits, s.L2Hits = h.Accesses, h.L1Hits, h.L2Hits
+	return s
 }
 
-// AccessFast is the fast-mode hit path: it resolves L1/L2 hits by returning
-// the access latency for the core to accumulate on its own virtual clock,
-// without touching the event queue. A miss returns ok=false with the caches
-// untouched; the caller re-issues the access through Access. Classification
-// and LRU movement are identical to Access (see protocol.Node.AccessFast).
-func (n *Node) AccessFast(pc uint64, addr arch.Addr, write bool) (lat event.Time, ok bool) {
+// OnSync ignores a synchronization point: snooping has no predictor.
+func (n *Node) OnSync(predictor.SyncKind, uint64) {}
+
+// Access performs one memory access; done runs at completion (see
+// protocol.Tile.AccessFast for the hit path).
+func (n *Node) Access(pc uint64, addr arch.Addr, write bool, done func()) {
+	if lat, ok := n.AccessFast(pc, addr, write); ok {
+		n.sys.Sim.After(lat, done)
+		return
+	}
 	line := addr.Line()
-	cfg := &n.sys.Cfg
-	if !write {
-		if n.l1.Lookup(line).Valid() {
-			n.stats.Accesses++
-			n.stats.L1Hits++
-			return cfg.L1Latency, true
-		}
-		if n.l2.Lookup(line).Valid() {
-			n.stats.Accesses++
-			n.stats.L2Hits++
-			n.l1.Insert(line, cache.Shared)
-			return cfg.L1Latency + cfg.L2HitLatency(), true
-		}
-		return 0, false
-	}
-	if st := n.l2.Peek(line); st != cache.Modified && st != cache.Exclusive {
-		return 0, false
-	}
-	n.l2.Lookup(line)
-	n.l2.SetState(line, cache.Modified)
-	n.stats.Accesses++
-	n.stats.L2Hits++
-	n.l1.Insert(line, cache.Shared)
-	return cfg.L1Latency + cfg.L2HitLatency(), true
+	n.miss(line, n.ClassifyMiss(line, write), done)
 }
 
 func (n *Node) miss(line arch.LineAddr, kind predictor.MissKind, done func()) {
@@ -380,27 +325,27 @@ func (n *Node) broadcast(t *txn) {
 	n.stats.Misses++
 	s := n.sys
 	t.expected = s.Cfg.Nodes - 1
-	dsts := arch.FullSet(s.Cfg.Nodes).Remove(n.self)
+	dsts := arch.FullSet(s.Cfg.Nodes).Remove(n.ID())
 	if s.Fast {
 		base := s.casc.Now()
-		s.Net.FastBroadcast(n.self, dsts, protocol.ControlBytes, func(d arch.NodeID, lat event.Time) {
+		s.Net.FastBroadcast(n.ID(), dsts, protocol.ControlBytes, func(d arch.NodeID, lat event.Time) {
 			if s.obs != nil && s.obs.Request != nil {
 				s.obs.Request(lat)
 			}
 			s.casc.At(base+lat, fireSnoopDeliver, s.getSnoopDeliver(s.Nodes[d], t))
 		})
-		if t.kind != predictor.UpgradeMiss && s.Cfg.Home(t.line) == n.self {
+		if t.kind != predictor.UpgradeMiss && s.Cfg.Home(t.line) == n.ID() {
 			s.casc.After(s.Cfg.MemLatency, localMemFetch, t)
 		}
 		return
 	}
 	t.sent = s.Sim.Now()
-	s.Net.Broadcast(n.self, dsts, protocol.ControlBytes, snoopArrive, t)
+	s.Net.Broadcast(n.ID(), dsts, protocol.ControlBytes, snoopArrive, t)
 	// The home's memory controller sees the ordered broadcast too and
 	// fetches speculatively; the fetch is cancelled if a cache supplies
 	// first (the HITM signal of bus-based snooping). When the requester is
 	// its own home the fetch starts locally.
-	if t.kind != predictor.UpgradeMiss && s.Cfg.Home(t.line) == n.self {
+	if t.kind != predictor.UpgradeMiss && s.Cfg.Home(t.line) == n.ID() {
 		s.Sim.AfterFn(s.Cfg.MemLatency, localMemFetch, t)
 	}
 }
@@ -457,12 +402,12 @@ func specFetchLaunch(a any) {
 	s := t.home.sys
 	if s.Fast {
 		t.memSent = s.casc.Now()
-		lat := s.Net.FastSend(t.home.self, t.node.self, protocol.DataBytes)
+		lat := s.Net.FastSend(t.home.ID(), t.node.ID(), protocol.DataBytes)
 		s.casc.After(lat, specDataArrive, t)
 		return
 	}
 	t.memSent = s.Sim.Now()
-	s.Net.SendFn(t.home.self, t.node.self, protocol.DataBytes, specDataArrive, t)
+	s.Net.SendFn(t.home.ID(), t.node.ID(), protocol.DataBytes, specDataArrive, t)
 }
 
 // specDataArrive fires at the requester with the home's memory data.
@@ -478,18 +423,22 @@ func specDataArrive(a any) {
 	t.node.complete(t)
 }
 
+// discard is the delivery of a fire-and-forget memory-update writeback: the
+// packet's delivery event still fires, and does nothing.
+func discard(any) {}
+
 // snoop probes this tile's L2 on behalf of requester t and responds.
 func (n *Node) snoop(t *txn) {
 	n.stats.SnoopLookups++
 	t.delivered++
 	s := n.sys
-	if t.kind != predictor.UpgradeMiss && s.Cfg.Home(t.line) == n.self {
+	if t.kind != predictor.UpgradeMiss && s.Cfg.Home(t.line) == n.ID() {
 		n.speculativeFetch(t)
 	}
 	if t.kind == predictor.UpgradeMiss {
 		t.node.complete(t) // ordered fabric: delivery is the invalidation
 	}
-	st := n.l2.Peek(t.line)
+	st := n.L2().Peek(t.line)
 	respond := func(lat event.Time, bytes int, had, data bool) {
 		var r *snoopResp
 		if k := len(s.respPool); k > 0 {
@@ -510,12 +459,12 @@ func (n *Node) snoop(t *txn) {
 			if st == cache.Modified {
 				// Memory update on M->S (data to home).
 				if s.Fast {
-					s.Net.FastSend(n.self, s.Cfg.Home(t.line), protocol.DataBytes)
+					s.Net.FastSend(n.ID(), s.Cfg.Home(t.line), protocol.DataBytes)
 				} else {
-					s.Net.Send(n.self, s.Cfg.Home(t.line), protocol.DataBytes, func() {})
+					s.Net.SendFn(n.ID(), s.Cfg.Home(t.line), protocol.DataBytes, discard, nil)
 				}
 			}
-			n.l2.SetState(t.line, cache.Shared)
+			n.L2().SetState(t.line, cache.Shared)
 			respond(s.Cfg.L2HitLatency(), protocol.DataBytes, true, true)
 		} else {
 			respond(s.Cfg.L2TagLatency, protocol.ControlBytes, st.Valid(), false)
@@ -523,18 +472,16 @@ func (n *Node) snoop(t *txn) {
 		return
 	}
 	// Write or upgrade: invalidate; forwardable copies supply data.
-	if st.CanForward() {
-		n.l1.Invalidate(t.line)
-		n.l2.Invalidate(t.line)
-		respond(s.Cfg.L2HitLatency(), protocol.DataBytes, true, true)
+	if !st.Valid() {
+		respond(s.Cfg.L2TagLatency, protocol.ControlBytes, false, false)
 		return
 	}
-	had := st.Valid()
-	if had {
-		n.l1.Invalidate(t.line)
-		n.l2.Invalidate(t.line)
+	n.Invalidate(t.line)
+	if st.CanForward() {
+		respond(s.Cfg.L2HitLatency(), protocol.DataBytes, true, true)
+	} else {
+		respond(s.Cfg.L2TagLatency, protocol.ControlBytes, true, false)
 	}
-	respond(s.Cfg.L2TagLatency, protocol.ControlBytes, had, false)
 }
 
 // complete finishes the transaction when the ordered fabric semantics are
@@ -567,7 +514,7 @@ func (n *Node) complete(t *txn) {
 		n.stats.NonCommunicating++
 	}
 	if o := n.sys.obs; o != nil && o.Miss != nil {
-		o.Miss(n.self, t.kind, cpuLat, t.anyShared)
+		o.Miss(n.ID(), t.kind, cpuLat, t.anyShared)
 	}
 
 	// Install.
@@ -606,17 +553,16 @@ func (n *Node) complete(t *txn) {
 	}
 }
 
+// fill installs a line (protocol.Tile.Fill) and writes a dirty L2 victim
+// back to its home.
 func (n *Node) fill(l arch.LineAddr, st cache.State) {
-	v, evicted := n.l2.Insert(l, st)
-	n.l1.Insert(l, cache.Shared)
-	if evicted {
-		n.l1.Invalidate(v.Addr)
+	if v, evicted := n.Fill(l, st); evicted {
 		if v.State == cache.Modified {
 			n.stats.Writebacks++
 			if n.sys.Fast {
-				n.sys.Net.FastSend(n.self, n.sys.Cfg.Home(v.Addr), protocol.DataBytes)
+				n.sys.Net.FastSend(n.ID(), n.sys.Cfg.Home(v.Addr), protocol.DataBytes)
 			} else {
-				n.sys.Net.Send(n.self, n.sys.Cfg.Home(v.Addr), protocol.DataBytes, func() {})
+				n.sys.Net.SendFn(n.ID(), n.sys.Cfg.Home(v.Addr), protocol.DataBytes, discard, nil)
 			}
 		}
 	}

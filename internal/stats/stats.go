@@ -20,9 +20,6 @@ type Mean struct {
 // Add records one sample.
 func (m *Mean) Add(v float64) { m.Sum += v; m.Count++ }
 
-// AddN records a sample with weight n.
-func (m *Mean) AddN(v float64, n uint64) { m.Sum += v * float64(n); m.Count += n }
-
 // Value returns the current mean (0 for no samples).
 func (m *Mean) Value() float64 {
 	if m.Count == 0 {
@@ -170,9 +167,6 @@ func (r Ratio) Value() float64 {
 	}
 	return float64(r.Num) / float64(r.Den)
 }
-
-// Percent returns the ratio scaled to percent.
-func (r Ratio) Percent() float64 { return 100 * r.Value() }
 
 // ArithMean returns the arithmetic mean of vs (0 for empty).
 func ArithMean(vs []float64) float64 {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"spcoh/internal/arch"
 	"spcoh/internal/scenario"
 )
 
@@ -150,8 +151,8 @@ func TestReservedMiscountFails(t *testing.T) {
 		bar := b.Barriers(1)[0]
 		b.reserve([]int{1 + 4, 1 + 4}) // a barrier and four reads each
 		b.Bar(bar)
-		b.Thread(0).ReadLines(0, 0, 4, 4+delta)
-		b.Thread(1).ReadLines(1, 0, 4, 4)
+		b.Thread(0).accessLoop(4+delta, OpRead, func(i int) arch.Addr { return SharedAddr(0, i%4) })
+		b.Thread(1).accessLoop(4, OpRead, func(i int) arch.Addr { return SharedAddr(1, i%4) })
 		p, err := b.finishReserved(1, 0)
 		if delta == 0 {
 			if err != nil {

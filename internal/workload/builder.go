@@ -187,28 +187,6 @@ func (t *T) accessLoop(n int, k OpKind, addr func(i int) arch.Addr) {
 	}
 }
 
-// ReadSlice reads n times over owner's slice of a shared region.
-func (t *T) ReadSlice(region, owner, sliceLines, n int) {
-	t.accessLoop(n, OpRead, func(i int) arch.Addr {
-		return SliceAddr(region, owner, sliceLines, i)
-	})
-}
-
-// WriteSlice writes n times over owner's slice of a shared region.
-func (t *T) WriteSlice(region, owner, sliceLines, n int) {
-	t.accessLoop(n, OpWrite, func(i int) arch.Addr {
-		return SliceAddr(region, owner, sliceLines, i)
-	})
-}
-
-// ReadLines reads n times cycling over `lines` lines of a shared region
-// starting at line `start`.
-func (t *T) ReadLines(region, start, lines, n int) {
-	t.accessLoop(n, OpRead, func(i int) arch.Addr {
-		return SharedAddr(region, start+i%lines)
-	})
-}
-
 // Produce writes n times over the partition of this thread's slice that is
 // destined for `consumer`: lines [consumer*partLines, (consumer+1)*partLines)
 // of the producer's slice. Together with Consume this forms partitioned

@@ -48,8 +48,8 @@ func TestBuilderStaticIdentity(t *testing.T) {
 	for it := 0; it < 3; it++ {
 		b.Bar(bars[0])
 		b.ForAll(func(tb *T) {
-			tb.ReadSlice(0, 0, 4, 3)
-			tb.WriteSlice(0, 1, 4, 2)
+			tb.accessLoop(3, OpRead, func(i int) arch.Addr { return SliceAddr(0, 0, 4, i) })
+			tb.accessLoop(2, OpWrite, func(i int) arch.Addr { return SliceAddr(0, 1, 4, i) })
 		})
 	}
 	p := b.Finish(1, 0)
