@@ -132,3 +132,39 @@ func TestAtInPastDuringStep(t *testing.T) {
 		t.Fatalf("clock at %d, want 10", s.Now())
 	}
 }
+
+// TestBucketOverflowLeavesNeighbour fills one ring bucket to its share of
+// New's backing array, then overflows the bucket before it: the overflow
+// must reallocate that bucket, not write into the filled neighbour. Each
+// event logs its cycle and index, so a clobbered event shows as a missing
+// or repeated entry.
+func TestBucketOverflowLeavesNeighbour(t *testing.T) {
+	s := New()
+	type fired struct {
+		at  Time
+		idx int
+	}
+	var got, want []fired
+	schedule := func(at Time, idx int) {
+		s.AtFn(at, func(any) { got = append(got, fired{s.Now(), idx}) }, nil)
+	}
+	for i := range bucketCap {
+		schedule(2, 100+i)
+	}
+	for i := range 2*bucketCap + 1 {
+		schedule(1, i)
+		want = append(want, fired{1, i})
+	}
+	for i := range bucketCap {
+		want = append(want, fired{2, 100 + i})
+	}
+	s.Run()
+	if len(got) != len(want) {
+		t.Fatalf("fired %d events, want %d", len(got), len(want))
+	}
+	for k := range want {
+		if got[k] != want[k] {
+			t.Fatalf("event %d: fired (t=%d,#%d), want (t=%d,#%d)", k, got[k].at, got[k].idx, want[k].at, want[k].idx)
+		}
+	}
+}

@@ -167,8 +167,22 @@ type Sim struct {
 // runs, receiving the current time and the remaining queue depth.
 func (s *Sim) SetObserver(fn func(now Time, queueDepth int)) { s.obs = fn }
 
-// New returns an empty simulator at time 0.
-func New() *Sim { return &Sim{} }
+// bucketCap is each ring bucket's initial capacity: its share of the one
+// backing array New carves the ring from.
+const bucketCap = 16
+
+// New returns an empty simulator at time 0. Its ring buckets start as
+// three-index subslices of one array, bucketCap events each, so a fresh
+// engine does not grow 512 slices from nil; a bucket that outgrows its
+// share reallocates on its own instead of writing into its neighbour's.
+func New() *Sim {
+	s := &Sim{}
+	evs := make([]ev, ringSize*bucketCap)
+	for i := range s.ring {
+		s.ring[i].evs = evs[i*bucketCap : i*bucketCap : (i+1)*bucketCap]
+	}
+	return s
+}
 
 // Now returns the current simulated time.
 func (s *Sim) Now() Time { return s.now }

@@ -303,7 +303,7 @@ func TestNoallocAnnotationConsistency(t *testing.T) {
 	// miss path's scheduled entry points), internal/cache/model_test.go
 	// (the warm cache operations and the set helpers they run on) and
 	// internal/snoop/alloc_test.go (the snoop miss's scheduled entry
-	// points; its one allocation is the txn, made in Node.miss) and
+	// points, request and response alike) and
 	// internal/predictor/lru_test.go (an LRU hit and an evicting insertion,
 	// with the ring splice they run on).
 	want := map[string]bool{
@@ -326,6 +326,8 @@ func TestNoallocAnnotationConsistency(t *testing.T) {
 		"internal/cache.Invalidate":       true,
 		"internal/snoop.arbJoin":          true,
 		"internal/snoop.snoopArrive":      true,
+		"internal/snoop.respLaunch":       true,
+		"internal/snoop.respArrive":       true,
 		"internal/predictor.Get":          true,
 		"internal/predictor.Add":          true,
 		"internal/predictor.toFront":      true,

@@ -160,7 +160,7 @@ func TestCollectorOnNetwork(t *testing.T) {
 		src, dst := arch.NodeID(i), arch.NodeID(15-i)
 		net.SendFn(src, dst, 64, func(any) {}, nil)
 	}
-	net.Broadcast(0, fullSetMinus(0), 8, func(arch.NodeID, any) {}, nil)
+	net.Broadcast(0, fullSetMinus(0), 8, func(any) {}, make([]any, 16))
 	s.Run()
 
 	series := c.Finalize(s.Now())
@@ -198,7 +198,7 @@ func TestSeriesJSONRoundTripDeterministic(t *testing.T) {
 	net := noc.New(s, noc.DefaultConfig())
 	c := NewCollector(s, Config{EpochCycles: 16, Links: net.NumLinks(), Nodes: 16})
 	c.Attach(net)
-	net.Broadcast(3, fullSetMinus(3), 8, func(arch.NodeID, any) {}, nil)
+	net.Broadcast(3, fullSetMinus(3), 8, func(any) {}, make([]any, 16))
 	s.Run()
 	series := c.Finalize(s.Now())
 

@@ -7,18 +7,30 @@ import (
 	"spcoh/internal/event"
 )
 
-func nopDeliverArg(any)        {}
-func nopNode(arch.NodeID, any) {}
+func nopDeliverArg(any) {}
+
+// ptrArgs returns per-destination Broadcast arguments that are all the
+// same pointer, so delivering one boxes nothing.
+func ptrArgs(nodes int) []any {
+	arg := new(int)
+	args := make([]any, nodes)
+	for d := range args {
+		args[d] = arg
+	}
+	return args
+}
+
 func warm(sim *event.Sim, n *Network) {
-	// Grow event-ring buckets and the nodeCb freelist once so the steady
-	// state is measured, not first-touch growth.
+	// Grow event-ring buckets once so the steady state is measured, not
+	// first-touch growth.
 	all := arch.EmptySet
 	for i := 0; i < n.cfg.Nodes(); i++ {
 		all = all.Add(arch.NodeID(i))
 	}
+	args := ptrArgs(n.cfg.Nodes())
 	for i := 0; i < 64; i++ {
 		n.SendFn(0, arch.NodeID(i%n.cfg.Nodes()), 64, nopDeliverArg, nil)
-		n.Broadcast(arch.NodeID(i%n.cfg.Nodes()), all, 8, nopNode, nil)
+		n.Broadcast(arch.NodeID(i%n.cfg.Nodes()), all, 8, nopDeliverArg, args)
 	}
 	sim.Run()
 	// Settle: drive the drained pattern through a few full ring revolutions
@@ -26,7 +38,7 @@ func warm(sim *event.Sim, n *Network) {
 	for i := 0; i < 256; i++ {
 		n.SendFn(0, arch.NodeID(i%n.cfg.Nodes()), 64, nopDeliverArg, nil)
 		sim.Run()
-		n.Broadcast(arch.NodeID(i%n.cfg.Nodes()), all, 8, nopNode, nil)
+		n.Broadcast(arch.NodeID(i%n.cfg.Nodes()), all, 8, nopDeliverArg, args)
 		sim.Run()
 	}
 }
@@ -48,8 +60,9 @@ func TestAllocsSendCeiling(t *testing.T) {
 }
 
 // TestAllocsBroadcastCeiling pins Broadcast's per-call overhead: with a
-// pre-bound callback and a pointer-shaped arg, a warm broadcast allocates
-// nothing (tree scratch and delivery bindings are reused).
+// pre-bound callback and pointer-shaped per-destination args, a warm
+// broadcast allocates nothing (tree scratch is reused, and the network
+// keeps no per-destination binding).
 func TestAllocsBroadcastCeiling(t *testing.T) {
 	sim := event.New()
 	n := New(sim, DefaultConfig())
@@ -58,9 +71,9 @@ func TestAllocsBroadcastCeiling(t *testing.T) {
 	for i := 0; i < n.cfg.Nodes(); i++ {
 		all = all.Add(arch.NodeID(i))
 	}
-	arg := new(int)
+	args := ptrArgs(n.cfg.Nodes())
 	if avg := testing.AllocsPerRun(500, func() {
-		n.Broadcast(3, all, 8, nopNode, arg)
+		n.Broadcast(3, all, 8, nopDeliverArg, args)
 		sim.Run()
 	}); avg != 0 {
 		t.Errorf("steady-state Broadcast: %v allocs/op, want 0", avg)
@@ -107,9 +120,10 @@ func benchBroadcast(b *testing.B, cfg Config) {
 	for i := 0; i < nodes; i++ {
 		all = all.Add(arch.NodeID(i))
 	}
+	args := ptrArgs(nodes)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.Broadcast(arch.NodeID(i%nodes), all, 8, nopNode, nil)
+		n.Broadcast(arch.NodeID(i%nodes), all, 8, nopDeliverArg, args)
 		sim.Run()
 	}
 }

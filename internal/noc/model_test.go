@@ -327,6 +327,7 @@ func TestDifferentialNetworkModel(t *testing.T) {
 
 			simN, simR := event.New(), event.New()
 			net, ref := New(simN, cfg), newRefNet(simR, cfg)
+			args := nodeArgs(nodes)
 			obsN, obsR := newLinkObs(), newLinkObs()
 			if seed%2 == 0 {
 				net.SetObserver(obsN)
@@ -365,9 +366,9 @@ func TestDifferentialNetworkModel(t *testing.T) {
 					ref.send(src, dst, payload, func() { wantD = append(wantD, delivery{op, dst, simR.Now()}) })
 				case k < 6:
 					dsts := randDsts(rng, nodes, src)
-					net.Broadcast(src, dsts, payload, func(d arch.NodeID, _ any) {
-						gotD = append(gotD, delivery{op, d, simN.Now()})
-					}, nil)
+					net.Broadcast(src, dsts, payload, func(a any) {
+						gotD = append(gotD, delivery{op, a.(arch.NodeID), simN.Now()})
+					}, args)
 					ref.broadcast(src, dsts, payload, func(d arch.NodeID) {
 						wantD = append(wantD, delivery{op, d, simR.Now()})
 					})

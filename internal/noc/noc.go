@@ -21,9 +21,11 @@
 // Flit counts come from a per-network table (Flits), so no packet divides.
 //
 // The injection path is allocation-free in steady state (DESIGN.md §11):
-// per-destination broadcast bindings come from a freelist, Broadcast's tree
-// state lives in per-network scratch arrays, and SendFn and Broadcast
-// carry pre-bound callbacks through the event queue without a closure.
+// Broadcast's tree state lives in per-network scratch arrays, and SendFn
+// and Broadcast carry pre-bound callbacks through the event queue without
+// a closure. Broadcast keeps no per-destination state of its own: the
+// caller passes one argument per destination (snoop's transaction records
+// hold them), so the network needs no freelist.
 package noc
 
 import (
@@ -87,27 +89,6 @@ type Observer interface {
 	Deliver(lat event.Time)
 }
 
-// nodeCb is a pooled per-destination delivery binding for Broadcast:
-// deliverNode unpacks it, returns it to the network's freelist, and
-// invokes fn(d, arg) — so fanning out to k endpoints allocates nothing in
-// steady state.
-//
-//spcoh:pooled
-type nodeCb struct {
-	net *Network
-	fn  func(arch.NodeID, any)
-	arg any
-	d   arch.NodeID
-}
-
-//spcoh:noalloc
-func deliverNode(a any) {
-	c := a.(*nodeCb)
-	net, fn, arg, d := c.net, c.fn, c.arg, c.d
-	net.putNodeCb(c)
-	fn(d, arg)
-}
-
 // Network is a mesh instance bound to a simulator clock.
 type Network struct {
 	cfg Config
@@ -128,9 +109,6 @@ type Network struct {
 	// are the row span a broadcast tree covers in column x (treeExtent).
 	headAt       []event.Time
 	colLo, colHi []int
-
-	// cbPool is the nodeCb freelist.
-	cbPool []*nodeCb
 }
 
 // New builds a network over the given simulator.
@@ -341,21 +319,6 @@ func (n *Network) observe(g leg, head, ser event.Time) {
 	}
 }
 
-func (n *Network) getNodeCb(fn func(arch.NodeID, any), arg any, d arch.NodeID) *nodeCb {
-	if k := len(n.cbPool); k > 0 {
-		c := n.cbPool[k-1]
-		n.cbPool = n.cbPool[:k-1]
-		c.fn, c.arg, c.d = fn, arg, d
-		return c
-	}
-	return &nodeCb{net: n, fn: fn, arg: arg, d: d}
-}
-
-func (n *Network) putNodeCb(c *nodeCb) {
-	c.fn, c.arg = nil, nil
-	n.cbPool = append(n.cbPool, c)
-}
-
 // treeExtent returns the column span [lo, hi] of the X-Y broadcast tree
 // from src to dsts and sets colLo[x]/colHi[x] to the row span the tree
 // covers in each column x of it. The tree is the union of the X-Y routes:
@@ -381,9 +344,11 @@ func (n *Network) treeExtent(src arch.NodeID, dsts arch.SharerSet) (lo, hi int) 
 // the packet exactly once. This models the replicating, totally-ordered
 // fabric the paper assumes for its snooping comparison (§5.1); source-side
 // replication would serialize 15 packets through one injection port and
-// unfairly penalize broadcast. fn(d, arg) runs at each destination d's
-// arrival, in ascending order of d within a cycle; with a pointer-shaped
-// arg a warm broadcast allocates nothing.
+// unfairly penalize broadcast. fn(args[d]) runs at each destination d's
+// arrival, in ascending order of d within a cycle; args is indexed by node
+// and must cover every member of dsts. The caller owns the per-destination
+// arguments, so with pointer-shaped args a warm broadcast allocates
+// nothing.
 //
 // The tree is walked in one pass, row links outward from src and then
 // each column's links outward from the row. Each link's head-flit time
@@ -392,7 +357,7 @@ func (n *Network) treeExtent(src arch.NodeID, dsts arch.SharerSet) (lo, hi int) 
 // route in turn.
 //
 //spcoh:noalloc
-func (n *Network) Broadcast(src arch.NodeID, dsts arch.SharerSet, payloadBytes int, fn func(arch.NodeID, any), arg any) {
+func (n *Network) Broadcast(src arch.NodeID, dsts arch.SharerSet, payloadBytes int, fn event.ArgFunc, args []any) {
 	now := n.sim.Now()
 	flits := n.Flits(payloadBytes)
 	ser := event.Time(flits) * n.cfg.LinkDelay
@@ -416,12 +381,12 @@ func (n *Network) Broadcast(src arch.NodeID, dsts arch.SharerSet, payloadBytes i
 	n.stats.FlitHops += uint64(flits * links)
 	n.stats.RouterHops += uint64(links)
 
-	dsts.ForEach(func(d arch.NodeID) { //spvet:allow noalloc -- inlined getNodeCb: cold-path freelist refill
+	dsts.ForEach(func(d arch.NodeID) {
 		if d == src {
 			// Loopback is a delivery like any other: it costs the local
 			// router traversal and is counted in Deliveries/TotalLat
 			// (mirroring SendFn's src == dst path).
-			n.deliverAt(now+n.cfg.RouterDelay, n.cfg.RouterDelay, deliverNode, n.getNodeCb(fn, arg, d))
+			n.deliverAt(now+n.cfg.RouterDelay, n.cfg.RouterDelay, fn, args[d])
 			return
 		}
 		head := n.headAt[d]
@@ -429,7 +394,7 @@ func (n *Network) Broadcast(src arch.NodeID, dsts arch.SharerSet, payloadBytes i
 		if arrival < head {
 			arrival = head
 		}
-		n.deliverAt(arrival, arrival-now, deliverNode, n.getNodeCb(fn, arg, d))
+		n.deliverAt(arrival, arrival-now, fn, args[d])
 	})
 }
 

@@ -8,6 +8,16 @@ import (
 	"spcoh/internal/event"
 )
 
+// nodeArgs returns per-destination Broadcast arguments that name their
+// destination: args[d] is d.
+func nodeArgs(nodes int) []any {
+	args := make([]any, nodes)
+	for d := range args {
+		args[d] = arch.NodeID(d)
+	}
+	return args
+}
+
 func newNet() (*event.Sim, *Network) {
 	sim := event.New()
 	return sim, New(sim, DefaultConfig())
@@ -152,7 +162,7 @@ func TestZeroLoadLatency(t *testing.T) {
 					}
 					sent := sim.Now()
 					lat := make(map[arch.NodeID]event.Time, nodes)
-					n.Broadcast(src, arch.FullSet(nodes), payload, func(d arch.NodeID, _ any) { lat[d] = sim.Now() - sent }, nil)
+					n.Broadcast(src, arch.FullSet(nodes), payload, func(a any) { lat[a.(arch.NodeID)] = sim.Now() - sent }, nodeArgs(nodes))
 					sim.Run()
 					if len(lat) != nodes {
 						t.Fatalf("Broadcast from %d reached %d of %d nodes", src, len(lat), nodes)
@@ -261,7 +271,7 @@ func TestBroadcastAvgLatencyIsPerDelivery(t *testing.T) {
 	sim, n := newNet()
 	dsts := arch.SetOf(1, 5, 15)
 	arrivals := make(map[arch.NodeID]event.Time)
-	n.Broadcast(0, dsts, 8, func(d arch.NodeID, _ any) { arrivals[d] = sim.Now() }, nil)
+	n.Broadcast(0, dsts, 8, func(a any) { arrivals[a.(arch.NodeID)] = sim.Now() }, nodeArgs(16))
 	sim.Run()
 
 	s := n.Stats()
@@ -304,7 +314,7 @@ func TestBroadcastDeliveriesPerDestination(t *testing.T) {
 			dsts = dsts.Add(arch.NodeID(d))
 		}
 		got := 0
-		n.Broadcast(0, dsts, 8, func(arch.NodeID, any) { got++ }, nil)
+		n.Broadcast(0, dsts, 8, func(any) { got++ }, nodeArgs(16))
 		sim.Run()
 		if got != k {
 			t.Fatalf("k=%d: delivered %d times", k, got)
@@ -346,7 +356,7 @@ func TestBroadcastStallMatchesSend(t *testing.T) {
 	simB, b := newNet()
 	b.SendFn(0, 1, 64, func(any) {}, nil) // same contention
 	var bcastArrival event.Time
-	b.Broadcast(0, arch.SetOf(1), 8, func(arch.NodeID, any) { bcastArrival = simB.Now() }, nil)
+	b.Broadcast(0, arch.SetOf(1), 8, func(any) { bcastArrival = simB.Now() }, nodeArgs(16))
 	simB.Run()
 	bcastStalls := b.Stats().StallCycles
 

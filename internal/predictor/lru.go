@@ -63,7 +63,7 @@ func (l *LRU[K]) Add(k K) (slot int32, fresh bool) {
 		l.head = s // the ring turns: the evicted tail becomes the head
 	} else {
 		// Slot 0 alone is a ring of one: prev = next = head = 0.
-		l.links = append(l.links, lruLink[K]{key: k})
+		l.links = append(grow(l.links, 1), lruLink[K]{key: k}) //spvet:allow noalloc -- table growth: an unlimited table doubles, a bounded one stops at its limit
 		if s > 0 {
 			l.toFront(s)
 		}
@@ -88,9 +88,24 @@ func (l *LRU[K]) toFront(s int32) {
 // fresh slot s that Add returned: it grows by one zeroed slot when s is new
 // and zeroes s's elements when s was an evicted key's.
 func Fresh[T any](payload []T, s int32, width int) []T {
-	if b := int(s) * width; b < len(payload) {
-		clear(payload[b : b+width])
-		return payload
+	b := int(s) * width
+	if b >= len(payload) {
+		payload = grow(payload, width)[:b+width]
 	}
-	return append(payload, make([]T, width)...)
+	clear(payload[b : b+width])
+	return payload
+}
+
+// grow returns s with room for n more elements, at least doubling its
+// capacity when it must reallocate. append grows a large slice by about
+// 1.25x, so a table grown one slot at a time would allocate several times
+// its final size; doubling keeps the sum of every array it ever held under
+// twice the last one.
+func grow[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	t := make([]T, len(s), max(2*cap(s), len(s)+n))
+	copy(t, s)
+	return t
 }

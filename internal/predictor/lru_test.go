@@ -3,6 +3,7 @@ package predictor
 import (
 	"container/list"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -175,5 +176,59 @@ func TestLRUNoAlloc(t *testing.T) {
 	}
 	if l.Len() != limit {
 		t.Fatalf("Len %d, want %d", l.Len(), limit)
+	}
+}
+
+// TestGrowthDoubles grows an unlimited table to n keys, one at a time, with
+// a link array and two payload arrays (widths 16 and 1, as Group keeps).
+// Every array must grow by doubling: the bytes of all the backing arrays
+// it ever held stay within 2× those of its final one, where append's
+// 1.25× growth of large slices makes that sum about 5×. The Fresh arrays
+// are also measured as real allocations, which nothing else in the loop
+// makes.
+func TestGrowthDoubles(t *testing.T) {
+	const n = 20000
+	l := NewLRU[int](0)
+	var sumLinks int
+	lastCap := -1
+	for k := range n {
+		l.Add(k)
+		if c := cap(l.links); c != lastCap {
+			sumLinks += c
+			lastCap = c
+		}
+	}
+	if sumLinks > 2*cap(l.links) {
+		t.Errorf("links: %d elements allocated across growth, final capacity %d (want <= 2x)", sumLinks, cap(l.links))
+	}
+
+	var counters []uint8
+	var roll []uint64
+	var sumCounters, sumRoll int
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for s := range int32(n) {
+		c0, r0 := cap(counters), cap(roll)
+		counters = Fresh(counters, s, 16)
+		roll = Fresh(roll, s, 1)
+		if cap(counters) != c0 {
+			sumCounters += cap(counters)
+		}
+		if cap(roll) != r0 {
+			sumRoll += cap(roll)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if len(counters) != 16*n || len(roll) != n {
+		t.Fatalf("Fresh lengths %d and %d, want %d and %d", len(counters), len(roll), 16*n, n)
+	}
+	if sumCounters > 2*cap(counters) || sumRoll > 2*cap(roll) {
+		t.Errorf("payload: %d and %d elements allocated across growth, final capacities %d and %d (want <= 2x)",
+			sumCounters, sumRoll, cap(counters), cap(roll))
+	}
+	final := uint64(cap(counters)) + 8*uint64(cap(roll))
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2*final+final/8 {
+		t.Errorf("payload growth allocated %d bytes for final arrays of %d (want about 2x at most)", got, final)
 	}
 }

@@ -273,6 +273,9 @@ func Run(prog *workload.Program, opt Options) (*Result, error) {
 		res.Snoop = snpSys.Stats()
 		res.Net = snpSys.NetStats()
 		res.Energy = energy.Compute(res.Net, res.Snoop.SnoopLookups, energy.DefaultParams())
+		if err := snpSys.CheckQuiescent(); err != nil {
+			return nil, fmt.Errorf("sim: %s: %w", prog.Name, err)
+		}
 	}
 	return res, nil
 }

@@ -8,13 +8,25 @@
 // probes its L2 (energy) and answers with data (forwardable copy), a
 // shared indication, or a plain ack; the home tile additionally performs a
 // speculative memory fetch. The total order of the paper's interconnect is
-// modeled by a zero-cost per-line arbitration queue: conflicting requests
-// to the same line serialize, which is what a physically ordered network
-// provides for free. Requests complete when all snoop responses (and data,
-// when needed) have arrived.
+// modeled by a zero-cost per-line arbitration queue, kept at the line's
+// home tile: conflicting requests to the same line serialize, which is
+// what a physically ordered network provides for free. Reads and writes
+// complete when data arrives, from a cache or from the home's memory;
+// upgrades complete when the broadcast has reached every tile.
+//
+// A miss allocates nothing in steady state (DESIGN.md §11). Each
+// transaction is one txn record from a per-System freelist, built once
+// with a probe-and-response record per destination; the broadcast and
+// every response carry those records through the event queue as pre-bound
+// arguments. A record goes back to the freelist when its count of pending
+// uses (completion, each destination's response, the home's speculative
+// fetch) reaches zero, and CheckQuiescent verifies at the end of a run
+// that every record came back exactly once.
 package snoop
 
 import (
+	"fmt"
+
 	"spcoh/internal/arch"
 	"spcoh/internal/cache"
 	"spcoh/internal/event"
@@ -52,11 +64,6 @@ type System struct {
 	Net   *noc.Network
 	Nodes []*Node
 
-	// arb is the per-line arbitration queue modeling the ordered
-	// interconnect: arb[line] is the head transaction, which owns the line,
-	// and the queue behind it is linked through txn.next.
-	arb map[arch.LineAddr]*txn
-
 	// Fast selects the fast functional mode (DESIGN.md §15): each miss's
 	// broadcast transaction executes as one atomic virtual-time cascade at
 	// a single real-clock instant with contention-free NoC latencies. The
@@ -69,94 +76,10 @@ type System struct {
 	// obs, when set, feeds the run-time metrics layer (nil by default).
 	obs *Obs
 
-	// respPool recycles snoop-response bindings (see snoopResp): every
-	// broadcast fans out to Nodes-1 responders, so the response path is the
-	// package's hottest allocation site.
-	respPool []*snoopResp
-
-	// deliverPool recycles the fast-mode broadcast-delivery bindings (see
-	// snoopDeliver); same fan-out as respPool.
-	deliverPool []*snoopDeliver
-}
-
-// snoopDeliver is the pooled binding of one fast-mode broadcast delivery:
-// the snoop request's arrival at one remote tile, scheduled on the cascade.
-//
-//spcoh:pooled
-type snoopDeliver struct {
-	n *Node // the probed tile
-	t *txn
-}
-
-func (s *System) getSnoopDeliver(n *Node, t *txn) *snoopDeliver {
-	if k := len(s.deliverPool); k > 0 {
-		d := s.deliverPool[k-1]
-		s.deliverPool = s.deliverPool[:k-1]
-		d.n, d.t = n, t
-		return d
-	}
-	return &snoopDeliver{n: n, t: t}
-}
-
-//spcoh:noalloc
-func fireSnoopDeliver(a any) {
-	d := a.(*snoopDeliver)
-	n, t := d.n, d.t
-	d.n, d.t = nil, nil
-	n.sys.deliverPool = append(n.sys.deliverPool, d)
-	n.snoop(t)
-}
-
-// snoopResp is the pooled binding of one snoop response: the responder's
-// local lookup delay, then the network flight back to the requester.
-//
-//spcoh:pooled
-type snoopResp struct {
-	n         *Node // responder
-	t         *txn
-	bytes     int
-	had, data bool
-	sent      event.Time
-}
-
-// respLaunch fires when the responder's L2 lookup latency elapses and
-// injects the response packet.
-//
-//spcoh:noalloc
-func respLaunch(a any) {
-	r := a.(*snoopResp)
-	s := r.n.sys
-	if s.Fast {
-		r.sent = s.casc.Now()
-		lat := s.Net.FastSend(r.n.ID(), r.t.node.ID(), r.bytes)
-		s.casc.After(lat, respArrive, r)
-		return
-	}
-	r.sent = s.Sim.Now()
-	s.Net.SendFn(r.n.ID(), r.t.node.ID(), r.bytes, respArrive, r)
-}
-
-// respArrive fires at the requester: it frees the record, updates the
-// transaction and re-checks completion.
-//
-//spcoh:noalloc
-func respArrive(a any) {
-	r := a.(*snoopResp)
-	s := r.n.sys
-	t, had, data, sent := r.t, r.had, r.data, r.sent
-	r.n, r.t = nil, nil
-	s.respPool = append(s.respPool, r)
-	if s.obs != nil && s.obs.Response != nil {
-		s.obs.Response(s.clockNow() - sent)
-	}
-	t.responses++
-	if had {
-		t.anyShared = true
-	}
-	if data {
-		t.data = true
-	}
-	t.node.complete(t)
+	// txnPool is the txn freelist (see txn.pending); txnMade counts the
+	// records ever built, so at quiescence the pool holds every one.
+	txnPool []*txn
+	txnMade int
 }
 
 // Obs carries the metrics hooks of the snoop protocol. Every field may be
@@ -178,19 +101,30 @@ func (s *System) SetObserver(o *Obs) { s.obs = o }
 // (protocol.Tile: L1 + L2 and the hit path) plus the snoop logic.
 type Node struct {
 	protocol.Tile
-	sys         *System
-	outstanding map[arch.LineAddr]*txn
-	stats       Stats
+	sys *System
+
+	// outstanding holds the tile's in-flight transactions, at most one per
+	// line, in no particular order.
+	outstanding []*txn
+
+	// arb is the arbitration queue of the lines homed at this tile, which
+	// models the ordered interconnect: one entry per busy line, the head
+	// transaction that owns it, in no particular order. The transactions
+	// waiting behind a head are linked through txn.next.
+	arb []*txn
+
+	stats Stats
 }
 
-// txn is one outstanding broadcast transaction.
+// txn is one broadcast transaction. Records come from System.txnPool and
+// are built once, with their per-destination records; a record goes back
+// to the pool when pending drops to zero.
 type txn struct {
 	node  *Node
 	line  arch.LineAddr
 	kind  predictor.MissKind
 	start event.Time
 
-	responses    int
 	delivered    int
 	expected     int
 	data         bool
@@ -206,19 +140,76 @@ type txn struct {
 	home          *Node
 	sent, memSent event.Time
 
-	// next is the transaction queued behind this one in arb.
+	// next is the transaction queued behind this one in its home's arb.
 	next *txn
+
+	// pending counts the uses of the record still to come: one for the
+	// completion (done called), one per destination until its response
+	// arrives, and one for the home's speculative memory fetch until it
+	// is cancelled or its data arrives. unref recycles the record when the
+	// last of them is gone, so no scheduled event ever holds a free txn.
+	pending int
+
+	// peers[d] is tile d's probe-and-response record and args[d] is
+	// &peers[d], the per-destination argument of noc.Broadcast. Both are
+	// built with the record and never change.
+	peers []peer
+	args  []any
+}
+
+// peer is one destination's share of a transaction: the snoop request's
+// arrival at tile n, then n's response back to the requester. Each
+// destination probes once and answers once, so one record serves both.
+type peer struct {
+	t         *txn
+	n         *Node // the probed tile and responder
+	bytes     int
+	had, data bool
+	sent      event.Time
 }
 
 // New assembles a snoop system.
 func New(sim *event.Sim, cfg protocol.Config) *System {
-	s := &System{Cfg: cfg, Sim: sim, Net: noc.New(sim, cfg.NoC), arb: make(map[arch.LineAddr]*txn)}
+	s := &System{Cfg: cfg, Sim: sim, Net: noc.New(sim, cfg.NoC)}
 	s.Nodes = make([]*Node, cfg.Nodes)
 	for i := range s.Nodes {
-		s.Nodes[i] = &Node{Tile: protocol.NewTile(arch.NodeID(i), &s.Cfg), sys: s,
-			outstanding: make(map[arch.LineAddr]*txn)}
+		s.Nodes[i] = &Node{Tile: protocol.NewTile(arch.NodeID(i), &s.Cfg), sys: s}
 	}
 	return s
+}
+
+// getTxn takes a record off the freelist, or builds one, for n's miss on
+// line; it starts with the completion's pending use.
+func (s *System) getTxn(n *Node, line arch.LineAddr, kind predictor.MissKind, done func()) *txn {
+	var t *txn
+	if k := len(s.txnPool); k > 0 {
+		t = s.txnPool[k-1]
+		s.txnPool = s.txnPool[:k-1]
+	} else {
+		s.txnMade++
+		t = &txn{peers: make([]peer, len(s.Nodes)), args: make([]any, len(s.Nodes))}
+		for d, m := range s.Nodes {
+			t.peers[d] = peer{t: t, n: m}
+			t.args[d] = &t.peers[d]
+		}
+	}
+	t.node, t.line, t.kind, t.start, t.done = n, line, kind, s.Sim.Now(), done
+	t.pending = 1
+	return t
+}
+
+// unref drops one pending use of t and, after the last, clears the record
+// (keeping its per-destination records and the waiters backing array) and
+// returns it to the freelist.
+//
+//spcoh:noalloc
+func (s *System) unref(t *txn) {
+	t.pending--
+	if t.pending > 0 {
+		return
+	}
+	*t = txn{waiters: t.waiters[:0], peers: t.peers, args: t.args}
+	s.txnPool = append(s.txnPool, t)
 }
 
 // Stats aggregates node counters.
@@ -253,8 +244,35 @@ func (s *System) clockNow() event.Time {
 	return s.Sim.Now()
 }
 
-// Outstanding reports in-flight transactions (quiescence check).
-func (s *System) Outstanding() int { return len(s.arb) }
+// Outstanding reports the transactions in flight plus the lines held in
+// arbitration; both are zero at quiescence.
+func (s *System) Outstanding() int {
+	k := 0
+	for _, n := range s.Nodes {
+		k += len(n.outstanding) + len(n.arb)
+	}
+	return k
+}
+
+// CheckQuiescent returns an error unless the system is quiescent: nothing
+// in flight or arbitrated, and every txn record back in the pool exactly
+// once with no pending use.
+func (s *System) CheckQuiescent() error {
+	if k := s.Outstanding(); k != 0 {
+		return fmt.Errorf("snoop: %d transactions or arbitrated lines left at quiescence", k)
+	}
+	if len(s.txnPool) != s.txnMade {
+		return fmt.Errorf("snoop: %d of %d txn records back in the pool", len(s.txnPool), s.txnMade)
+	}
+	seen := make(map[*txn]bool, len(s.txnPool))
+	for _, t := range s.txnPool {
+		if seen[t] || t.pending != 0 {
+			return fmt.Errorf("snoop: txn record pooled twice or with %d pending uses", t.pending)
+		}
+		seen[t] = true
+	}
+	return nil
+}
 
 // Stats returns the node's counters.
 func (n *Node) Stats() Stats {
@@ -280,43 +298,48 @@ func (n *Node) Access(pc uint64, addr arch.Addr, write bool, done func()) {
 
 func (n *Node) miss(line arch.LineAddr, kind predictor.MissKind, done func()) {
 	// A miss on this line is already outstanding here: retry afterwards.
-	if prev, ok := n.outstanding[line]; ok {
-		write := kind != predictor.ReadMiss
-		prev.waiters = append(prev.waiters, func() { n.Access(0, line.Base(), write, done) })
-		return
+	for _, prev := range n.outstanding {
+		if prev.line == line {
+			write := kind != predictor.ReadMiss
+			prev.waiters = append(prev.waiters, func() { n.Access(0, line.Base(), write, done) })
+			return
+		}
 	}
-	t := &txn{node: n, line: line, kind: kind, start: n.sys.Sim.Now(), done: done}
-	n.outstanding[line] = t
+	t := n.sys.getTxn(n, line, kind, done)
+	n.outstanding = append(n.outstanding, t)
 	detect := n.sys.Cfg.L1Latency + n.sys.Cfg.L2TagLatency
 	n.sys.Sim.AfterFn(detect, arbJoin, t)
 }
 
-// arbJoin fires when miss detection completes: the transaction joins the
-// per-line arbitration queue and broadcasts if it is the head.
+// arbJoin fires when miss detection completes: the transaction joins its
+// line's arbitration queue at the home tile and broadcasts if it is the
+// head.
 //
 //spcoh:noalloc
 func arbJoin(a any) {
 	t := a.(*txn)
-	n := t.node
-	if n.sys.Fast {
+	s := t.node.sys
+	if s.Fast {
 		// Atomic transaction: the line cannot be contended mid-flight, so
 		// arbitration is trivially empty and skipped (complete's release
-		// code is a no-op on an absent queue).
-		n.sys.casc.Begin(n.sys.Sim.Now())
-		n.broadcast(t)
-		n.sys.casc.Drain()
+		// code finds no queue).
+		s.casc.Begin(s.Sim.Now())
+		t.node.broadcast(t)
+		s.casc.Drain()
 		return
 	}
-	head, busy := n.sys.arb[t.line]
-	if !busy { // we are the head: go
-		n.sys.arb[t.line] = t
-		n.broadcast(t)
-		return
+	home := s.Nodes[s.Cfg.Home(t.line)]
+	for _, head := range home.arb {
+		if head.line == t.line {
+			for head.next != nil {
+				head = head.next
+			}
+			head.next = t
+			return
+		}
 	}
-	for head.next != nil {
-		head = head.next
-	}
-	head.next = t
+	home.arb = append(home.arb, t)
+	t.node.broadcast(t)
 }
 
 // broadcast sends the snoop request to every other tile along the fabric's
@@ -325,42 +348,48 @@ func (n *Node) broadcast(t *txn) {
 	n.stats.Misses++
 	s := n.sys
 	t.expected = s.Cfg.Nodes - 1
+	t.pending += t.expected
 	dsts := arch.FullSet(s.Cfg.Nodes).Remove(n.ID())
+	// The home's memory controller sees the ordered broadcast too and
+	// fetches speculatively; the fetch is cancelled if a cache supplies
+	// first (the HITM signal of bus-based snooping). When the requester is
+	// its own home the fetch starts locally.
+	local := t.kind != predictor.UpgradeMiss && s.Cfg.Home(t.line) == n.ID()
+	if local {
+		t.pending++
+	}
 	if s.Fast {
 		base := s.casc.Now()
 		s.Net.FastBroadcast(n.ID(), dsts, protocol.ControlBytes, func(d arch.NodeID, lat event.Time) {
 			if s.obs != nil && s.obs.Request != nil {
 				s.obs.Request(lat)
 			}
-			s.casc.At(base+lat, fireSnoopDeliver, s.getSnoopDeliver(s.Nodes[d], t))
+			s.casc.At(base+lat, snoopArrive, t.args[d])
 		})
-		if t.kind != predictor.UpgradeMiss && s.Cfg.Home(t.line) == n.ID() {
+		if local {
 			s.casc.After(s.Cfg.MemLatency, localMemFetch, t)
 		}
 		return
 	}
 	t.sent = s.Sim.Now()
-	s.Net.Broadcast(n.ID(), dsts, protocol.ControlBytes, snoopArrive, t)
-	// The home's memory controller sees the ordered broadcast too and
-	// fetches speculatively; the fetch is cancelled if a cache supplies
-	// first (the HITM signal of bus-based snooping). When the requester is
-	// its own home the fetch starts locally.
-	if t.kind != predictor.UpgradeMiss && s.Cfg.Home(t.line) == n.ID() {
+	s.Net.Broadcast(n.ID(), dsts, protocol.ControlBytes, snoopArrive, t.args)
+	if local {
 		s.Sim.AfterFn(s.Cfg.MemLatency, localMemFetch, t)
 	}
 }
 
-// snoopArrive fires at each broadcast destination d: the snoop request
-// for transaction a reaches tile d.
+// snoopArrive fires when the snoop request reaches a destination; its arg
+// is that destination's peer record. A fast-mode broadcast reported its
+// request latencies when it was sent.
 //
 //spcoh:noalloc
-func snoopArrive(d arch.NodeID, a any) {
-	t := a.(*txn)
-	s := t.node.sys
-	if s.obs != nil && s.obs.Request != nil {
-		s.obs.Request(s.Sim.Now() - t.sent)
+func snoopArrive(a any) {
+	p := a.(*peer)
+	s := p.n.sys
+	if s.obs != nil && s.obs.Request != nil && !s.Fast {
+		s.obs.Request(s.Sim.Now() - p.t.sent)
 	}
-	s.Nodes[d].snoop(t)
+	p.n.snoop(p)
 }
 
 // localMemFetch completes a requester-is-home speculative fetch: the data
@@ -373,6 +402,7 @@ func localMemFetch(a any) {
 		t.memData = true
 		t.node.complete(t)
 	}
+	t.node.sys.unref(t)
 }
 
 // speculativeFetch is the home-side memory fetch launched on broadcast
@@ -383,6 +413,7 @@ func (n *Node) speculativeFetch(t *txn) {
 	}
 	t.memRequested = true
 	t.home = n
+	t.pending++
 	if n.sys.Fast {
 		n.sys.casc.After(n.sys.Cfg.MemLatency, specFetchLaunch, t)
 		return
@@ -396,10 +427,11 @@ func (n *Node) speculativeFetch(t *txn) {
 //spcoh:noalloc
 func specFetchLaunch(a any) {
 	t := a.(*txn)
-	if t.data || t.memData || t.done == nil {
-		return // cancelled: a cache answered first
-	}
 	s := t.home.sys
+	if t.data || t.memData || t.done == nil {
+		s.unref(t) // cancelled: a cache answered first
+		return
+	}
 	if s.Fast {
 		t.memSent = s.casc.Now()
 		lat := s.Net.FastSend(t.home.ID(), t.node.ID(), protocol.DataBytes)
@@ -421,14 +453,16 @@ func specDataArrive(a any) {
 	}
 	t.memData = true
 	t.node.complete(t)
+	s.unref(t)
 }
 
 // discard is the delivery of a fire-and-forget memory-update writeback: the
 // packet's delivery event still fires, and does nothing.
 func discard(any) {}
 
-// snoop probes this tile's L2 on behalf of requester t and responds.
-func (n *Node) snoop(t *txn) {
+// snoop probes this tile's L2 on behalf of p's transaction and responds.
+func (n *Node) snoop(p *peer) {
+	t := p.t
 	n.stats.SnoopLookups++
 	t.delivered++
 	s := n.sys
@@ -439,21 +473,6 @@ func (n *Node) snoop(t *txn) {
 		t.node.complete(t) // ordered fabric: delivery is the invalidation
 	}
 	st := n.L2().Peek(t.line)
-	respond := func(lat event.Time, bytes int, had, data bool) {
-		var r *snoopResp
-		if k := len(s.respPool); k > 0 {
-			r = s.respPool[k-1]
-			s.respPool = s.respPool[:k-1]
-			r.n, r.t, r.bytes, r.had, r.data = n, t, bytes, had, data
-		} else {
-			r = &snoopResp{n: n, t: t, bytes: bytes, had: had, data: data}
-		}
-		if s.Fast {
-			s.casc.After(lat, respLaunch, r)
-			return
-		}
-		s.Sim.AfterFn(lat, respLaunch, r)
-	}
 	if t.kind == predictor.ReadMiss {
 		if st.CanForward() {
 			if st == cache.Modified {
@@ -465,23 +484,73 @@ func (n *Node) snoop(t *txn) {
 				}
 			}
 			n.L2().SetState(t.line, cache.Shared)
-			respond(s.Cfg.L2HitLatency(), protocol.DataBytes, true, true)
+			p.respond(s.Cfg.L2HitLatency(), protocol.DataBytes, true, true)
 		} else {
-			respond(s.Cfg.L2TagLatency, protocol.ControlBytes, st.Valid(), false)
+			p.respond(s.Cfg.L2TagLatency, protocol.ControlBytes, st.Valid(), false)
 		}
 		return
 	}
 	// Write or upgrade: invalidate; forwardable copies supply data.
 	if !st.Valid() {
-		respond(s.Cfg.L2TagLatency, protocol.ControlBytes, false, false)
+		p.respond(s.Cfg.L2TagLatency, protocol.ControlBytes, false, false)
 		return
 	}
 	n.Invalidate(t.line)
 	if st.CanForward() {
-		respond(s.Cfg.L2HitLatency(), protocol.DataBytes, true, true)
+		p.respond(s.Cfg.L2HitLatency(), protocol.DataBytes, true, true)
 	} else {
-		respond(s.Cfg.L2TagLatency, protocol.ControlBytes, true, false)
+		p.respond(s.Cfg.L2TagLatency, protocol.ControlBytes, true, false)
 	}
+}
+
+// respond schedules the responder's answer after its local lookup delay
+// lat: bytes of payload, whether it held a copy, whether it supplies data.
+func (p *peer) respond(lat event.Time, bytes int, had, data bool) {
+	p.bytes, p.had, p.data = bytes, had, data
+	s := p.n.sys
+	if s.Fast {
+		s.casc.After(lat, respLaunch, p)
+		return
+	}
+	s.Sim.AfterFn(lat, respLaunch, p)
+}
+
+// respLaunch fires when the responder's L2 lookup latency elapses and
+// injects the response packet.
+//
+//spcoh:noalloc
+func respLaunch(a any) {
+	p := a.(*peer)
+	s := p.n.sys
+	if s.Fast {
+		p.sent = s.casc.Now()
+		lat := s.Net.FastSend(p.n.ID(), p.t.node.ID(), p.bytes)
+		s.casc.After(lat, respArrive, p)
+		return
+	}
+	p.sent = s.Sim.Now()
+	s.Net.SendFn(p.n.ID(), p.t.node.ID(), p.bytes, respArrive, p)
+}
+
+// respArrive fires at the requester: it updates the transaction, re-checks
+// completion and drops the destination's pending use.
+//
+//spcoh:noalloc
+func respArrive(a any) {
+	p := a.(*peer)
+	t := p.t
+	s := p.n.sys
+	if s.obs != nil && s.obs.Response != nil {
+		s.obs.Response(s.clockNow() - p.sent)
+	}
+	if p.had {
+		t.anyShared = true
+	}
+	if p.data {
+		t.data = true
+	}
+	t.node.complete(t)
+	s.unref(t)
 }
 
 // complete finishes the transaction when the ordered fabric semantics are
@@ -490,7 +559,8 @@ func (n *Node) snoop(t *txn) {
 // upgrades finish when the broadcast has been delivered everywhere — on a
 // totally ordered interconnect delivery *is* the invalidation, so no ack
 // collection gates completion (responses still flow for bandwidth/energy
-// accounting and sharing-state reconstruction).
+// accounting and sharing-state reconstruction). Its caller holds a pending
+// use of t, so the record outlives the call.
 func (n *Node) complete(t *txn) {
 	if t.kind == predictor.UpgradeMiss {
 		if t.delivered < t.expected {
@@ -504,7 +574,7 @@ func (n *Node) complete(t *txn) {
 	}
 	done := t.done
 	t.done = nil
-	delete(n.outstanding, t.line)
+	n.dropOutstanding(t)
 
 	cpuLat := n.sys.clockNow() - t.start
 	n.stats.MissLatencySum += uint64(cpuLat)
@@ -529,17 +599,7 @@ func (n *Node) complete(t *txn) {
 		n.fill(t.line, cache.Modified)
 	}
 
-	// Release the line arbitration and start the next queued request.
-	head := n.sys.arb[t.line]
-	if head == t {
-		head, t.next = t.next, nil
-	}
-	if head == nil {
-		delete(n.sys.arb, t.line)
-	} else {
-		n.sys.arb[t.line] = head
-		head.node.broadcast(head)
-	}
+	n.sys.releaseArb(t)
 
 	if n.sys.Fast {
 		// The cascade resolves the transaction at one real instant;
@@ -548,8 +608,46 @@ func (n *Node) complete(t *txn) {
 	} else {
 		done()
 	}
-	for _, w := range t.waiters {
+	for i, w := range t.waiters {
+		t.waiters[i] = nil
 		w()
+	}
+	n.sys.unref(t)
+}
+
+// dropOutstanding removes t from the tile's in-flight list.
+func (n *Node) dropOutstanding(t *txn) {
+	for i, o := range n.outstanding {
+		if o == t {
+			last := len(n.outstanding) - 1
+			n.outstanding[i] = n.outstanding[last]
+			n.outstanding[last] = nil
+			n.outstanding = n.outstanding[:last]
+			return
+		}
+	}
+}
+
+// releaseArb releases t's line arbitration at its home and broadcasts the
+// next queued transaction. A fast-mode transaction never joined a queue,
+// so it finds none.
+func (s *System) releaseArb(t *txn) {
+	home := s.Nodes[s.Cfg.Home(t.line)]
+	for i, head := range home.arb {
+		if head != t {
+			continue
+		}
+		if next := t.next; next != nil {
+			t.next = nil
+			home.arb[i] = next
+			next.node.broadcast(next)
+			return
+		}
+		last := len(home.arb) - 1
+		home.arb[i] = home.arb[last]
+		home.arb[last] = nil
+		home.arb = home.arb[:last]
+		return
 	}
 }
 

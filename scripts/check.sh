@@ -33,7 +33,7 @@
 #                 validate and build, a 50-seed generator fuzz sweep
 #                 (validity + determinism + buildability), and a generated
 #                 spec piped through spsim -spec twice must render
-#                 byte-identically
+#                 byte-identically, under sp and under bcast
 #   run-config    one configuration table behind every entry point:
 #                 spsim -pred bogus must exit non-zero and still leave a
 #                 non-empty -cpuprofile, spsim -pred bcast must run, and
@@ -136,6 +136,12 @@ go build -o "$sweepdir/spsim" ./cmd/spsim
 "$sweepdir/spscen" gen -seed 7 | "$sweepdir/spsim" -spec - -pred sp > "$sweepdir/spec2.txt"
 cmp "$sweepdir/spec1.txt" "$sweepdir/spec2.txt" || {
     echo "spscen: generated-spec replay is not deterministic" >&2
+    exit 1
+}
+"$sweepdir/spsim" -spec "$sweepdir/fuzz7.json" -pred bcast > "$sweepdir/spec1-bcast.txt"
+"$sweepdir/spsim" -spec "$sweepdir/fuzz7.json" -pred bcast > "$sweepdir/spec2-bcast.txt"
+cmp "$sweepdir/spec1-bcast.txt" "$sweepdir/spec2-bcast.txt" || {
+    echo "spscen: generated-spec replay under bcast is not deterministic" >&2
     exit 1
 }
 
