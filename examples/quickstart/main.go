@@ -37,7 +37,7 @@ func main() {
 		100*(1-float64(sp.Cycles)/float64(base.Cycles)))
 	fmt.Println("\naccuracy by information source (fraction of communicating misses):")
 	srcs := make([]string, 0, len(sp.AccuracyBySource))
-	for src := range sp.AccuracyBySource { //spvet:ordered — sorted below
+	for src := range sp.AccuracyBySource { //spvet:allow maprange,floatorder -- sorted below
 		srcs = append(srcs, src)
 	}
 	sort.Strings(srcs)

@@ -233,9 +233,11 @@ func (c *Core) fastStep() {
 				vt += lat
 				continue
 			}
-			// Miss: re-run the access at its virtual start time (the probe
-			// left the caches untouched), so the coherence transaction
-			// issues exactly where the detailed model would issue it.
+			// Miss: re-run the access at its virtual start time, so the
+			// coherence transaction issues exactly where the detailed
+			// model would issue it. The probe left the cache contents and
+			// recency unchanged, but a missing read probe counted one miss
+			// in each array's cache.Stats, which the re-run counts again.
 			if vt > now {
 				c.sim.AtFn(vt, coreFastStep, c)
 				return

@@ -16,7 +16,7 @@ import (
 //	for _, k := range detutil.SortedKeys(m) { ... m[k] ... }
 func SortedKeys[M ~map[K]V, K cmp.Ordered, V any](m M) []K {
 	keys := make([]K, 0, len(m))
-	for k := range m { //spvet:ordered — keys are sorted before use
+	for k := range m { //spvet:allow maprange,floatorder -- keys are sorted before use
 		keys = append(keys, k)
 	}
 	slices.Sort(keys)

@@ -17,8 +17,11 @@ type Params struct {
 
 // DefaultParams follow the paper: router = 4x link; the tag-lookup cost is
 // a CACTI-style estimate for a 1MB 8-way tag array at 32nm, expressed
-// relative to a 16-byte flit-hop. The lookup constant is calibrated so the
-// broadcast/directory energy ratio lands near the paper's 2.4x (Fig. 11).
+// relative to a 16-byte flit-hop. With these constants the full-scale
+// broadcast/directory energy ratio (Fig. 11) reads 3.99x on average
+// (3.61x-4.44x across benchmarks), above the paper's 2.4x: the NoC model
+// charges a broadcast's multicast tree per link traversed, which costs
+// trees more than the paper's model (EXPERIMENTS.md scoreboard).
 func DefaultParams() Params {
 	return Params{LinkPerFlitHop: 1.0, RouterPerFlitHop: 4.0, SnoopLookup: 5.0}
 }

@@ -11,7 +11,8 @@ func init() {
 	Register(Check{
 		Name: "maprange",
 		Doc: "range over a map has randomized iteration order; iterate " +
-			"detutil.SortedKeys(m), prove the body commutative, or annotate //" + OrderedAnnotation,
+			"detutil.SortedKeys(m), prove the body commutative, or annotate //" +
+			AllowAnnotation + " maprange,floatorder -- reason",
 		Run: checkMapRange,
 	})
 	Register(Check{
@@ -60,8 +61,9 @@ func isFloatType(t types.Type) bool {
 	return ok && b.Info()&(types.IsFloat|types.IsComplex) != 0
 }
 
-// checkMapRange reports every range over a map value unless the statement
-// is annotated ordered or the loop body is provably commutative.
+// checkMapRange reports every range over a map value unless the loop body
+// is provably commutative (an allow directive on the statement drops the
+// finding).
 func checkMapRange(p *Pass) {
 	for _, f := range p.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -69,13 +71,13 @@ func checkMapRange(p *Pass) {
 			if !ok || !isMapType(p.TypeOf(rng.X)) {
 				return true
 			}
-			if p.Suppressed(rng.For) || commutativeBody(p, rng.Body) {
+			if commutativeBody(p, rng.Body) {
 				return true
 			}
 			p.Report(rng.For, "maprange",
 				fmt.Sprintf("iteration order over map %s is randomized; "+
-					"range over detutil.SortedKeys or annotate //%s",
-					types.ExprString(rng.X), OrderedAnnotation))
+					"range over detutil.SortedKeys or annotate //%s maprange,floatorder -- reason",
+					types.ExprString(rng.X), AllowAnnotation))
 			return true
 		})
 	}
@@ -251,12 +253,13 @@ func checkGoroutine(p *Pass) {
 
 // checkFloatOrder reports floating-point compound accumulation inside
 // map-range bodies: even if every element is visited, the accumulated sum
-// depends on visit order.
+// depends on visit order. A floatorder allow on the range statement covers
+// its whole body.
 func checkFloatOrder(p *Pass) {
 	for _, f := range p.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			rng, ok := n.(*ast.RangeStmt)
-			if !ok || !isMapType(p.TypeOf(rng.X)) || p.Suppressed(rng.For) {
+			if !ok || !isMapType(p.TypeOf(rng.X)) || p.Allowed(rng.For, "floatorder") {
 				return true
 			}
 			ast.Inspect(rng.Body, func(inner ast.Node) bool {

@@ -10,13 +10,11 @@
 // architecture (DESIGN.md §12): enum-switch exhaustiveness, //spcoh:noalloc
 // escape-freedom, observer purity, and pooled-record escape.
 //
-// Two suppression annotations exist:
-//
-//   - "//spvet:ordered why" marks a maprange/floatorder hazard as genuinely
-//     order-independent (legacy form, reason free-text).
-//   - "//spvet:allow check1,check2 -- reason" suppresses the named checks on
-//     the annotated line or the line below the comment. The reason is
-//     mandatory: a reasonless allow is itself reported (check "allow").
+// One suppression annotation exists: "//spvet:allow check1,check2 -- reason"
+// suppresses the named checks on the annotated line or the line below the
+// comment. The reason is mandatory: a reasonless allow is itself reported
+// (check "allow"). On a map range, "maprange,floatorder" marks the loop as
+// genuinely order-independent.
 package lint
 
 import (
@@ -27,10 +25,6 @@ import (
 	"sort"
 	"strings"
 )
-
-// OrderedAnnotation suppresses maprange/floatorder findings for the
-// statement it is attached to.
-const OrderedAnnotation = "spvet:ordered"
 
 // AllowAnnotation is the general suppression form: it names the checks being
 // silenced and requires a reason after a "--" separator.
@@ -125,8 +119,7 @@ func (d *allowDirective) covers(check string) bool {
 
 // fileAnnots holds the suppression annotations of one file, keyed by line.
 type fileAnnots struct {
-	ordered map[int]bool
-	allows  map[int][]*allowDirective
+	allows map[int][]*allowDirective
 }
 
 // run is the shared state of one Analyzer.Run invocation.
@@ -193,15 +186,13 @@ func (p *Pass) Report(pos token.Pos, check, msg string) {
 	p.run.report(p.Fset.Position(pos), check, "", msg)
 }
 
-// Suppressed reports whether the statement at pos carries the
-// OrderedAnnotation, either trailing on the same line or on the line above.
-func (p *Pass) Suppressed(pos token.Pos) bool {
+// Allowed reports whether an allow directive for check covers the
+// statement at pos, trailing on the same line or on the line above; a
+// check whose findings land inside the statement's body uses it to honour
+// a directive on the statement itself.
+func (p *Pass) Allowed(pos token.Pos, check string) bool {
 	position := p.Fset.Position(pos)
-	fa := p.run.byFile[position.Filename]
-	if fa == nil {
-		return false
-	}
-	return fa.ordered[position.Line] || fa.ordered[position.Line-1]
+	return p.run.allowedAt(position.Filename, position.Line, check)
 }
 
 // TypeOf returns the type of e, or nil.
@@ -237,7 +228,7 @@ func (m *ModulePass) Lookup(path string) *Package { return m.run.loader.pkgs[pat
 // their module-internal dependencies), sorted by import path.
 func (m *ModulePass) Loaded() []*Package {
 	out := make([]*Package, 0, len(m.run.loader.pkgs))
-	for _, p := range m.run.loader.pkgs { //spvet:ordered — sorted below
+	for _, p := range m.run.loader.pkgs { //spvet:allow maprange,floatorder -- sorted below
 		out = append(out, p)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
@@ -368,14 +359,13 @@ func (a *Analyzer) Run(patterns ...string) ([]Finding, error) {
 	return r.findings, nil
 }
 
-// parseAnnotations maps filename -> suppression annotations for a package's
-// files, covering both the legacy ordered form and the allow form.
+// parseAnnotations maps filename -> allow directives for a package's files.
 func parseAnnotations(fset *token.FileSet, files []*ast.File) map[string]*fileAnnots {
 	out := make(map[string]*fileAnnots)
 	annots := func(file string) *fileAnnots {
 		fa := out[file]
 		if fa == nil {
-			fa = &fileAnnots{ordered: make(map[int]bool), allows: make(map[int][]*allowDirective)}
+			fa = &fileAnnots{allows: make(map[int][]*allowDirective)}
 			out[file] = fa
 		}
 		return fa
@@ -390,13 +380,9 @@ func parseAnnotations(fset *token.FileSet, files []*ast.File) map[string]*fileAn
 				}
 				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
 				pos := fset.Position(c.Pos())
-				fa := annots(pos.Filename)
-				switch {
-				case strings.HasPrefix(text, OrderedAnnotation):
-					fa.ordered[pos.Line] = true
-				case strings.HasPrefix(text, AllowAnnotation):
-					d := parseAllow(text, pos)
-					fa.allows[pos.Line] = append(fa.allows[pos.Line], d)
+				if strings.HasPrefix(text, AllowAnnotation) {
+					fa := annots(pos.Filename)
+					fa.allows[pos.Line] = append(fa.allows[pos.Line], parseAllow(text, pos))
 				}
 			}
 		}
@@ -442,8 +428,8 @@ func checkAllowDirectives(p *Pass) {
 	for _, c := range p.run.checks {
 		known[c.Name] = true
 	}
-	for _, fa := range p.annots { //spvet:ordered — findings are sorted by the driver
-		for _, ds := range fa.allows { //spvet:ordered — findings are sorted by the driver
+	for _, fa := range p.annots { //spvet:allow maprange,floatorder -- findings are sorted by the driver
+		for _, ds := range fa.allows { //spvet:allow maprange,floatorder -- findings are sorted by the driver
 			for _, d := range ds {
 				if d.err != "" {
 					p.run.reportRaw(d.pos, "allow", SevError, "malformed suppression: "+d.err)

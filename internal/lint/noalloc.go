@@ -66,7 +66,7 @@ func checkNoalloc(mp *ModulePass) error {
 		return nil
 	}
 	args := []string{"build", "-gcflags=-m"}
-	for d := range dirs { //spvet:ordered — sorted below
+	for d := range dirs { //spvet:allow maprange,floatorder -- sorted below
 		args = append(args, d)
 	}
 	sort.Strings(args[2:]) // deterministic compile order (and output grouping)

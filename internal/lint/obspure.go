@@ -10,8 +10,8 @@ import (
 func init() {
 	Register(Check{
 		Name: "obspure",
-		Doc: "metrics observer callbacks (noc.Observer implementations, " +
-			"protocol/snoop Obs hooks, event-loop observers) must be pure: the " +
+		Doc: "observer callbacks (noc.Observer implementations, protocol.Obs " +
+			"hooks of the metrics and trace collectors, event-loop observers) must be pure: the " +
 			"callgraph reachable from them may not call mutating sim APIs, " +
 			"schedule events, or make calls the analyzer cannot resolve",
 		RunModule: checkObsPure,

@@ -13,7 +13,7 @@ type stats struct {
 
 func (s *stats) sortedKeys() []string {
 	keys := make([]string, 0, len(s.count))
-	for k := range s.count { //spvet:ordered — sorted below
+	for k := range s.count { //spvet:allow maprange,floatorder -- sorted below
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)

@@ -21,7 +21,7 @@ func product(m map[int]float64) float64 {
 // annotation suppresses both findings on the loop.
 func annotated(m map[string]float64) float64 {
 	var s float64
-	//spvet:ordered — caller tolerates ULP-level wobble
+	//spvet:allow maprange,floatorder -- caller tolerates ULP-level wobble
 	for _, v := range m {
 		s += v
 	}

@@ -63,7 +63,7 @@ func commutativeIncr(m map[int]bool, hits map[int]int) {
 // annotated loops are suppressed, trailing or on the line above.
 func annotatedTrailing(m map[string]int) []string {
 	var out []string
-	for k := range m { //spvet:ordered — sorted by the caller
+	for k := range m { //spvet:allow maprange,floatorder -- sorted by the caller
 		out = append(out, k)
 	}
 	return out
@@ -71,7 +71,7 @@ func annotatedTrailing(m map[string]int) []string {
 
 func annotatedAbove(m map[string]int) []string {
 	var out []string
-	//spvet:ordered — sorted by the caller
+	//spvet:allow maprange,floatorder -- sorted by the caller
 	for k := range m {
 		out = append(out, k)
 	}

@@ -1,12 +1,10 @@
 package metrics
 
 import (
-	"spcoh/internal/arch"
 	"spcoh/internal/event"
 	"spcoh/internal/noc"
 	"spcoh/internal/predictor"
 	"spcoh/internal/protocol"
-	"spcoh/internal/snoop"
 )
 
 // Config sizes a Collector.
@@ -28,8 +26,8 @@ type linkAdd struct {
 }
 
 // Collector accumulates the run-time metrics of one simulation into epoch
-// rows. It implements noc.Observer; its remaining hooks are exported as
-// closures (ProtocolObs, SnoopObs) and a Step observer (Attach).
+// rows. It implements noc.Observer; its remaining hooks are a protocol.Obs
+// (Obs) and a Step observer (Attach).
 //
 // The collector never schedules events: epochs roll lazily when a hook
 // fires in a later epoch, and Finalize materializes any trailing empty
@@ -59,39 +57,27 @@ func NewCollector(sim *event.Sim, cfg Config) *Collector {
 }
 
 // Attach registers the collector's event-engine and NoC hooks. The
-// protocol-level hooks are attached separately because directory and snoop
-// systems expose different observer types (ProtocolObs / SnoopObs).
+// protocol-level hooks (Obs) are attached with the system's SetObserver.
 func (c *Collector) Attach(net *noc.Network) {
 	c.sim.SetObserver(c.onStep)
 	net.SetObserver(c)
 }
 
-// ProtocolObs returns directory-protocol hooks feeding this collector.
-func (c *Collector) ProtocolObs() *protocol.Obs {
+// Obs returns the protocol hooks feeding this collector, for either
+// coherence protocol. Snooping reports its broadcasts as requests and its
+// responses as data, so the invalidate and ack classes stay empty; it never
+// predicts, so its misses never contribute to the predictor timeline, and
+// it never fires Sync.
+func (c *Collector) Obs() *protocol.Obs {
 	return &protocol.Obs{
 		Message: func(kind protocol.MsgKind, lat event.Time) {
 			c.message(ClassOf(kind), uint64(lat))
 		},
-		Miss: func(node arch.NodeID, _ predictor.MissKind, lat event.Time, comm, predicted, correct bool) {
-			c.miss(int(node), uint64(lat), comm, predicted, correct)
+		Miss: func(m predictor.Miss, o predictor.Outcome, lat event.Time, predicted, correct bool) {
+			c.miss(int(m.Node), uint64(lat), o.Communicating, predicted, correct)
 		},
-		Sync: func(node arch.NodeID, _ predictor.SyncKind) {
-			c.sync(int(node))
-		},
-	}
-}
-
-// SnoopObs returns broadcast-snooping hooks feeding this collector. Snoop
-// broadcasts count as requests and snoop responses as responses; the
-// snooping protocol has no explicit invalidate/ack messages, so those
-// classes stay empty. Snooping has no destination-set prediction either,
-// so its misses never contribute to the predictor timeline.
-func (c *Collector) SnoopObs() *snoop.Obs {
-	return &snoop.Obs{
-		Request:  func(lat event.Time) { c.message(ClassRequest, uint64(lat)) },
-		Response: func(lat event.Time) { c.message(ClassResponse, uint64(lat)) },
-		Miss: func(node arch.NodeID, _ predictor.MissKind, lat event.Time, comm bool) {
-			c.miss(int(node), uint64(lat), comm, false, false)
+		Sync: func(e predictor.SyncEvent) {
+			c.sync(int(e.Node))
 		},
 	}
 }

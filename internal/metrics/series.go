@@ -92,7 +92,9 @@ func ClassNames() []string {
 	return names
 }
 
-// ClassOf maps a directory-protocol message kind to its class.
+// ClassOf maps a message kind to its class. Broadcast snooping reports its
+// snoop requests as MsgGetS/MsgGetM (requests) and its snoop and memory
+// responses as MsgData (responses).
 func ClassOf(k protocol.MsgKind) MsgClass {
 	switch k {
 	case protocol.MsgGetS, protocol.MsgGetM, protocol.MsgPutS, protocol.MsgPutE,

@@ -240,7 +240,7 @@ func (n *Node) prunePredInv() {
 	}
 	now := n.sys.Sim.Now()
 	w := n.predInvWindow()
-	for l, at := range n.recentPredInv { //spvet:ordered
+	for l, at := range n.recentPredInv { //spvet:allow maprange,floatorder -- expiry reads only the entry's own timestamp
 		if now-at >= w {
 			delete(n.recentPredInv, l)
 		}
@@ -273,10 +273,11 @@ func (n *Node) Outstanding() int { return len(n.mshrs) + len(n.wb) }
 // OnSync delivers a captured synchronization point to the predictor
 // (paper §4.1: sync primitives are exposed to the hardware).
 func (n *Node) OnSync(kind predictor.SyncKind, staticID uint64) {
+	e := predictor.SyncEvent{Node: n.self, Kind: kind, StaticID: staticID}
 	if o := n.sys.obs; o != nil && o.Sync != nil {
-		o.Sync(n.self, kind)
+		o.Sync(e)
 	}
-	n.pred.OnSync(predictor.SyncEvent{Node: n.self, Kind: kind, StaticID: staticID})
+	n.pred.OnSync(e)
 }
 
 // Access performs one memory access. done runs when the access completes
@@ -760,10 +761,6 @@ func (n *Node) finalize(ms *mshr) {
 	} else {
 		n.stats.NonCommunicating++
 	}
-	if o := n.sys.obs; o != nil && o.Miss != nil {
-		o.Miss(n.self, ms.kind, ms.cpuLat, ms.communicating,
-			!ms.predSet.Empty(), !ms.predSet.Empty() && ms.communicating && ms.sufficient)
-	}
 	actual := ms.ackers.Union(ms.dirTargets)
 	if ms.provider != arch.None {
 		actual = actual.Add(ms.provider)
@@ -793,10 +790,13 @@ func (n *Node) finalize(ms *mshr) {
 	if ms.kind != predictor.ReadMiss && ms.provider != arch.None {
 		inval = inval.Add(ms.provider)
 	}
-	n.pred.Train(
-		predictor.Miss{Node: n.self, Line: ms.line, PC: ms.pc, Kind: ms.kind},
-		predictor.Outcome{Provider: ms.provider, Invalidated: inval, Communicating: ms.communicating},
-	)
+	m := predictor.Miss{Node: n.self, Line: ms.line, PC: ms.pc, Kind: ms.kind}
+	o := predictor.Outcome{Provider: ms.provider, Invalidated: inval, Communicating: ms.communicating}
+	if obs := n.sys.obs; obs != nil && obs.Miss != nil {
+		predicted := !ms.predSet.Empty()
+		obs.Miss(m, o, ms.cpuLat, predicted, predicted && ms.communicating && ms.sufficient)
+	}
+	n.pred.Train(m, o)
 
 	// A racing predicted invalidation was acknowledged mid-miss: the fill
 	// is immediately invalid.

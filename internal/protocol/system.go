@@ -105,8 +105,8 @@ type System struct {
 	// debugging aid; nil in normal operation).
 	Debug func(now event.Time, m Msg)
 
-	// obs, when set, feeds the run-time metrics layer. Nil — the default —
-	// costs one branch per message/miss/sync.
+	// obs, when set, feeds an observer (metrics or trace). Nil — the
+	// default — costs one branch per message/miss/sync.
 	obs *Obs
 
 	// Freelists for the pooled scheduling records of the hot paths: every
@@ -168,23 +168,29 @@ func transmitMsg(a any) {
 	d.s.transmit(d)
 }
 
-// Obs carries the metrics hooks of the directory protocol. Every field may
-// be nil independently; hooks fire synchronously inside the simulation at
-// the cycle the observed fact becomes true.
+// Obs carries the observer hooks both coherence protocols fire: the
+// metrics collector and the §3.2 trace collector consume them. Every field
+// may be nil independently; hooks fire synchronously inside the simulation
+// at the cycle the observed fact becomes true.
 type Obs struct {
 	// Message fires when a coherence message is delivered, with its
-	// network latency (injection to delivery).
+	// network latency (injection to delivery). Broadcast snooping reports
+	// a snoop request as MsgGetS/MsgGetM (the miss's kind) and a snoop or
+	// memory response as MsgData.
 	Message func(kind MsgKind, lat event.Time)
-	// Miss fires when a finished L2 miss is finalized. lat is the
-	// CPU-visible latency; predicted/correct describe the prediction
-	// attempt (correct is meaningful only for predicted communicating
-	// misses, mirroring NodeStats.PredCorrect).
-	Miss func(node arch.NodeID, kind predictor.MissKind, lat event.Time, comm, predicted, correct bool)
-	// Sync fires when a node crosses a synchronization point.
-	Sync func(node arch.NodeID, kind predictor.SyncKind)
+	// Miss fires when a finished L2 miss is finalized, with the outcome
+	// its responses reported (snooping fills only Communicating, and its
+	// Provider is arch.None). lat is the CPU-visible latency;
+	// predicted/correct describe the prediction attempt (correct is
+	// meaningful only for predicted communicating misses, mirroring
+	// NodeStats.PredCorrect).
+	Miss func(m predictor.Miss, o predictor.Outcome, lat event.Time, predicted, correct bool)
+	// Sync fires when a node crosses a synchronization point (directory
+	// protocol only).
+	Sync func(e predictor.SyncEvent)
 }
 
-// SetObserver attaches (or, with nil, detaches) the metrics hooks.
+// SetObserver attaches (or, with nil, detaches) the observer hooks.
 func (s *System) SetObserver(o *Obs) { s.obs = o }
 
 // New assembles a system. preds supplies one predictor per node; nil means

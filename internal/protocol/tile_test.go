@@ -47,24 +47,21 @@ func newTileRig(proto string) *tileRig {
 	cfg.L1 = cache.Config{Bytes: 4 * arch.LineSize, Ways: 1} // 4 sets
 	cfg.L2 = cache.Config{Bytes: 8 * arch.LineSize, Ways: 2} // 4 sets
 	r := &tileRig{sim: event.New()}
+	obs := &protocol.Obs{Miss: func(m predictor.Miss, _ predictor.Outcome, _ event.Time, _, _ bool) {
+		if m.Node == 0 {
+			r.misses = append(r.misses, m.Kind)
+		}
+	}}
 	switch proto {
 	case "dir":
 		sys := protocol.New(r.sim, cfg, nil)
-		sys.SetObserver(&protocol.Obs{Miss: func(n arch.NodeID, k predictor.MissKind, _ event.Time, _, _, _ bool) {
-			if n == 0 {
-				r.misses = append(r.misses, k)
-			}
-		}})
+		sys.SetObserver(obs)
 		for _, n := range sys.Nodes {
 			r.nodes = append(r.nodes, n)
 		}
 	case "bcast":
 		sys := snoop.New(r.sim, cfg)
-		sys.SetObserver(&snoop.Obs{Miss: func(n arch.NodeID, k predictor.MissKind, _ event.Time, _ bool) {
-			if n == 0 {
-				r.misses = append(r.misses, k)
-			}
-		}})
+		sys.SetObserver(obs)
 		for _, n := range sys.Nodes {
 			r.nodes = append(r.nodes, n)
 		}

@@ -8,7 +8,6 @@ import (
 	"spcoh/internal/charac"
 	"spcoh/internal/core"
 	"spcoh/internal/event"
-	"spcoh/internal/predictor"
 	"spcoh/internal/trace"
 )
 
@@ -149,5 +148,3 @@ func firstDiff(a, b string) int {
 	}
 	return n
 }
-
-var _ predictor.Predictor = (*traced)(nil) // traced must stay a Predictor

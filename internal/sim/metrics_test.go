@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"testing"
 
@@ -113,5 +114,34 @@ func TestMetricsDoesNotPerturbSimulation(t *testing.T) {
 		if a != b {
 			t.Fatalf("kind %v: metrics perturbed the simulation:\noff: %s\non:  %s", kind, a, b)
 		}
+	}
+}
+
+// TestMetricsSeriesPinned pins the detailed-mode metrics series of x264
+// (scale 0.05, seed 42, 2000-cycle epochs) under dir, sp and bcast: every
+// protocol hook feeds these bytes, so a hook that moves, drops or
+// reclassifies an observation shows up here.
+func TestMetricsSeriesPinned(t *testing.T) {
+	cases := []struct {
+		name   string
+		kind   ProtocolKind
+		withSP bool
+		want   string
+	}{
+		{"dir", Directory, false, "3d79ccc5975a607b3ccaf8a1b3b857fd0e01d9fb1384c92a2c9b9a7e1e880835"},
+		{"sp", Directory, true, "67a1936f5a1b21e3d7f7cb9863207c01350e63184a3a7d92612a79b0a8599ea4"},
+		{"bcast", Broadcast, false, "0b0f77d9620a038f3245d9823a06fdae9f875b3cf7418cfcbee955d6edccff23"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			res := runWithMetrics(t, "x264", tc.kind, tc.withSP, 2000, 42)
+			var buf bytes.Buffer
+			if err := res.Metrics.WriteJSON(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != tc.want {
+				t.Fatalf("x264 %s series: %d bytes, sha256 %s, want %s", tc.name, buf.Len(), got, tc.want)
+			}
+		})
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"spcoh/internal/predictor"
 	"spcoh/internal/protocol"
 	"spcoh/internal/snoop"
+	"spcoh/internal/trace"
 	"spcoh/internal/workload"
 )
 
@@ -69,9 +70,10 @@ type Options struct {
 	// Predictors, one per node (directory protocol only). Nil = baseline.
 	Predictors []predictor.Predictor
 
-	// Tracer, when set, observes every L2 miss outcome and sync-point
-	// (directory protocol only). Used by the characterization pipeline.
-	Tracer Tracer
+	// Tracer, when set, records every L2 miss outcome and sync-point
+	// (directory protocol only, and not with MetricsEpoch: a run carries
+	// one observer). Used by the characterization pipeline.
+	Tracer *trace.Collector
 
 	// MetricsEpoch, when non-zero, attaches the run-time metrics collector
 	// sampling the whole system every MetricsEpoch cycles; the resulting
@@ -176,6 +178,13 @@ func Run(prog *workload.Program, opt Options) (*Result, error) {
 	}
 	fast := mode == ModeFast
 
+	if opt.Tracer != nil && opt.Protocol != Directory {
+		return nil, fmt.Errorf("sim: a Tracer observes directory runs only")
+	}
+	if opt.Tracer != nil && opt.MetricsEpoch > 0 {
+		return nil, fmt.Errorf("sim: Tracer and MetricsEpoch both set; a run carries one observer")
+	}
+
 	s := event.New()
 	co := cpu.NewCoordinator(s, n)
 	res := &Result{Benchmark: prog.Name, Protocol: opt.Protocol, Predictor: "directory"}
@@ -188,21 +197,14 @@ func Run(prog *workload.Program, opt Options) (*Result, error) {
 	var ports []cpu.MemPort
 	var dirSys *protocol.System
 	var snpSys *snoop.System
+	var sys interface{ SetObserver(*protocol.Obs) }
+	var net *noc.Network
 
 	switch opt.Protocol {
 	case Directory:
-		preds := opt.Predictors
-		if preds != nil && opt.Tracer != nil {
-			preds = wrapTraced(preds, opt.Tracer, s)
-		} else if preds == nil && opt.Tracer != nil {
-			preds = make([]predictor.Predictor, n)
-			for i := range preds {
-				preds[i] = predictor.Null{}
-			}
-			preds = wrapTraced(preds, opt.Tracer, s)
-		}
-		dirSys = protocol.New(s, opt.Machine, preds)
+		dirSys = protocol.New(s, opt.Machine, opt.Predictors)
 		dirSys.Fast = fast
+		sys, net = dirSys, dirSys.Net
 		if opt.Predictors != nil && opt.Predictors[0] != nil {
 			res.Predictor = opt.Predictors[0].Name()
 		}
@@ -212,29 +214,26 @@ func Run(prog *workload.Program, opt Options) (*Result, error) {
 	case Broadcast:
 		snpSys = snoop.New(s, opt.Machine)
 		snpSys.Fast = fast
+		sys, net = snpSys, snpSys.Net
 		res.Predictor = "broadcast"
 		for _, node := range snpSys.Nodes {
 			ports = append(ports, node)
 		}
 	}
 
+	var obs *protocol.Obs
 	var col *metrics.Collector
-	if opt.MetricsEpoch > 0 {
-		switch opt.Protocol {
-		case Directory:
-			col = metrics.NewCollector(s, metrics.Config{
-				EpochCycles: opt.MetricsEpoch, Links: dirSys.Net.NumLinks(), Nodes: n,
-			})
-			col.Attach(dirSys.Net)
-			dirSys.SetObserver(col.ProtocolObs())
-		case Broadcast:
-			col = metrics.NewCollector(s, metrics.Config{
-				EpochCycles: opt.MetricsEpoch, Links: snpSys.Net.NumLinks(), Nodes: n,
-			})
-			col.Attach(snpSys.Net)
-			snpSys.SetObserver(col.SnoopObs())
-		}
+	switch {
+	case opt.Tracer != nil:
+		obs = opt.Tracer.Obs(s)
+	case opt.MetricsEpoch > 0:
+		col = metrics.NewCollector(s, metrics.Config{
+			EpochCycles: opt.MetricsEpoch, Links: net.NumLinks(), Nodes: n,
+		})
+		col.Attach(net)
+		obs = col.Obs()
 	}
+	sys.SetObserver(obs)
 
 	finished := 0
 	cores := make([]*cpu.Core, n)

@@ -1,12 +1,15 @@
 package sim
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"spcoh/internal/arch"
 	"spcoh/internal/core"
-	"spcoh/internal/event"
 	"spcoh/internal/predictor"
+	"spcoh/internal/trace"
 	"spcoh/internal/workload"
 )
 
@@ -168,36 +171,129 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-type countingTracer struct {
-	misses, syncs int
-	lockSyncs     int
-}
-
-func (c *countingTracer) Miss(_ event.Time, _ arch.NodeID, _ arch.LineAddr, _ uint64,
-	_ predictor.MissKind, _ predictor.Outcome) {
-	c.misses++
-}
-func (c *countingTracer) Sync(_ event.Time, _ arch.NodeID, kind predictor.SyncKind, _ uint64) {
-	c.syncs++
-	if kind == predictor.SyncLock {
-		c.lockSyncs++
-	}
-}
-
 func TestTracerObservesRun(t *testing.T) {
 	prog := buildSmall(t, "water-ns")
-	tr := &countingTracer{}
+	tr := &trace.Collector{}
 	opt := DefaultOptions()
 	opt.Tracer = tr
 	res, err := Run(prog, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.misses == 0 || tr.syncs == 0 || tr.lockSyncs == 0 {
-		t.Fatalf("tracer saw misses=%d syncs=%d locks=%d", tr.misses, tr.syncs, tr.lockSyncs)
+	var misses, syncs, lockSyncs uint64
+	for _, e := range tr.Events {
+		switch e.Kind {
+		case trace.EvMiss:
+			misses++
+		case trace.EvSync:
+			syncs++
+			if e.SyncKind == predictor.SyncLock {
+				lockSyncs++
+			}
+		}
 	}
-	if uint64(tr.misses) != res.Nodes.Misses {
-		t.Fatalf("tracer misses %d != stats misses %d", tr.misses, res.Nodes.Misses)
+	if misses == 0 || syncs == 0 || lockSyncs == 0 {
+		t.Fatalf("tracer saw misses=%d syncs=%d locks=%d", misses, syncs, lockSyncs)
+	}
+	if misses != res.Nodes.Misses {
+		t.Fatalf("tracer misses %d != stats misses %d", misses, res.Nodes.Misses)
+	}
+}
+
+// TestTracerDoesNotPerturbSimulation asserts the trace collector is a pure
+// observer: a traced run produces exactly the same Result as the same run
+// without it. addr and sp+filter train on external requests
+// (TrainExternal), which a tracer spliced in front of the predictor once
+// had to forward by hand.
+func TestTracerDoesNotPerturbSimulation(t *testing.T) {
+	perNode := func(f func(arch.NodeID) predictor.Predictor) []predictor.Predictor {
+		preds := make([]predictor.Predictor, 16)
+		for i := range preds {
+			preds[i] = f(arch.NodeID(i))
+		}
+		return preds
+	}
+	cases := []struct {
+		name  string
+		preds func() []predictor.Predictor
+	}{
+		{"dir", func() []predictor.Predictor { return nil }},
+		{"sp", func() []predictor.Predictor { return core.NewSystem(core.DefaultConfig(16)) }},
+		{"addr", func() []predictor.Predictor {
+			return perNode(func(id arch.NodeID) predictor.Predictor { return predictor.NewAddr(id, 16) })
+		}},
+		{"sp+filter", func() []predictor.Predictor {
+			preds := core.NewSystem(core.DefaultConfig(16))
+			for i := range preds {
+				preds[i] = predictor.NewRegionFilter(preds[i])
+			}
+			return preds
+		}},
+	}
+	prog := buildProgram(t, "dedup", 16, 0.05, 7)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := DefaultOptions()
+			opt.Predictors = tc.preds()
+			off, err := Run(prog, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt.Predictors = tc.preds()
+			opt.Tracer = &trace.Collector{}
+			on, err := Run(prog, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(opt.Tracer.Events) == 0 {
+				t.Fatal("tracer recorded nothing")
+			}
+			a, b := fmt.Sprintf("%+v", *off), fmt.Sprintf("%+v", *on)
+			if a != b {
+				t.Fatalf("tracer perturbed the simulation:\noff: %s\non:  %s", a, b)
+			}
+		})
+	}
+}
+
+// TestRunRejectsTracerCombinations asserts a Tracer is refused where it
+// would observe nothing (broadcast snooping has no sync-points and no
+// miss outcomes to trace) or would share the run's one observer slot with
+// the metrics collector.
+func TestRunRejectsTracerCombinations(t *testing.T) {
+	prog := buildSmall(t, "ocean")
+	opt := DefaultOptions()
+	opt.Protocol = Broadcast
+	opt.Tracer = &trace.Collector{}
+	if _, err := Run(prog, opt); err == nil {
+		t.Error("Tracer on a broadcast run must error")
+	}
+	opt = DefaultOptions()
+	opt.Tracer = &trace.Collector{}
+	opt.MetricsEpoch = 1000
+	if _, err := Run(prog, opt); err == nil {
+		t.Error("Tracer with MetricsEpoch must error")
+	}
+}
+
+// TestTraceBytesPinned pins the binary trace of a traced bodytrack run
+// (scale 0.05, seed 42): the §3.2 characterization reads these bytes, so
+// any change to what the trace hooks see or when shows up here.
+func TestTraceBytesPinned(t *testing.T) {
+	prog := buildSmall(t, "bodytrack")
+	var buf bytes.Buffer
+	opt := DefaultOptions()
+	opt.Tracer = &trace.Collector{W: trace.NewWriter(&buf)}
+	if _, err := Run(prog, opt); err != nil {
+		t.Fatal(err)
+	}
+	if err := opt.Tracer.W.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	const want = "9fb5d015b61e7e9409a865f52288c5962bc6f167dc5c9daa1d9a82f7026d4251"
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Fatalf("bodytrack trace: %d bytes, %d events, sha256 %s, want %s",
+			buf.Len(), len(opt.Tracer.Events), got, want)
 	}
 }
 

@@ -73,8 +73,8 @@ type System struct {
 	Fast bool
 	casc event.Cascade
 
-	// obs, when set, feeds the run-time metrics layer (nil by default).
-	obs *Obs
+	// obs, when set, feeds an observer (metrics; nil by default).
+	obs *protocol.Obs
 
 	// txnPool is the txn freelist (see txn.pending); txnMade counts the
 	// records ever built, so at quiescence the pool holds every one.
@@ -82,20 +82,13 @@ type System struct {
 	txnMade int
 }
 
-// Obs carries the metrics hooks of the snoop protocol. Every field may be
-// nil independently. Request fires at each snoop-broadcast delivery and
-// Response at each snoop-response delivery, both with network latency;
-// memory-update writebacks are fire-and-forget and appear only in the
-// NoC-level delivery statistics. Miss fires when a miss completes, with
-// its CPU-visible latency.
-type Obs struct {
-	Request  func(lat event.Time)
-	Response func(lat event.Time)
-	Miss     func(node arch.NodeID, kind predictor.MissKind, lat event.Time, comm bool)
-}
-
-// SetObserver attaches (or, with nil, detaches) the metrics hooks.
-func (s *System) SetObserver(o *Obs) { s.obs = o }
+// SetObserver attaches (or, with nil, detaches) the observer hooks. Snoop
+// request deliveries fire Message with the miss's request kind and snoop
+// and memory responses fire it with MsgData; memory-update writebacks are
+// fire-and-forget and appear only in the NoC-level delivery statistics.
+// Miss fires when a miss completes, with its CPU-visible latency. Sync
+// never fires: snooping has no use for synchronization points.
+func (s *System) SetObserver(o *protocol.Obs) { s.obs = o }
 
 // Node is one tile: the cache side it shares with the directory protocol
 // (protocol.Tile: L1 + L2 and the hit path) plus the snoop logic.
@@ -176,6 +169,15 @@ func New(sim *event.Sim, cfg protocol.Config) *System {
 		s.Nodes[i] = &Node{Tile: protocol.NewTile(arch.NodeID(i), &s.Cfg), sys: s}
 	}
 	return s
+}
+
+// reqKind is the request kind the snoop broadcast carries, as the
+// observer's Message hook reports it.
+func (t *txn) reqKind() protocol.MsgKind {
+	if t.kind == predictor.ReadMiss {
+		return protocol.MsgGetS
+	}
+	return protocol.MsgGetM
 }
 
 // getTxn takes a record off the freelist, or builds one, for n's miss on
@@ -361,8 +363,8 @@ func (n *Node) broadcast(t *txn) {
 	if s.Fast {
 		base := s.casc.Now()
 		s.Net.FastBroadcast(n.ID(), dsts, protocol.ControlBytes, func(d arch.NodeID, lat event.Time) {
-			if s.obs != nil && s.obs.Request != nil {
-				s.obs.Request(lat)
+			if s.obs != nil && s.obs.Message != nil {
+				s.obs.Message(t.reqKind(), lat)
 			}
 			s.casc.At(base+lat, snoopArrive, t.args[d])
 		})
@@ -386,8 +388,8 @@ func (n *Node) broadcast(t *txn) {
 func snoopArrive(a any) {
 	p := a.(*peer)
 	s := p.n.sys
-	if s.obs != nil && s.obs.Request != nil && !s.Fast {
-		s.obs.Request(s.Sim.Now() - p.t.sent)
+	if s.obs != nil && s.obs.Message != nil && !s.Fast {
+		s.obs.Message(p.t.reqKind(), s.Sim.Now()-p.t.sent)
 	}
 	p.n.snoop(p)
 }
@@ -448,8 +450,8 @@ func specFetchLaunch(a any) {
 func specDataArrive(a any) {
 	t := a.(*txn)
 	s := t.node.sys
-	if s.obs != nil && s.obs.Response != nil {
-		s.obs.Response(s.clockNow() - t.memSent)
+	if s.obs != nil && s.obs.Message != nil {
+		s.obs.Message(protocol.MsgData, s.clockNow()-t.memSent)
 	}
 	t.memData = true
 	t.node.complete(t)
@@ -540,8 +542,8 @@ func respArrive(a any) {
 	p := a.(*peer)
 	t := p.t
 	s := p.n.sys
-	if s.obs != nil && s.obs.Response != nil {
-		s.obs.Response(s.clockNow() - p.sent)
+	if s.obs != nil && s.obs.Message != nil {
+		s.obs.Message(protocol.MsgData, s.clockNow()-p.sent)
 	}
 	if p.had {
 		t.anyShared = true
@@ -584,7 +586,8 @@ func (n *Node) complete(t *txn) {
 		n.stats.NonCommunicating++
 	}
 	if o := n.sys.obs; o != nil && o.Miss != nil {
-		o.Miss(n.ID(), t.kind, cpuLat, t.anyShared)
+		o.Miss(predictor.Miss{Node: n.ID(), Line: t.line, Kind: t.kind},
+			predictor.Outcome{Provider: arch.None, Communicating: t.anyShared}, cpuLat, false, false)
 	}
 
 	// Install.

@@ -5,8 +5,8 @@
 // static/dynamic IDs".
 //
 // The format is a compact varint-encoded binary stream, written by the
-// Collector (a sim.Tracer) and consumed by the characterization pipeline or
-// the sptrace inspection tool.
+// Collector (a consumer of the protocol's observer hooks) and consumed by
+// the characterization pipeline or the sptrace inspection tool.
 package trace
 
 import (
@@ -19,6 +19,7 @@ import (
 	"spcoh/internal/arch"
 	"spcoh/internal/event"
 	"spcoh/internal/predictor"
+	"spcoh/internal/protocol"
 )
 
 // EventKind discriminates trace records.
@@ -208,26 +209,28 @@ func ReadAll(r io.Reader) ([]*Event, error) {
 	}
 }
 
-// Collector implements sim.Tracer, buffering events in memory (and
-// optionally streaming them to a Writer).
+// Collector records the events a run's protocol.Obs hooks (Obs) report,
+// buffering them in memory and optionally streaming them to a Writer.
 type Collector struct {
 	Events []*Event
 	W      *Writer // optional
 	err    error
 }
 
-// Miss implements sim.Tracer.
-func (c *Collector) Miss(cycle event.Time, node arch.NodeID, line arch.LineAddr, pc uint64,
-	kind predictor.MissKind, o predictor.Outcome) {
-	e := &Event{Kind: EvMiss, Cycle: cycle, Node: node, Line: line, PC: pc,
-		MissKind: kind, Provider: o.Provider, Invalidated: o.Invalidated,
-		Communicating: o.Communicating}
-	c.add(e)
-}
-
-// Sync implements sim.Tracer.
-func (c *Collector) Sync(cycle event.Time, node arch.NodeID, kind predictor.SyncKind, staticID uint64) {
-	c.add(&Event{Kind: EvSync, Cycle: cycle, Node: node, SyncKind: kind, StaticID: staticID})
+// Obs returns the directory-protocol hooks that record every completed L2
+// miss with its outcome and every sync-point crossing, each stamped with
+// s's clock.
+func (c *Collector) Obs(s *event.Sim) *protocol.Obs {
+	return &protocol.Obs{
+		Miss: func(m predictor.Miss, o predictor.Outcome, _ event.Time, _, _ bool) {
+			c.add(&Event{Kind: EvMiss, Cycle: s.Now(), Node: m.Node, Line: m.Line, PC: m.PC,
+				MissKind: m.Kind, Provider: o.Provider, Invalidated: o.Invalidated,
+				Communicating: o.Communicating})
+		},
+		Sync: func(e predictor.SyncEvent) {
+			c.add(&Event{Kind: EvSync, Cycle: s.Now(), Node: e.Node, SyncKind: e.Kind, StaticID: e.StaticID})
+		},
+	}
 }
 
 func (c *Collector) add(e *Event) {

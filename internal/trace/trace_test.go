@@ -102,14 +102,24 @@ func TestTargets(t *testing.T) {
 func TestCollector(t *testing.T) {
 	var buf bytes.Buffer
 	c := &Collector{W: NewWriter(&buf)}
-	c.Miss(10, 2, 0x40, 0x400, predictor.ReadMiss,
-		predictor.Outcome{Provider: 5, Communicating: true})
-	c.Sync(20, 2, predictor.SyncBarrier, 7)
+	s := event.New()
+	obs := c.Obs(s)
+	s.At(10, func() {
+		obs.Miss(predictor.Miss{Node: 2, Line: 0x40, PC: 0x400, Kind: predictor.ReadMiss},
+			predictor.Outcome{Provider: 5, Communicating: true}, 3, false, false)
+	})
+	s.At(20, func() {
+		obs.Sync(predictor.SyncEvent{Node: 2, Kind: predictor.SyncBarrier, StaticID: 7})
+	})
+	s.Run()
 	if c.Err() != nil {
 		t.Fatal(c.Err())
 	}
 	if len(c.Events) != 2 {
 		t.Fatalf("events = %d", len(c.Events))
+	}
+	if c.Events[0].Cycle != 10 || c.Events[1].Cycle != 20 {
+		t.Fatalf("cycles = %d, %d; want the engine clock 10, 20", c.Events[0].Cycle, c.Events[1].Cycle)
 	}
 	c.W.Flush()
 	got, err := ReadAll(&buf)
