@@ -235,9 +235,8 @@ func (c *Core) fastStep() {
 			}
 			// Miss: re-run the access at its virtual start time, so the
 			// coherence transaction issues exactly where the detailed
-			// model would issue it. The probe left the cache contents and
-			// recency unchanged, but a missing read probe counted one miss
-			// in each array's cache.Stats, which the re-run counts again.
+			// model would issue it. The probe left the cache contents,
+			// recency and hit counters unchanged.
 			if vt > now {
 				c.sim.AtFn(vt, coreFastStep, c)
 				return

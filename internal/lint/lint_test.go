@@ -301,7 +301,8 @@ func TestNoallocAnnotationConsistency(t *testing.T) {
 	// The zero-alloc ceilings asserted by internal/event/bench_test.go,
 	// internal/noc/bench_test.go, internal/protocol/alloc_test.go (the
 	// miss path's scheduled entry points), internal/cache/model_test.go
-	// (the warm cache operations and the set helpers they run on) and
+	// (the warm cache operations, their overflow paths and the block
+	// helpers they run on) and
 	// internal/snoop/alloc_test.go (the snoop miss's scheduled entry
 	// points, request and response alike) and
 	// internal/predictor/lru_test.go (an LRU hit and an evicting insertion,
@@ -316,13 +317,16 @@ func TestNoallocAnnotationConsistency(t *testing.T) {
 		"internal/protocol.fireMissIssue": true,
 		"internal/protocol.deliverMsg":    true,
 		"internal/protocol.fireDirGet":    true,
-		"internal/cache.set":              true,
+		"internal/cache.block":            true,
+		"internal/cache.grow":             true,
 		"internal/cache.find":             true,
 		"internal/cache.toFront":          true,
 		"internal/cache.remove":           true,
 		"internal/cache.Lookup":           true,
+		"internal/cache.lookupMore":       true,
 		"internal/cache.Peek":             true,
 		"internal/cache.Insert":           true,
+		"internal/cache.insertMore":       true,
 		"internal/cache.Invalidate":       true,
 		"internal/snoop.arbJoin":          true,
 		"internal/snoop.snoopArrive":      true,

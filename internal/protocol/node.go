@@ -738,10 +738,16 @@ func (n *Node) finalize(ms *mshr) {
 	// upgrade was in flight: a read proceeds on its first data, and its
 	// later fill can evict the line the next access is upgrading. The home
 	// orders that Put after this transaction and drops the copy, so
-	// installing it would leave a copy the home does not register.
-	_, evicting := n.wb[ms.line]
+	// installing it would leave a copy the home does not register. The
+	// victim left clean (PutS or PutE), but the completed write made its
+	// data dirty, so that data goes home as a writeback, which the home
+	// only accounts.
+	wb, evicting := n.wb[ms.line]
 	switch {
 	case evicting:
+		if ms.kind != predictor.ReadMiss && !wb.state.Dirty() {
+			n.send(&Msg{Kind: MsgWriteback, Dst: n.sys.Cfg.Home(ms.line), Line: ms.line, Requester: n.self})
+		}
 	case ms.kind == predictor.ReadMiss:
 		st := cache.Forward
 		if ms.dataExcl {

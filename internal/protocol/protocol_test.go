@@ -285,6 +285,12 @@ func TestEvictionWritebackAndRefill(t *testing.T) {
 	cfg := testConfig()
 	cfg.L2 = cache.Config{Bytes: 4 * arch.LineSize, Ways: 1} // 4 lines
 	sim, sys := newTestSystem(t, cfg, nil)
+	putM := 0
+	sys.Debug = func(_ event.Time, m Msg) {
+		if m.Kind == MsgPutM {
+			putM++
+		}
+	}
 	// Write lines that collide and force dirty evictions.
 	for i := 0; i < 12; i++ {
 		access(t, sim, sys.Nodes[0], arch.Addr(i*4*arch.LineSize), true)
@@ -292,8 +298,67 @@ func TestEvictionWritebackAndRefill(t *testing.T) {
 	// Re-access the first line (must refetch from memory after writeback).
 	access(t, sim, sys.Nodes[0], 0, false)
 	quiesce(t, sim, sys, false)
-	if sys.Nodes[0].L2().Stats().Writebacks == 0 {
+	if putM == 0 {
 		t.Fatal("expected dirty writebacks")
+	}
+}
+
+// TestUpgradeOnEvictedLineWritesBack drives the race finalize resolves
+// without a fill: node 0 upgrades its shared copy of line a while a read
+// of line b, homed at node 0 itself and so served first, fills the
+// one-line L2 and evicts a as a clean PutS. The upgrade then completes on
+// a line that is gone; its data is dirty, so node 0 must send it home as a
+// writeback, and the NoC must count that packet's data bytes.
+func TestUpgradeOnEvictedLineWritesBack(t *testing.T) {
+	cfg := testConfig()
+	cfg.L1 = cache.Config{Bytes: arch.LineSize, Ways: 1}
+	cfg.L2 = cache.Config{Bytes: arch.LineSize, Ways: 1}
+	cfg.MemLatency = 1
+	const a, b = arch.LineAddr(7), arch.LineAddr(4) // homes 3 and 0
+	sim, sys := newTestSystem(t, cfg, nil)
+	n := sys.Nodes[0]
+	access(t, sim, n, a.Base(), false)
+	access(t, sim, sys.Nodes[3], a.Base(), false)
+	if st := n.L2().Peek(a); st != cache.Shared {
+		t.Fatalf("setup: node 0 holds line a in %v, want S", st)
+	}
+
+	var log []Msg
+	sys.Debug = func(_ event.Time, m Msg) { log = append(log, m) }
+	base := sys.Net.Stats().Bytes
+	wrote, read := false, false
+	n.Access(0x400, a.Base(), true, func() { wrote = true })
+	n.Access(0x404, b.Base(), false, func() { read = true })
+	quiesce(t, sim, sys, false)
+	if !wrote || !read {
+		t.Fatalf("write done %v, read done %v", wrote, read)
+	}
+
+	put, wb := -1, -1
+	var bytes uint64
+	for i, m := range log {
+		bytes += uint64(sys.Net.Flits(m.Kind.Bytes()) * cfg.NoC.FlitBytes)
+		if m.Src != 0 || m.Line != a {
+			continue
+		}
+		switch m.Kind {
+		case MsgPutS:
+			put = i
+		case MsgWriteback:
+			wb = i
+		}
+	}
+	if put < 0 || wb < put {
+		t.Fatalf("node 0 sent PutS at message %d and a writeback at %d for line a; want the PutS, then the writeback", put, wb)
+	}
+	if got := sys.Net.Stats().Bytes - base; got != bytes {
+		t.Fatalf("NoC counted %d B, the delivered messages carry %d B", got, bytes)
+	}
+	if k := log[wb].Kind.Bytes(); k != DataBytes {
+		t.Fatalf("writeback carries %d B, want %d", k, DataBytes)
+	}
+	if st := n.L2().Peek(a); st != cache.Invalid {
+		t.Fatalf("node 0 holds line a in %v after the race, want I", st)
 	}
 }
 

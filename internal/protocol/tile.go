@@ -50,8 +50,8 @@ func (t *Tile) HitStats() TileStats { return t.hits }
 // plus the L2 tag+data time for an L2 hit. A read looks up the L1, then
 // the L2; an L2 read hit refills the L1. A write (the L1 is write-through)
 // hits only on an L2 line in M or E, which it takes to M silently; it
-// classifies with a silent Peek so that a write miss leaves recency and
-// cache statistics untouched. A miss returns ok=false and is not counted:
+// classifies with a silent Peek so that a write miss leaves recency
+// untouched. A miss returns ok=false and is not counted:
 // detailed Access then classifies it (ClassifyMiss), and the fast-mode
 // core re-issues it through Access.
 func (t *Tile) AccessFast(_ uint64, addr arch.Addr, write bool) (lat event.Time, ok bool) {
@@ -80,7 +80,7 @@ func (t *Tile) AccessFast(_ uint64, addr arch.Addr, write bool) (lat event.Time,
 
 // ClassifyMiss counts an access AccessFast missed and returns its miss
 // kind. A write looks the line up in the L2 once, so an upgrade from S or
-// F touches recency and cache statistics like any other L2 hit.
+// F touches recency like any other L2 hit.
 func (t *Tile) ClassifyMiss(line arch.LineAddr, write bool) predictor.MissKind {
 	t.hits.Accesses++
 	switch {

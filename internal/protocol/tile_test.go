@@ -113,11 +113,10 @@ func (r *tileRig) setup(t *testing.T, l1, l2 cache.State) {
 	r.misses = nil
 }
 
-// tileView is node 0's state as the hit path leaves it: lineX's states,
-// both arrays' statistics and the tile's hit counters.
+// tileView is node 0's state as the hit path leaves it: lineX's states
+// and the tile's hit counters.
 type tileView struct {
 	l1, l2     cache.State
-	l1s, l2s   cache.Stats
 	hits       protocol.TileStats
 	victimOfZ  arch.LineAddr // set by probeRecency
 	zDisplaced bool
@@ -125,8 +124,7 @@ type tileView struct {
 
 func (r *tileRig) view() tileView {
 	n := r.nodes[0]
-	return tileView{l1: n.L1().Peek(lineX), l2: n.L2().Peek(lineX),
-		l1s: n.L1().Stats(), l2s: n.L2().Stats(), hits: n.HitStats()}
+	return tileView{l1: n.L1().Peek(lineX), l2: n.L2().Peek(lineX), hits: n.HitStats()}
 }
 
 // probeRecency inserts lineZ into the L2 set of lineX and lineY and
@@ -139,8 +137,6 @@ func (r *tileRig) probeRecency(v *tileView) {
 // minus returns the counter deltas from base to v.
 func (v tileView) minus(base tileView) tileView {
 	d := v
-	d.l1s = cache.Stats{Hits: v.l1s.Hits - base.l1s.Hits, Misses: v.l1s.Misses - base.l1s.Misses}
-	d.l2s = cache.Stats{Hits: v.l2s.Hits - base.l2s.Hits, Misses: v.l2s.Misses - base.l2s.Misses}
 	d.hits = protocol.TileStats{Accesses: v.hits.Accesses - base.hits.Accesses,
 		L1Hits: v.hits.L1Hits - base.hits.L1Hits, L2Hits: v.hits.L2Hits - base.hits.L2Hits}
 	return d
@@ -149,13 +145,11 @@ func (v tileView) minus(base tileView) tileView {
 // TestTileHitPath drives one access through every L1 state × L2 state ×
 // read/write under both protocols and checks the hit latency or miss kind,
 // lineX's resulting states, whether the access made lineX the L2's most
-// recently used line, the cache statistics and the tile's hit counters,
-// all as the access leaves them before the event queue runs. It then
-// replays each access in fast mode: a hit through AccessFast alone, and a
-// miss as the fast core issues it, a missing AccessFast followed by
-// Access, which must leave the states, recency, cache hits and hit
-// counters of one detailed Access. A missing read probe's two lookups add
-// one miss each to the L1 and L2 statistics, and nothing else.
+// recently used line and the tile's hit counters, all as the access
+// leaves them before the event queue runs. It then replays each access in
+// fast mode: a hit through AccessFast alone, and a miss as the fast core
+// issues it, a missing AccessFast followed by Access, which must leave the
+// states, recency and hit counters of one detailed Access.
 func TestTileHitPath(t *testing.T) {
 	const (
 		l1Lat = event.Time(2)
@@ -181,36 +175,34 @@ func TestTileHitPath(t *testing.T) {
 		kind    predictor.MissKind // miss kind, for a miss
 		l1After cache.State
 		l2After cache.State
-		touched bool // the access made lineX the L2's MRU line
-
-		l1s, l2s cache.Stats        // Hits and Misses deltas
-		hits     protocol.TileStats // L1Hits and L2Hits deltas
+		touched bool               // the access made lineX the L2's MRU line
+		hits    protocol.TileStats // L1Hits and L2Hits deltas
 	}{
 		// Reads: an L1 hit touches nothing in the L2; an L2 hit refills
-		// the L1; a miss has looked up both arrays.
-		{I, I, false, 0, read, I, I, false, cache.Stats{Misses: 1}, cache.Stats{Misses: 1}, protocol.TileStats{}},
-		{I, S, false, l2Lat, 0, S, S, true, cache.Stats{Misses: 1}, cache.Stats{Hits: 1}, protocol.TileStats{L2Hits: 1}},
-		{I, E, false, l2Lat, 0, S, E, true, cache.Stats{Misses: 1}, cache.Stats{Hits: 1}, protocol.TileStats{L2Hits: 1}},
-		{I, M, false, l2Lat, 0, S, M, true, cache.Stats{Misses: 1}, cache.Stats{Hits: 1}, protocol.TileStats{L2Hits: 1}},
-		{I, F, false, l2Lat, 0, S, F, true, cache.Stats{Misses: 1}, cache.Stats{Hits: 1}, protocol.TileStats{L2Hits: 1}},
-		{S, I, false, l1Lat, 0, S, I, false, cache.Stats{Hits: 1}, cache.Stats{}, protocol.TileStats{L1Hits: 1}},
-		{S, S, false, l1Lat, 0, S, S, false, cache.Stats{Hits: 1}, cache.Stats{}, protocol.TileStats{L1Hits: 1}},
-		{S, E, false, l1Lat, 0, S, E, false, cache.Stats{Hits: 1}, cache.Stats{}, protocol.TileStats{L1Hits: 1}},
-		{S, M, false, l1Lat, 0, S, M, false, cache.Stats{Hits: 1}, cache.Stats{}, protocol.TileStats{L1Hits: 1}},
-		{S, F, false, l1Lat, 0, S, F, false, cache.Stats{Hits: 1}, cache.Stats{}, protocol.TileStats{L1Hits: 1}},
+		// the L1.
+		{I, I, false, 0, read, I, I, false, protocol.TileStats{}},
+		{I, S, false, l2Lat, 0, S, S, true, protocol.TileStats{L2Hits: 1}},
+		{I, E, false, l2Lat, 0, S, E, true, protocol.TileStats{L2Hits: 1}},
+		{I, M, false, l2Lat, 0, S, M, true, protocol.TileStats{L2Hits: 1}},
+		{I, F, false, l2Lat, 0, S, F, true, protocol.TileStats{L2Hits: 1}},
+		{S, I, false, l1Lat, 0, S, I, false, protocol.TileStats{L1Hits: 1}},
+		{S, S, false, l1Lat, 0, S, S, false, protocol.TileStats{L1Hits: 1}},
+		{S, E, false, l1Lat, 0, S, E, false, protocol.TileStats{L1Hits: 1}},
+		{S, M, false, l1Lat, 0, S, M, false, protocol.TileStats{L1Hits: 1}},
+		{S, F, false, l1Lat, 0, S, F, false, protocol.TileStats{L1Hits: 1}},
 		// Writes go to the L2 (the L1 is write-through): M and E hit and
 		// end in M with the L1 refilled; S and F are upgrade misses whose
-		// one lookup touches the line; a miss looks the L2 up once.
-		{I, I, true, 0, write, I, I, false, cache.Stats{}, cache.Stats{Misses: 1}, protocol.TileStats{}},
-		{I, S, true, 0, upg, I, S, true, cache.Stats{}, cache.Stats{Hits: 1}, protocol.TileStats{}},
-		{I, E, true, l2Lat, 0, S, M, true, cache.Stats{}, cache.Stats{Hits: 1}, protocol.TileStats{L2Hits: 1}},
-		{I, M, true, l2Lat, 0, S, M, true, cache.Stats{}, cache.Stats{Hits: 1}, protocol.TileStats{L2Hits: 1}},
-		{I, F, true, 0, upg, I, F, true, cache.Stats{}, cache.Stats{Hits: 1}, protocol.TileStats{}},
-		{S, I, true, 0, write, S, I, false, cache.Stats{}, cache.Stats{Misses: 1}, protocol.TileStats{}},
-		{S, S, true, 0, upg, S, S, true, cache.Stats{}, cache.Stats{Hits: 1}, protocol.TileStats{}},
-		{S, E, true, l2Lat, 0, S, M, true, cache.Stats{}, cache.Stats{Hits: 1}, protocol.TileStats{L2Hits: 1}},
-		{S, M, true, l2Lat, 0, S, M, true, cache.Stats{}, cache.Stats{Hits: 1}, protocol.TileStats{L2Hits: 1}},
-		{S, F, true, 0, upg, S, F, true, cache.Stats{}, cache.Stats{Hits: 1}, protocol.TileStats{}},
+		// one lookup touches the line.
+		{I, I, true, 0, write, I, I, false, protocol.TileStats{}},
+		{I, S, true, 0, upg, I, S, true, protocol.TileStats{}},
+		{I, E, true, l2Lat, 0, S, M, true, protocol.TileStats{L2Hits: 1}},
+		{I, M, true, l2Lat, 0, S, M, true, protocol.TileStats{L2Hits: 1}},
+		{I, F, true, 0, upg, I, F, true, protocol.TileStats{}},
+		{S, I, true, 0, write, S, I, false, protocol.TileStats{}},
+		{S, S, true, 0, upg, S, S, true, protocol.TileStats{}},
+		{S, E, true, l2Lat, 0, S, M, true, protocol.TileStats{L2Hits: 1}},
+		{S, M, true, l2Lat, 0, S, M, true, protocol.TileStats{L2Hits: 1}},
+		{S, F, true, 0, upg, S, F, true, protocol.TileStats{}},
 	}
 	for _, proto := range []string{"dir", "bcast"} {
 		for _, c := range cases {
@@ -220,15 +212,12 @@ func TestTileHitPath(t *testing.T) {
 			}
 			t.Run(fmt.Sprintf("%s/L1=%v/L2=%v/%s", proto, c.l1, c.l2, op), func(t *testing.T) {
 				hit := c.lat != 0
-				want := tileView{l1: c.l1After, l2: c.l2After, l1s: c.l1s, l2s: c.l2s,
+				want := tileView{l1: c.l1After, l2: c.l2After,
 					hits: protocol.TileStats{Accesses: 1, L1Hits: c.hits.L1Hits, L2Hits: c.hits.L2Hits}}
 				check := func(mode string, got tileView) {
 					t.Helper()
 					if got.l1 != want.l1 || got.l2 != want.l2 {
 						t.Errorf("%s: line x in L1 %v, L2 %v; want L1 %v, L2 %v", mode, got.l1, got.l2, want.l1, want.l2)
-					}
-					if got.l1s != want.l1s || got.l2s != want.l2s {
-						t.Errorf("%s: cache stats L1 %+v, L2 %+v; want L1 %+v, L2 %+v", mode, got.l1s, got.l2s, want.l1s, want.l2s)
 					}
 					if got.hits != want.hits {
 						t.Errorf("%s: hit counters %+v, want %+v", mode, got.hits, want.hits)
@@ -287,10 +276,6 @@ func TestTileHitPath(t *testing.T) {
 				}
 				if !ok {
 					r.nodes[0].Access(0x400, lineX.Base(), c.write, func() {})
-					if !c.write {
-						want.l1s.Misses++
-						want.l2s.Misses++
-					}
 				}
 				v = r.view().minus(base)
 				check("fast", v)

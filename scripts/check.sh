@@ -45,6 +45,10 @@
 #                 collector-overhead benchmark (its record goes to a
 #                 temporary directory; commit results/BENCH_metrics.json
 #                 on purpose)
+#   full paper    spbench -parallel -jobs 2, every table and figure at
+#                 full scale, must be byte-identical to the frozen
+#                 results/spbench_full.txt once the "note: generated in"
+#                 timing lines are dropped from both (about 20 s)
 #   bench smoke   every testing.B benchmark compiled and run once
 #                 (-benchtime=1x) so benchmark code cannot rot
 #   perfbench     one short sweep-fast-server run: the in-process sweep
@@ -192,6 +196,17 @@ cmp "$sweepdir/series1.json" "$sweepdir/series2.json" || {
 }
 "$sweepdir/spstat" -bench -bench-scale 0.05 -bench-out "$sweepdir/BENCH_metrics.json" || {
     echo "spstat: overhead benchmark failed" >&2
+    exit 1
+}
+
+echo "== full paper (spbench at full scale against results/spbench_full.txt)"
+go build -o "$sweepdir/spbench" ./cmd/spbench
+"$sweepdir/spbench" -parallel -jobs 2 > "$sweepdir/full.txt"
+grep -v '^note: generated in ' "$sweepdir/full.txt" > "$sweepdir/full-got.txt"
+grep -v '^note: generated in ' results/spbench_full.txt > "$sweepdir/full-want.txt"
+cmp "$sweepdir/full-got.txt" "$sweepdir/full-want.txt" || {
+    echo "spbench: full-scale output differs from results/spbench_full.txt:" >&2
+    diff "$sweepdir/full-want.txt" "$sweepdir/full-got.txt" | head -n 40 >&2
     exit 1
 }
 
