@@ -27,7 +27,7 @@ func refCheckCoherence(s *System) (hard, soft []string) {
 				hardV = append(hardV, dirViol{l, id,
 					fmt.Sprintf("line %#x: dir U but node %d has %v", uint64(l), id, st)})
 			case e.state == dirE:
-				if id != e.owner {
+				if id != e.owner.id() {
 					hardV = append(hardV, dirViol{l, id,
 						fmt.Sprintf("line %#x: dir E (owner %d) but node %d has %v", uint64(l), e.owner, id, st)})
 				} else if st == cache.Shared {
@@ -46,12 +46,10 @@ func refCheckCoherence(s *System) (hard, soft []string) {
 		})
 	}
 	for _, d := range s.Dirs {
-		for _, slot := range d.table {
-			l, e := slot.line, slot.e
-			if e == nil {
-				continue
-			}
-			if e.busy || len(e.queue) > 0 {
+		for x := uint32(1); x <= uint32(d.used); x++ {
+			e := d.entry(x)
+			l := e.line
+			if e.busy || e.queued {
 				hardV = append(hardV, dirViol{l, arch.None,
 					fmt.Sprintf("line %#x: busy or queued at quiescence", uint64(l))})
 				continue
@@ -59,7 +57,7 @@ func refCheckCoherence(s *System) (hard, soft []string) {
 			switch e.state {
 			case dirE:
 				if !s.Nodes[e.owner].l2.Peek(l).Valid() {
-					softV = append(softV, dirViol{l, e.owner,
+					softV = append(softV, dirViol{l, e.owner.id(),
 						fmt.Sprintf("line %#x: dir E owner %d has no copy", uint64(l), e.owner)})
 				}
 			case dirS:
@@ -86,10 +84,10 @@ func plantedLine(home arch.NodeID, k int) arch.LineAddr {
 // as the owner (E) or the sharers (S).
 func plantDir(sys *System, d arch.NodeID, l arch.LineAddr, st dirState, holders ...arch.NodeID) *dirLine {
 	e := sys.Dirs[d].line(l)
-	e.state, e.owner, e.sharers, e.fwd = st, arch.None, arch.EmptySet, arch.None
+	e.state, e.owner, e.sharers, e.fwd = st, noNode, arch.EmptySet, noNode
 	switch st {
 	case dirE:
-		e.owner = holders[0]
+		e.owner = dirNode(holders[0])
 	case dirS:
 		e.sharers = arch.SetOf(holders...)
 	case dirU:
@@ -183,14 +181,14 @@ func TestAuditPlantedViolations(t *testing.T) {
 		{"queued line with a sharer in M", func(sys *System) {
 			l := plantedLine(3, 9)
 			e := plantDir(sys, 3, l, dirS, 1, 2)
-			e.queue = append(e.queue, Msg{Kind: MsgGetS, Src: 0, Dst: 3, Line: l, Requester: 0})
+			sys.Dirs[3].wait(e, &Msg{Kind: MsgGetS, Src: 0, Dst: 3, Line: l, Requester: 0})
 			plantCopy(sys, 1, l, cache.Shared)
 			plantCopy(sys, 2, l, cache.Modified)
 		}, want{hard: []string{"busy or queued", "dir S sharer 2 has M"}}},
 		{"queued line with a stray holder", func(sys *System) {
 			l := plantedLine(3, 10)
 			e := plantDir(sys, 3, l, dirU)
-			e.queue = append(e.queue, Msg{Kind: MsgGetM, Src: 1, Dst: 3, Line: l, Requester: 1})
+			sys.Dirs[3].wait(e, &Msg{Kind: MsgGetM, Src: 1, Dst: 3, Line: l, Requester: 1})
 			plantCopy(sys, 0, l, cache.Modified)
 		}, want{hard: []string{"busy or queued", "dir U but node 0 has M"}}},
 		{"E owner with no copy", func(sys *System) {

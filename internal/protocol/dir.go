@@ -29,19 +29,31 @@ func (s dirState) String() string {
 	}
 }
 
-// dirLine is the full-map directory entry for one cache line.
+// dirNode is a NodeID narrowed to 16 bits for the directory entry:
+// arch.MaxNodes is 256, and None (-1) stays -1.
+type dirNode int16
+
+const noNode = dirNode(arch.None)
+
+func (n dirNode) id() arch.NodeID { return arch.NodeID(n) }
+
+// dirLine is the full-map directory entry for one cache line: 56 bytes and
+// no pointers, so neither the chunks that hold entries nor the table that
+// indexes them is scanned by the garbage collector.
 type dirLine struct {
-	state   dirState
-	owner   arch.NodeID    // valid in dirE
 	sharers arch.SharerSet // valid in dirS
-	fwd     arch.NodeID    // F-state holder within sharers; None = memory supplies
-	busy    bool           // a Get transaction is in flight
-	queue   []Msg          // requests waiting for the line to go idle
+	line    arch.LineAddr  // the line this entry describes
+	owner   dirNode        // valid in dirE
+	fwd     dirNode        // F-state holder within sharers; None = memory supplies
 
 	// pendingSupplier is, during a busy transaction whose data plan relies
 	// on a predicted forwarder, the node expected to supply; a GetRetry is
 	// repaired by a directory-issued forward to it.
-	pendingSupplier arch.NodeID
+	pendingSupplier dirNode
+
+	state  dirState
+	busy   bool // a Get transaction is in flight
+	queued bool // requests wait in DirSlice.waiting for the line to go idle
 }
 
 // DirSlice is one tile's directory slice. Lines are materialized lazily:
@@ -50,39 +62,41 @@ type DirSlice struct {
 	sys  *System
 	self arch.NodeID
 
-	// table holds the materialized lines: an open-addressed hash table
-	// with linear probing, a power-of-two number of slots kept at most
-	// half full, indexed by a multiplicative hash of the line address (a
+	// table indexes the materialized lines: an open-addressed hash table
+	// with linear probing, a power-of-two number of slots kept at most 3/4
+	// full, indexed by a multiplicative hash of the line address (a
 	// slice's lines share their low Home bits, so the hash must take the
-	// high bits of the product). An empty slot has e == nil. Entries are
-	// never removed, so a probe ends at the line or at the first empty
+	// high bits of the product). A slot holds the 1-based index of its
+	// entry, 0 when empty; a probe compares the entry's own line. Entries
+	// are never removed, so a probe ends at the line or at the first empty
 	// slot.
-	table []dirSlot
-	used  int  // occupied slots
+	table []uint32
+	used  int  // materialized lines: entries 1..used
 	shift uint // 64 - log2(len(table))
 
-	// slab is the chunk new lines are carved from: entries are taken from
-	// its spare capacity and a full chunk is replaced, never grown, so the
-	// pointers in table stay valid when it grows. Chunks double up to
-	// dirSlabMax, so a slice that touches a handful of lines pays for a
-	// handful.
-	slab []dirLine
-}
+	// chunks hold the entries, dirChunk to a chunk: entry x (1-based)
+	// is chunks[(x-1)/dirChunk][(x-1)%dirChunk]. A full chunk is followed
+	// by a new one, never grown, so an entry never moves and a *dirLine
+	// held across DirLatency (dirGet) stays valid.
+	chunks []*[dirChunk]dirLine
 
-// dirSlot is one slot of DirSlice.table.
-type dirSlot struct {
-	line arch.LineAddr
-	e    *dirLine
+	// waiting holds, for each line with queued set, the requests that
+	// met it busy, in arrival order. It is touched only when a request
+	// meets a busy line and when such a line goes idle.
+	waiting map[arch.LineAddr][]Msg
 }
 
 const (
-	dirTableMin = 16 // initial slots: 8 lines before the first growth
-	dirSlabMin  = 4
-	dirSlabMax  = 256
+	dirTableMin = 256 // initial slots, 1 KB: 192 lines before the first growth
+	// dirChunk entries are 2688 bytes, one of the Go allocator's size
+	// classes, so a chunk carries no rounding waste (64 entries would be
+	// rounded from 3584 up to 4096 bytes).
+	dirChunk     = 48
+	dirChunksMin = 16 // chunk pointers before the first regrowth: 768 lines
 )
 
 func newDirSlice(sys *System, self arch.NodeID) *DirSlice {
-	d := &DirSlice{sys: sys, self: self}
+	d := &DirSlice{sys: sys, self: self, chunks: make([]*[dirChunk]dirLine, 0, dirChunksMin)}
 	d.resize(dirTableMin)
 	return d
 }
@@ -95,6 +109,14 @@ func (d *DirSlice) slot(l arch.LineAddr) int {
 	return int(uint64(l) * 0x9E3779B97F4A7C15 >> d.shift)
 }
 
+// entry returns the entry with 1-based index x.
+//
+//spcoh:noalloc
+func (d *DirSlice) entry(x uint32) *dirLine {
+	x--
+	return &d.chunks[x/dirChunk][x%dirChunk]
+}
+
 // find returns the slot where l's probe ends: l's own slot, or the empty
 // slot where l would go.
 //
@@ -102,61 +124,57 @@ func (d *DirSlice) slot(l arch.LineAddr) int {
 func (d *DirSlice) find(l arch.LineAddr) int {
 	mask := len(d.table) - 1
 	i := d.slot(l)
-	for d.table[i].e != nil && d.table[i].line != l {
+	for x := d.table[i]; x != 0 && d.entry(x).line != l; x = d.table[i] {
 		i = (i + 1) & mask
 	}
 	return i
 }
 
 // line returns l's entry, materializing an idle (dirU) one on first use.
+// The allocating cold path, insert, is not inlined here, so the noalloc
+// check needs no allow for it.
 //
 //spcoh:noalloc
 func (d *DirSlice) line(l arch.LineAddr) *dirLine {
 	i := d.find(l)
-	if e := d.table[i].e; e != nil {
-		return e
+	if x := d.table[i]; x != 0 {
+		return d.entry(x)
 	}
 	return d.insert(l, i)
 }
 
 // lookup returns l's entry, or nil when l was never materialized.
-func (d *DirSlice) lookup(l arch.LineAddr) *dirLine { return d.table[d.find(l)].e }
+func (d *DirSlice) lookup(l arch.LineAddr) *dirLine {
+	if x := d.table[d.find(l)]; x != 0 {
+		return d.entry(x)
+	}
+	return nil
+}
 
 // insert materializes l in empty slot i (the end of l's probe), first
-// doubling the table if one more line would fill it past half.
+// doubling the table if one more line would fill it past 3/4.
 func (d *DirSlice) insert(l arch.LineAddr, i int) *dirLine {
-	if 2*(d.used+1) > len(d.table) {
+	if 4*(d.used+1) > 3*len(d.table) {
 		d.resize(2 * len(d.table))
 		i = d.find(l)
 	}
-	e := d.newLine()
-	d.table[i] = dirSlot{l, e}
+	if d.used%dirChunk == 0 {
+		d.chunks = append(d.chunks, new([dirChunk]dirLine))
+	}
 	d.used++
+	d.table[i] = uint32(d.used)
+	e := d.entry(uint32(d.used))
+	*e = dirLine{line: l, owner: noNode, fwd: noNode, pendingSupplier: noNode}
 	return e
 }
 
 // resize rehashes every line into a table of n slots (a power of two).
 func (d *DirSlice) resize(n int) {
-	old := d.table
-	d.table = make([]dirSlot, n)
+	d.table = make([]uint32, n)
 	d.shift = uint(64 - bits.TrailingZeros(uint(n)))
-	for _, s := range old {
-		if s.e != nil {
-			d.table[d.find(s.line)] = s
-		}
+	for x := uint32(1); x <= uint32(d.used); x++ {
+		d.table[d.find(d.entry(x).line)] = x
 	}
-}
-
-// newLine carves an idle (dirU) entry from the slab.
-func (d *DirSlice) newLine() *dirLine {
-	if len(d.slab) == cap(d.slab) {
-		n := min(max(2*cap(d.slab), dirSlabMin), dirSlabMax)
-		d.slab = make([]dirLine, 0, n)
-	}
-	d.slab = d.slab[:len(d.slab)+1]
-	e := &d.slab[len(d.slab)-1]
-	e.state, e.owner, e.fwd, e.pendingSupplier = dirU, arch.None, arch.None, arch.None
-	return e
 }
 
 // handle processes a directory-bound message.
@@ -165,34 +183,36 @@ func (d *DirSlice) handle(m *Msg) {
 	case MsgGetS, MsgGetM:
 		e := d.line(m.Line)
 		if e.busy {
-			e.queue = append(e.queue, *m)
+			d.wait(e, m)
 			return
 		}
 		d.startGet(e, m)
 	case MsgPutS, MsgPutE, MsgPutM:
 		e := d.line(m.Line)
 		if e.busy {
-			e.queue = append(e.queue, *m)
+			d.wait(e, m)
 			return
 		}
 		d.handlePut(e, m)
 	case MsgUnblock:
 		e := d.line(m.Line)
 		e.busy = false
-		e.pendingSupplier = arch.None
-		d.drain(e, m.Line)
+		e.pendingSupplier = noNode
+		if e.queued {
+			d.drain(e, m.Line)
+		}
 	case MsgGetRetry:
 		// The requester's transaction already holds the line busy and the
 		// state transition is done; replay the data delivery through the
 		// registered supplier (which also repairs its downgrade or
 		// invalidation), or from memory if none is registered.
 		e := d.line(m.Line)
-		if e.pendingSupplier != arch.None && e.pendingSupplier != m.Requester {
+		if sup := e.pendingSupplier.id(); sup != arch.None && sup != m.Requester {
 			kind := MsgFwdGetS
 			if m.MissKind != predictor.ReadMiss {
 				kind = MsgFwdGetM
 			}
-			d.reply(&Msg{Kind: kind, Dst: e.pendingSupplier, Line: m.Line,
+			d.reply(&Msg{Kind: kind, Dst: sup, Line: m.Line,
 				Requester: m.Requester, MissKind: m.MissKind})
 		} else {
 			d.memData(m, false, 0)
@@ -205,18 +225,37 @@ func (d *DirSlice) handle(m *Msg) {
 	}
 }
 
-// drain processes queued requests until one marks the line busy again.
+// wait queues m behind the transaction that holds its line busy.
+func (d *DirSlice) wait(e *dirLine, m *Msg) {
+	if d.waiting == nil {
+		d.waiting = make(map[arch.LineAddr][]Msg)
+	}
+	d.waiting[m.Line] = append(d.waiting[m.Line], *m)
+	e.queued = true
+}
+
+// drain processes l's queued requests in arrival order until one marks the
+// line busy again. Nothing it sends is delivered before it returns (every
+// message crosses the event queue), so no request joins the queue while it
+// runs.
 func (d *DirSlice) drain(e *dirLine, l arch.LineAddr) {
-	for len(e.queue) > 0 && !e.busy {
-		m := e.queue[0]
-		e.queue = e.queue[1:]
+	q := d.waiting[l]
+	for len(q) > 0 && !e.busy {
+		m := &q[0]
+		q = q[1:]
 		switch m.Kind {
 		case MsgGetS, MsgGetM:
-			d.startGet(e, &m)
+			d.startGet(e, m)
 		default:
-			d.handlePut(e, &m)
+			d.handlePut(e, m)
 		}
 	}
+	if len(q) > 0 {
+		d.waiting[l] = q
+		return
+	}
+	delete(d.waiting, l)
+	e.queued = false
 }
 
 // dirGet is the pooled binding of a directory access in flight (startGet's
@@ -321,9 +360,9 @@ func (d *DirSlice) processGetS(e *dirLine, m *Msg) {
 	var supplier arch.NodeID = arch.None
 	switch e.state {
 	case dirE:
-		supplier = e.owner
+		supplier = e.owner.id()
 	case dirS:
-		supplier = e.fwd
+		supplier = e.fwd.id()
 	case dirU:
 		// Unowned: no on-chip holder exists, memory supplies the line.
 	}
@@ -333,7 +372,7 @@ func (d *DirSlice) processGetS(e *dirLine, m *Msg) {
 	// Directory verdict to the requester (always sent: carries the
 	// prediction result and completes the transaction handshake).
 	if sufficient {
-		e.pendingSupplier = supplier
+		e.pendingSupplier = dirNode(supplier)
 	}
 	d.reply(&Msg{
 		Kind: MsgDirResp, Dst: req, Line: m.Line, Requester: req,
@@ -352,24 +391,24 @@ func (d *DirSlice) processGetS(e *dirLine, m *Msg) {
 			// Stays exclusive at req.
 		} else {
 			e.sharers = e.sharers.Add(req)
-			e.fwd = req
+			e.fwd = dirNode(req)
 		}
 	case e.state == dirU:
 		// Non-communicating miss: memory supplies an Exclusive copy.
 		e.state = dirE
-		e.owner = req
+		e.owner = dirNode(req)
 		e.sharers = arch.EmptySet
-		e.fwd = arch.None
+		e.fwd = noNode
 		d.memData(m, true, 0)
 	case e.state == dirE:
-		prevOwner := e.owner
+		prevOwner := e.owner.id()
 		if !sufficient {
 			d.reply(&Msg{Kind: MsgFwdGetS, Dst: prevOwner, Line: m.Line, Requester: req, MissKind: m.MissKind})
 		}
 		e.state = dirS
-		e.owner = arch.None
+		e.owner = noNode
 		e.sharers = arch.SetOf(prevOwner, req)
-		e.fwd = req
+		e.fwd = dirNode(req)
 	default: // dirS
 		if supplier == arch.None {
 			// No forwardable copy on chip: memory supplies; the new
@@ -379,7 +418,7 @@ func (d *DirSlice) processGetS(e *dirLine, m *Msg) {
 			d.reply(&Msg{Kind: MsgFwdGetS, Dst: supplier, Line: m.Line, Requester: req, MissKind: m.MissKind})
 		}
 		e.sharers = e.sharers.Add(req)
-		e.fwd = req
+		e.fwd = dirNode(req)
 	}
 }
 
@@ -389,19 +428,19 @@ func (d *DirSlice) processGetM(e *dirLine, m *Msg) {
 	switch e.state {
 	case dirU:
 		e.state = dirE
-		e.owner = req
+		e.owner = dirNode(req)
 		e.sharers = arch.EmptySet
-		e.fwd = arch.None
+		e.fwd = noNode
 		d.reply(&Msg{Kind: MsgDirResp, Dst: req, Line: m.Line, Requester: req,
 			Excl: false, NeedData: true, AckCount: 0, MissKind: m.MissKind, HadLine: false})
 		d.memData(m, true, 0)
 
 	case dirE:
-		prevOwner := e.owner
+		prevOwner := e.owner.id()
 		if prevOwner == req {
 			// Writeback race: requester is still registered owner.
 			e.state = dirE
-			e.owner = req
+			e.owner = dirNode(req)
 			d.reply(&Msg{Kind: MsgDirResp, Dst: req, Line: m.Line, Requester: req,
 				Excl: true, NeedData: false, AckCount: 0, MissKind: m.MissKind, HadLine: true})
 			d.reply(&Msg{Kind: MsgData, Dst: req, Line: m.Line, Requester: req,
@@ -412,9 +451,9 @@ func (d *DirSlice) processGetM(e *dirLine, m *Msg) {
 		if !sufficient {
 			d.reply(&Msg{Kind: MsgFwdGetM, Dst: prevOwner, Line: m.Line, Requester: req, MissKind: m.MissKind})
 		}
-		e.owner = req
+		e.owner = dirNode(req)
 		if sufficient {
-			e.pendingSupplier = prevOwner
+			e.pendingSupplier = dirNode(prevOwner)
 		}
 		d.reply(&Msg{Kind: MsgDirResp, Dst: req, Line: m.Line, Requester: req,
 			Excl: sufficient, NeedData: true, AckCount: 0, MissKind: m.MissKind,
@@ -423,7 +462,7 @@ func (d *DirSlice) processGetM(e *dirLine, m *Msg) {
 	default: // dirS
 		toInval := e.sharers.Remove(req)
 		hadLine := e.sharers.Contains(req)
-		fwd := e.fwd
+		fwd := e.fwd.id()
 		communicating := !toInval.Empty()
 		sufficient := communicating && m.Pred.Superset(toInval)
 
@@ -448,7 +487,7 @@ func (d *DirSlice) processGetM(e *dirLine, m *Msg) {
 
 		predSupply := dataFromFwd && m.Pred.Contains(fwd)
 		if predSupply {
-			e.pendingSupplier = fwd
+			e.pendingSupplier = dirNode(fwd)
 		}
 		d.reply(&Msg{Kind: MsgDirResp, Dst: req, Line: m.Line, Requester: req,
 			Excl: sufficient, NeedData: !hadLine, AckCount: acks, MissKind: m.MissKind,
@@ -459,9 +498,9 @@ func (d *DirSlice) processGetM(e *dirLine, m *Msg) {
 			d.memData(m, false, 0)
 		}
 		e.state = dirE
-		e.owner = req
+		e.owner = dirNode(req)
 		e.sharers = arch.EmptySet
-		e.fwd = arch.None
+		e.fwd = noNode
 	}
 }
 
@@ -471,17 +510,17 @@ func (d *DirSlice) processGetM(e *dirLine, m *Msg) {
 func (d *DirSlice) handlePut(e *dirLine, m *Msg) {
 	q := m.Src
 	switch {
-	case e.state == dirE && e.owner == q:
+	case e.state == dirE && e.owner.id() == q:
 		e.state = dirU
-		e.owner = arch.None
+		e.owner = noNode
 	case e.state == dirS && e.sharers.Contains(q):
 		e.sharers = e.sharers.Remove(q)
-		if e.fwd == q {
-			e.fwd = arch.None
+		if e.fwd.id() == q {
+			e.fwd = noNode
 		}
 		if e.sharers.Empty() {
 			e.state = dirU
-			e.fwd = arch.None
+			e.fwd = noNode
 		}
 	}
 	d.reply(&Msg{Kind: MsgPutAck, Dst: q, Line: m.Line, Requester: q})
@@ -505,12 +544,10 @@ func (d *DirSlice) handlePut(e *dirLine, m *Msg) {
 // Copies the directory does not register are found by
 // System.CheckCoherence from the count.
 func (d *DirSlice) checkDirSide(a *audit) {
-	for _, s := range d.table {
-		l, e := s.line, s.e
-		if e == nil {
-			continue
-		}
-		idle := !e.busy && len(e.queue) == 0
+	for x := uint32(1); x <= uint32(d.used); x++ {
+		e := d.entry(x)
+		l := e.line
+		idle := !e.busy && !e.queued
 		if !idle {
 			a.hard = append(a.hard, dirViol{l, arch.None,
 				fmt.Sprintf("line %#x: busy or queued at quiescence", uint64(l))})
@@ -518,18 +555,19 @@ func (d *DirSlice) checkDirSide(a *audit) {
 		home := d.sys.Cfg.Home(l) == d.self
 		switch e.state {
 		case dirE:
-			st := d.sys.Nodes[e.owner].l2.Peek(l)
+			owner := e.owner.id()
+			st := d.sys.Nodes[owner].l2.Peek(l)
 			switch {
 			case !st.Valid():
 				if idle {
-					a.soft = append(a.soft, dirViol{l, e.owner,
-						fmt.Sprintf("line %#x: dir E owner %d has no copy", uint64(l), e.owner)})
+					a.soft = append(a.soft, dirViol{l, owner,
+						fmt.Sprintf("line %#x: dir E owner %d has no copy", uint64(l), owner)})
 				}
 			case home:
 				a.registered++
 				if st == cache.Shared {
-					a.hard = append(a.hard, dirViol{l, e.owner,
-						fmt.Sprintf("line %#x: dir E owner %d has %v", uint64(l), e.owner, st)})
+					a.hard = append(a.hard, dirViol{l, owner,
+						fmt.Sprintf("line %#x: dir E owner %d has %v", uint64(l), owner, st)})
 				}
 			}
 		case dirS:

@@ -178,14 +178,34 @@ type mshr struct {
 	cpuDone   func()
 	cpuCalled bool
 	cpuLat    event.Time // CPU-visible latency, set when cpuDone fires
-	waiters   []func()   // same-line accesses arriving while outstanding
+	waiters   []waiter   // same-line accesses arriving while outstanding
+}
+
+// waiter is an access that met its line's outstanding miss or in-flight
+// eviction; it is replayed through Access, in arrival order, once that
+// resolves.
+type waiter struct {
+	pc    uint64
+	line  arch.LineAddr
+	write bool
+	done  func()
+}
+
+// replay retries the parked accesses ws in order, zeroing each record so
+// a kept backing array holds no stale done callback.
+func (n *Node) replay(ws []waiter) {
+	for i := range ws {
+		w := ws[i]
+		ws[i] = waiter{}
+		n.Access(w.pc, w.line.Base(), w.write, w.done)
+	}
 }
 
 // wbEntry is a line in the writeback buffer: evicted locally but not yet
 // acknowledged by the directory. It can still service forwards.
 type wbEntry struct {
 	state   cache.State
-	waiters []func()
+	waiters []waiter
 }
 
 // Node is the per-tile cache-side coherence controller of the directory
@@ -342,14 +362,12 @@ func (n *Node) miss(pc uint64, line arch.LineAddr, kind predictor.MissKind, done
 	// An eviction of this line is still in flight: wait for the PutAck,
 	// then retry the whole access.
 	if e, ok := n.wb[line]; ok {
-		write := kind != predictor.ReadMiss
-		e.waiters = append(e.waiters, func() { n.Access(pc, line.Base(), write, done) })
+		e.waiters = append(e.waiters, waiter{pc, line, kind != predictor.ReadMiss, done})
 		return
 	}
 	// A miss on this line is already outstanding: retry after it resolves.
 	if m, ok := n.mshrFor(line); ok {
-		write := kind != predictor.ReadMiss
-		m.waiters = append(m.waiters, func() { n.Access(pc, line.Base(), write, done) })
+		m.waiters = append(m.waiters, waiter{pc, line, kind != predictor.ReadMiss, done})
 		return
 	}
 
@@ -812,10 +830,7 @@ func (n *Node) finalize(ms *mshr) {
 
 	// Replay same-line accesses that waited on this transaction, then
 	// clear the record and return it to the pool.
-	for i, w := range ms.waiters {
-		ms.waiters[i] = nil
-		w()
-	}
+	n.replay(ms.waiters)
 	*ms = mshr{waiters: ms.waiters[:0]}
 	n.sys.mshrPool = append(n.sys.mshrPool, ms)
 }
@@ -846,9 +861,7 @@ func (n *Node) handlePutAck(m *Msg) {
 		return
 	}
 	delete(n.wb, m.Line)
-	for _, w := range e.waiters {
-		w()
-	}
+	n.replay(e.waiters)
 }
 
 func (n *Node) sendAfter(d event.Time, m *Msg) {

@@ -345,7 +345,7 @@ func (s *System) strays(a *audit) {
 			case e == nil || e.state == dirU:
 				a.hard = append(a.hard, dirViol{l, id,
 					fmt.Sprintf("line %#x: dir U but node %d has %v", uint64(l), id, st)})
-			case e.state == dirE && id != e.owner:
+			case e.state == dirE && id != e.owner.id():
 				a.hard = append(a.hard, dirViol{l, id,
 					fmt.Sprintf("line %#x: dir E (owner %d) but node %d has %v", uint64(l), e.owner, id, st)})
 			case e.state == dirS && !e.sharers.Contains(id):
